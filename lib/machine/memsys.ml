@@ -4,9 +4,12 @@ type state = Invalid | Shared | Exclusive
 type t = {
   timing : Timing.t;
   cores : int;
-  (* tags.(core).(set) is the line number held in that slot. *)
-  tags : int array array;
-  states : state array array;
+  (* Slot [set * cores + core] is [core]'s entry for [set]: [tags] holds
+     the line number there and [states] its state.  The cores' entries
+     for one set are adjacent, so a probe of every core's copy reads one
+     or two host cache lines. *)
+  tags : int array;
+  states : state array;
   mutable bus_free_at : int;
   mutable transactions : int;
   mutable bus_wait : int;
@@ -16,39 +19,36 @@ let create timing ~cores =
   {
     timing;
     cores;
-    tags = Array.init cores (fun _ -> Array.make timing.Timing.cache_lines (-1));
-    states = Array.init cores (fun _ -> Array.make timing.Timing.cache_lines Invalid);
+    tags = Array.make (timing.Timing.cache_lines * cores) (-1);
+    states = Array.make (timing.Timing.cache_lines * cores) Invalid;
     bus_free_at = 0;
     transactions = 0;
     bus_wait = 0;
   }
 
 let reset t =
-  Array.iter (fun row -> Array.fill row 0 (Array.length row) (-1)) t.tags;
-  Array.iter (fun row -> Array.fill row 0 (Array.length row) Invalid) t.states;
+  Array.fill t.tags 0 (Array.length t.tags) (-1);
+  Array.fill t.states 0 (Array.length t.states) Invalid;
   t.bus_free_at <- 0;
   t.transactions <- 0;
   t.bus_wait <- 0
 
 let line_of t loc = loc lsr t.timing.Timing.line_shift
 
-let set_of t line = line mod t.timing.Timing.cache_lines
+(* The first slot of the line's set.  The helpers below take it as
+   well as the line; it is computed once per access. *)
+let set_base t line = (line mod t.timing.Timing.cache_lines) * t.cores
 
-let holds t core line =
-  let set = set_of t line in
-  if t.tags.(core).(set) = line then t.states.(core).(set) else Invalid
+let holds t core line base =
+  if t.tags.(base + core) = line then t.states.(base + core) else Invalid
 
-let set_state t core line st =
-  let set = set_of t line in
-  t.tags.(core).(set) <- line;
-  t.states.(core).(set) <- st
+let set_state t core line base st =
+  t.tags.(base + core) <- line;
+  t.states.(base + core) <- st
 
-let invalidate_others t core line =
+let invalidate_others t core line base =
   for other = 0 to t.cores - 1 do
-    if other <> core then begin
-      let set = set_of t line in
-      if t.tags.(other).(set) = line then t.states.(other).(set) <- Invalid
-    end
+    if other <> core && t.tags.(base + other) = line then t.states.(base + other) <- Invalid
   done
 
 (* Acquire the bus at [now]: returns the grant time and accounts for
@@ -58,70 +58,71 @@ let invalidate_others t core line =
    drains cannot starve later requests indefinitely. *)
 let bus_grant t now =
   let cap = t.timing.Timing.bus_occupancy_cycles * t.cores in
-  let backlog = min t.bus_free_at (now + cap) in
-  let grant = max now backlog in
+  let backlog = Int.min t.bus_free_at (now + cap) in
+  let grant = Int.max now backlog in
   t.bus_wait <- t.bus_wait + (grant - now);
-  t.bus_free_at <- max t.bus_free_at (grant + t.timing.Timing.bus_occupancy_cycles);
+  t.bus_free_at <- Int.max t.bus_free_at (grant + t.timing.Timing.bus_occupancy_cycles);
   t.transactions <- t.transactions + 1;
   grant
 
-(* Does any other core hold the line (and in which state)? *)
-let remote_holder t core line =
-  let found = ref None in
-  for other = 0 to t.cores - 1 do
-    if other <> core && !found = None then begin
-      match holds t other line with
-      | Invalid -> ()
-      | st -> found := Some (other, st)
-    end
+(* The first other core that holds the line, or -1. *)
+let remote_holder t core line base =
+  let found = ref (-1) and other = ref 0 in
+  while !found < 0 && !other < t.cores do
+    let o = !other in
+    if o <> core && holds t o line base <> Invalid then found := o;
+    incr other
   done;
   !found
 
 type access_cost = { ready_at : int; hit : bool }
 
+(* A remote copy held Exclusive is dirty: it comes by cache-to-cache
+   transfer. *)
+let remote_exclusive t holder line base = holder >= 0 && holds t holder line base = Exclusive
+
 let load t ~core ~loc ~now =
   let tm = t.timing in
   let line = line_of t loc in
-  match holds t core line with
+  let base = set_base t line in
+  match holds t core line base with
   | Shared | Exclusive -> { ready_at = now + tm.Timing.l1_hit_cycles; hit = true }
   | Invalid ->
       let grant = bus_grant t now in
+      let holder = remote_holder t core line base in
       let transfer =
-        match remote_holder t core line with
-        | Some (_, Exclusive) ->
-            (* Dirty in another cache: cache-to-cache transfer,
-               both end Shared. *)
-            tm.Timing.remote_transfer_cycles
-        | Some (_, Shared) -> tm.Timing.l2_hit_cycles
-        | Some (_, Invalid) | None -> tm.Timing.memory_cycles
+        if remote_exclusive t holder line base then begin
+          (* Dirty in another cache: both end Shared. *)
+          set_state t holder line base Shared;
+          tm.Timing.remote_transfer_cycles
+        end
+        else if holder >= 0 then tm.Timing.l2_hit_cycles
+        else tm.Timing.memory_cycles
       in
-      (match remote_holder t core line with
-      | Some (other, Exclusive) -> set_state t other line Shared
-      | _ -> ());
-      set_state t core line Shared;
+      set_state t core line base Shared;
       { ready_at = grant + transfer; hit = false }
 
 let store_drain t ~core ~loc ~now =
   let tm = t.timing in
   let line = line_of t loc in
-  match holds t core line with
+  let base = set_base t line in
+  match holds t core line base with
   | Exclusive -> now + tm.Timing.sb_drain_owned_cycles
-  | Shared | Invalid ->
+  | (Shared | Invalid) as held ->
       (* Upgrade: bus transaction to invalidate other copies, plus a
          fetch when we do not hold the line at all. *)
       let grant = bus_grant t now in
-      let base =
-        match holds t core line with
-        | Shared -> tm.Timing.sb_drain_shared_cycles
-        | Invalid | Exclusive ->
-            tm.Timing.sb_drain_shared_cycles
-            + (match remote_holder t core line with
-              | Some (_, Exclusive) -> tm.Timing.remote_transfer_cycles
-              | _ -> tm.Timing.l2_hit_cycles)
+      let cost =
+        if held = Shared then tm.Timing.sb_drain_shared_cycles
+        else
+          tm.Timing.sb_drain_shared_cycles
+          + (if remote_exclusive t (remote_holder t core line base) line base then
+               tm.Timing.remote_transfer_cycles
+             else tm.Timing.l2_hit_cycles)
       in
-      invalidate_others t core line;
-      set_state t core line Exclusive;
-      grant + base
+      invalidate_others t core line base;
+      set_state t core line base Exclusive;
+      grant + cost
 
 let bus_transactions t = t.transactions
 let bus_wait_cycles t = t.bus_wait

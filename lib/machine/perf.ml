@@ -20,11 +20,12 @@ type stats = {
   uops_executed : int;
 }
 
-(* One store-buffer entry: destination and the time its drain
-   completes.  Drains are serial per core, so the completion time can
-   be fixed at enqueue. *)
-type sb_entry = { loc : int; completes : int }
-
+(* The store buffer is a ring of (destination, drain completion time)
+   entries, oldest first.  Drains are serial per core, so a completion
+   time is fixed at enqueue and never decreases along the ring: the
+   entries still pending at any time form a suffix.  Completed entries
+   are dropped only at enqueue, so until the next store a load can still
+   forward from an entry that has drained. *)
 type core_state = {
   id : int;
   stream : Uop.t array;
@@ -33,34 +34,62 @@ type core_state = {
   mutable prev_was_spin : bool;
   mutable loads_seen : int;
   mutable misses_seen : int;
-  mutable sb : sb_entry list;  (** Oldest first. *)
+  sb_loc : int array;
+  sb_done : int array;
+  mutable sb_head : int;  (** Slot of the oldest entry. *)
+  mutable sb_len : int;
   mutable sb_tail_completes : int;
   mutable last_release : int;
   rng : Rng.t;
 }
 
-let forwardable core loc = List.exists (fun e -> e.loc = loc) core.sb
+(* Slot of the [i]th entry, oldest first; ring sizes are powers of two. *)
+let slot core i = (core.sb_head + i) land (Array.length core.sb_loc - 1)
 
+let forwardable core loc =
+  let i = ref 0 in
+  while !i < core.sb_len && core.sb_loc.(slot core !i) <> loc do incr i done;
+  !i < core.sb_len
+
+(* The newest same-location entry completes last. *)
 let same_loc_drain_time core loc =
-  List.fold_left (fun acc e -> if e.loc = loc then max acc e.completes else acc) 0 core.sb
+  let i = ref (core.sb_len - 1) in
+  while !i >= 0 && core.sb_loc.(slot core !i) <> loc do decr i done;
+  if !i < 0 then 0 else core.sb_done.(slot core !i)
 
-(* Time at which occupancy drops to [threshold] or below. *)
+(* Time at which occupancy drops to [threshold] or below: the
+   completion of the entry with [threshold] newer ones, if it is still
+   pending at [now]. *)
 let time_for_occupancy core now threshold =
-  let pending = List.filter (fun e -> e.completes > now) core.sb in
-  let excess = List.length pending - threshold in
-  if excess <= 0 then now
-  else begin
-    let completions = List.map (fun e -> e.completes) pending in
-    let sorted = List.sort compare completions in
-    List.nth sorted (excess - 1)
-  end
+  if core.sb_len <= threshold then now
+  else Int.max now core.sb_done.(slot core (core.sb_len - 1 - threshold))
+
+let drop_completed core now =
+  while core.sb_len > 0 && core.sb_done.(core.sb_head) <= now do
+    core.sb_head <- slot core 1;
+    core.sb_len <- core.sb_len - 1
+  done
+
+let push core loc completes =
+  assert (core.sb_len < Array.length core.sb_loc);
+  let s = slot core core.sb_len in
+  core.sb_loc.(s) <- loc;
+  core.sb_done.(s) <- completes;
+  core.sb_len <- core.sb_len + 1
 
 let run config streams =
   if Array.length streams > config.cores then
     invalid_arg "Perf.run: more streams than cores";
   let tm = config.timing in
+  if tm.Timing.sb_capacity < 1 then invalid_arg "Perf.run: store buffer capacity must be positive";
   let memsys = Memsys.create tm ~cores:config.cores in
   let base_rng = Rng.create config.seed in
+  (* An enqueue waits until at most [sb_capacity - 1] entries are
+     pending and then adds one, so the next enqueue, after dropping the
+     completed entries, finds at most [sb_capacity] and adds one more:
+     the ring never holds more than [sb_capacity + 1]. *)
+  let ring = ref 1 in
+  while !ring <= tm.Timing.sb_capacity + 1 do ring := 2 * !ring done;
   let cores =
     Array.mapi
       (fun i stream ->
@@ -72,7 +101,10 @@ let run config streams =
           prev_was_spin = false;
           loads_seen = 0;
           misses_seen = 0;
-          sb = [];
+          sb_loc = Array.make !ring 0;
+          sb_done = Array.make !ring 0;
+          sb_head = 0;
+          sb_len = 0;
           sb_tail_completes = 0;
           last_release = min_int / 2;
           rng = Rng.split base_rng;
@@ -85,18 +117,16 @@ let run config streams =
   let hits = ref 0 in
   let misses = ref 0 in
   let executed = ref 0 in
-  let enqueue_store ?(extra_drain = 0) core loc =
-    (* Drop entries whose drain has completed; the live list is then
+  let enqueue_store ~extra_drain core loc =
+    (* Drop entries whose drain has completed; the live ring is then
        bounded by the buffer capacity. *)
-    core.sb <- List.filter (fun e -> e.completes > core.time) core.sb;
+    drop_completed core core.time;
     (* Respect buffer capacity: stall until a slot frees up. *)
-    let now = core.time in
-    let avail = time_for_occupancy core now (tm.Timing.sb_capacity - 1) in
-    core.time <- max now avail;
-    let start = max core.time core.sb_tail_completes in
+    core.time <- time_for_occupancy core core.time (tm.Timing.sb_capacity - 1);
+    let start = Int.max core.time core.sb_tail_completes in
     let completes = Memsys.store_drain memsys ~core:core.id ~loc ~now:start + extra_drain in
     core.sb_tail_completes <- completes;
-    core.sb <- core.sb @ [ { loc; completes } ];
+    push core loc completes;
     core.time <- core.time + 1
   in
   let do_load core loc =
@@ -132,7 +162,7 @@ let run config streams =
     incr executed;
     let was_spin = match uop with Uop.Spin _ | Uop.Spin_light _ -> true | _ -> false in
     (match uop with
-    | Uop.Busy n -> core.time <- core.time + max 0 n
+    | Uop.Busy n -> core.time <- core.time + Int.max 0 n
     | Uop.Nops n -> core.time <- core.time + Timing.nop_cycles tm n
     | Uop.Spin n -> core.time <- core.time + spin_cost core ~light:false n
     | Uop.Spin_light n -> core.time <- core.time + spin_cost core ~light:true n
@@ -159,19 +189,19 @@ let run config streams =
     | Uop.Load_acquire loc ->
         (* An acquire load may not return a buffered (not yet
            globally visible) value: wait for same-location drains. *)
-        core.time <- max core.time (same_loc_drain_time core loc);
+        core.time <- Int.max core.time (same_loc_drain_time core loc);
         do_load core loc;
         core.time <- core.time + tm.Timing.acquire_extra_cycles
-    | Uop.Store loc -> enqueue_store core loc
+    | Uop.Store loc -> enqueue_store ~extra_drain:0 core loc
     | Uop.Store_release loc ->
         let avail = time_for_occupancy core core.time tm.Timing.release_drain_threshold in
-        release_stall := !release_stall + max 0 (avail - core.time);
-        core.time <- max core.time avail;
+        release_stall := !release_stall + Int.max 0 (avail - core.time);
+        core.time <- Int.max core.time avail;
         enqueue_store ~extra_drain:tm.Timing.release_drain_penalty_cycles core loc;
         core.time <- core.time + tm.Timing.release_extra_cycles;
         core.last_release <- core.time
     | Uop.Fence_full ->
-        let drained = max core.time core.sb_tail_completes in
+        let drained = Int.max core.time core.sb_tail_completes in
         fence_stall := !fence_stall + (drained - core.time);
         let interaction =
           if core.time - core.last_release < 30 then
@@ -185,8 +215,8 @@ let run config streams =
         (* lwsync orders without a full drain: it only waits for the
            buffer to shrink below a couple of entries. *)
         let avail = time_for_occupancy core core.time 2 in
-        fence_stall := !fence_stall + max 0 (avail - core.time);
-        core.time <- max core.time avail + tm.Timing.lwsync_cycles
+        fence_stall := !fence_stall + Int.max 0 (avail - core.time);
+        core.time <- Int.max core.time avail + tm.Timing.lwsync_cycles
     | Uop.Fence_pipeline -> core.time <- core.time + tm.Timing.pipeline_flush_cycles
     | Uop.Counter_shared path ->
         (* Invocation counter in a line shared by every core: a
@@ -195,7 +225,7 @@ let run config streams =
         let loc = counter_base + (path * line_stride) in
         do_load core loc;
         core.time <- core.time + 1;
-        enqueue_store core loc
+        enqueue_store ~extra_drain:0 core loc
     | Uop.Counter_private path ->
         let loc =
           counter_base + (1024 * line_stride)
@@ -203,31 +233,43 @@ let run config streams =
         in
         do_load core loc;
         core.time <- core.time + 1;
-        enqueue_store core loc);
+        enqueue_store ~extra_drain:0 core loc);
     core.prev_was_spin <- was_spin
   in
   (* Advance cores in global time order so shared-resource usage is
-     causally consistent. *)
+     causally consistent: the earliest core steps next, the lowest index
+     on ties.  Stepping a core leaves the others as they were, so it
+     keeps stepping until it is no longer ahead of the earliest of the
+     rest, which then takes over.  [clock.(i)] is core [i]'s time, or
+     [max_int] once its stream is done; it is refreshed when the core
+     hands over. *)
   let active core = core.index < Array.length core.stream in
-  let rec loop () =
-    let next = ref None in
-    Array.iter
-      (fun core ->
-        if active core then
-          match !next with
-          | Some best when best.time <= core.time -> ()
-          | _ -> next := Some core)
-      cores;
-    match !next with
-    | None -> ()
-    | Some core ->
-        step core;
-        loop ()
+  let clock = Array.map (fun core -> if active core then core.time else max_int) cores in
+  (* The earliest active core other than [except], or -1. *)
+  let earliest except =
+    let best = ref (-1) and best_time = ref max_int in
+    for i = 0 to Array.length clock - 1 do
+      if i <> except && clock.(i) < !best_time then begin
+        best := i;
+        best_time := clock.(i)
+      end
+    done;
+    !best
   in
-  loop ();
-  let per_core_cycles = Array.map (fun c -> max c.time c.sb_tail_completes) cores in
+  let current = ref (earliest (-1)) in
+  while !current >= 0 do
+    let c = !current in
+    let core = cores.(c) and rival = earliest c in
+    let rival_time = if rival < 0 then max_int else clock.(rival) in
+    while active core && (core.time < rival_time || (core.time = rival_time && c < rival)) do
+      step core
+    done;
+    clock.(c) <- (if active core then core.time else max_int);
+    current := rival
+  done;
+  let per_core_cycles = Array.map (fun c -> Int.max c.time c.sb_tail_completes) cores in
   {
-    wall_cycles = Array.fold_left max 0 per_core_cycles;
+    wall_cycles = Array.fold_left Int.max 0 per_core_cycles;
     per_core_cycles;
     bus_transactions = Memsys.bus_transactions memsys;
     bus_wait_cycles = Memsys.bus_wait_cycles memsys;

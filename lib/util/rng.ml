@@ -1,4 +1,11 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The four xoshiro256** state words s0..s3 live at byte offsets 0, 8,
+   16 and 24 of one 32-byte buffer.  The [%caml_bytes_*64u] primitives
+   read and write them unboxed, so advancing the generator allocates
+   nothing; mutable [int64] record fields would box on every store. *)
+type t = Bytes.t
+
+external get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 (* splitmix64 is used only to expand the user seed into the four
    xoshiro256** state words, as recommended by the xoshiro authors:
@@ -11,82 +18,75 @@ let splitmix64 state =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed =
-  let state = ref (Int64.of_int seed) in
-  let s0 = splitmix64 state in
-  let s1 = splitmix64 state in
-  let s2 = splitmix64 state in
-  let s3 = splitmix64 state in
-  { s0; s1; s2; s3 }
+let of_splitmix seed =
+  let state = ref seed and t = Bytes.create 32 in
+  for word = 0 to 3 do
+    set t (8 * word) (splitmix64 state)
+  done;
+  t
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let create seed = of_splitmix (Int64.of_int seed)
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+let copy = Bytes.copy
 
-let int64 t =
-  let result = Int64.mul (rotl (Int64.mul t.s1 5L) 7) 9L in
-  let u = Int64.shift_left t.s1 17 in
-  t.s2 <- Int64.logxor t.s2 t.s0;
-  t.s3 <- Int64.logxor t.s3 t.s1;
-  t.s1 <- Int64.logxor t.s1 t.s2;
-  t.s0 <- Int64.logxor t.s0 t.s3;
-  t.s2 <- Int64.logxor t.s2 u;
-  t.s3 <- rotl t.s3 45;
+let[@inline] rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+
+(* Inlined into every caller in this module, so the result stays
+   unboxed until it is narrowed to an int or a float. *)
+let[@inline] next t =
+  let s0 = get t 0 and s1 = get t 8 and s2 = get t 16 and s3 = get t 24 in
+  let result = Int64.mul (rotl (Int64.mul s1 5L) 7) 9L in
+  let u = Int64.shift_left s1 17 in
+  let s2 = Int64.logxor s2 s0 in
+  let s3 = Int64.logxor s3 s1 in
+  let s1 = Int64.logxor s1 s2 in
+  let s0 = Int64.logxor s0 s3 in
+  set t 0 s0;
+  set t 8 s1;
+  set t 16 (Int64.logxor s2 u);
+  set t 24 (rotl s3 45);
   result
 
-let split t =
-  let state = ref (int64 t) in
-  let s0 = splitmix64 state in
-  let s1 = splitmix64 state in
-  let s2 = splitmix64 state in
-  let s3 = splitmix64 state in
-  { s0; s1; s2; s3 }
+let int64 t = next t
 
-let bits t = Int64.to_int (Int64.shift_right_logical (int64 t) 2)
+let split t = of_splitmix (next t)
+
+let[@inline] bits t = Int64.to_int (Int64.shift_right_logical (next t) 2)
+
+(* Rejection sampling removes modulo bias; the retry probability is
+   negligible for the bounds used here. *)
+let rec int_below t bound =
+  let r = bits t in
+  let v = r mod bound in
+  if r - v > (max_int lsr 2) * 4 - bound then int_below t bound else v
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  (* Rejection sampling removes modulo bias; the retry probability is
-     negligible for the bounds used here. *)
-  let rec go () =
-    let r = bits t in
-    let v = r mod bound in
-    if r - v > (max_int lsr 2) * 4 - bound then go () else v
-  in
-  go ()
+  int_below t bound
 
-let unit_float t =
-  (* 53 high bits -> uniform double in [0, 1). *)
-  let x = Int64.shift_right_logical (int64 t) 11 in
-  Int64.to_float x *. 0x1.0p-53
+(* 53 high bits -> uniform double in [0, 1). *)
+let[@inline] unit_float t = Int64.to_float (Int64.shift_right_logical (next t) 11) *. 0x1.0p-53
 
 let float t bound = unit_float t *. bound
 
-let bool t = Int64.logand (int64 t) 1L = 1L
+let bool t = Int64.logand (next t) 1L = 1L
+
+let rec nonzero_unit t =
+  let u = unit_float t in
+  if u > 0. then u else nonzero_unit t
 
 let gaussian t ~mean ~std =
-  let rec nonzero () =
-    let u = unit_float t in
-    if u > 0. then u else nonzero ()
-  in
-  let u1 = nonzero () and u2 = unit_float t in
+  let u1 = nonzero_unit t in
+  let u2 = unit_float t in
   mean +. (std *. sqrt (-2. *. log u1) *. cos (2. *. Float.pi *. u2))
 
 let exponential t ~rate =
   if rate <= 0. then invalid_arg "Rng.exponential: rate must be positive";
-  let rec nonzero () =
-    let u = unit_float t in
-    if u > 0. then u else nonzero ()
-  in
-  -.log (nonzero ()) /. rate
+  -.log (nonzero_unit t) /. rate
 
 let pareto t ~shape ~scale =
   if shape <= 0. || scale <= 0. then invalid_arg "Rng.pareto: parameters must be positive";
-  let rec nonzero () =
-    let u = unit_float t in
-    if u > 0. then u else nonzero ()
-  in
-  scale /. (nonzero () ** (1. /. shape))
+  scale /. (nonzero_unit t ** (1. /. shape))
 
 let lognormal t ~mu ~sigma = exp (gaussian t ~mean:mu ~std:sigma)
 

@@ -23,44 +23,66 @@ let pick_location (p : Profile.t) rng tid =
 
 let shared_location (p : Profile.t) rng = Rng.int rng p.Profile.shared_locations
 
-let jvm_unit_ops (p : Profile.t) (config : Jvm.config) rng tid =
-  let r = p.Profile.jvm in
-  let ops = ref [] in
-  let emit op = ops := op :: !ops in
-  for _ = 1 to draw_count rng r.Profile.volatile_loads do
-    emit (Jvm.Volatile_load (shared_location p rng))
-  done;
-  for _ = 1 to draw_count rng r.Profile.volatile_stores do
-    emit (Jvm.Volatile_store (shared_location p rng))
-  done;
-  for _ = 1 to draw_count rng r.Profile.cas do
-    emit (Jvm.Cas (shared_location p rng))
-  done;
-  ignore tid;
-  let uops = List.concat_map (Jvm.compile config) (List.rev !ops) in
-  let lock_uops =
-    List.concat
-      (List.init (draw_count rng r.Profile.locks) (fun _ ->
-           let l = shared_location p rng in
-           Jvm.compile config (Jvm.Lock_enter l)
-           @ [ Uop.Busy 8 ]
-           @ Jvm.compile config (Jvm.Lock_exit l)))
-  in
-  uops @ lock_uops
+(* Each platform operation kind is compiled once per [streams] call
+   into a template whose memory accesses target [sentinel]; emitting
+   an occurrence retargets them to the drawn location.  Uops without a
+   location are shared between occurrences, not copied. *)
+type op_kind = { template : Uop.t array; rate : float }
 
-let kernel_unit_ops (p : Profile.t) (config : Kernel.config) rng =
-  (* Distinct macro invocations are separated by a little surrounding
-     work (argument setup, branching): they are not back-to-back in
-     real kernel code, so injected cost functions at different sites
-     do not overlap in the pipeline. *)
-  List.concat_map
-    (fun (macro, rate) ->
-      List.concat
-        (List.init (draw_count rng rate) (fun _ ->
-             Kernel.expand config macro ~loc:(shared_location p rng) @ [ Uop.Busy 3 ])))
-    p.Profile.kernel
+let sentinel = -1
 
-let unit_uops (p : Profile.t) platform rng tid =
+let retarget loc (u : Uop.t) : Uop.t =
+  match u with
+  | Load l when l = sentinel -> Load loc
+  | Store l when l = sentinel -> Store loc
+  | Load_acquire l when l = sentinel -> Load_acquire loc
+  | Store_release l when l = sentinel -> Store_release loc
+  | u -> u
+
+(* The kinds in draw and emission order: JVM volatile loads, volatile
+   stores, CASes, then locks (enter, a little work, exit); or each of
+   the profile's kernel macros, followed by the surrounding work that
+   keeps distinct invocations from overlapping in the pipeline. *)
+let op_kinds (p : Profile.t) platform =
+  let kind uops rate = { template = Array.of_list uops; rate } in
+  match platform with
+  | Jvm_platform c ->
+      let r = p.Profile.jvm and compile = Jvm.compile c in
+      [|
+        kind (compile (Jvm.Volatile_load sentinel)) r.Profile.volatile_loads;
+        kind (compile (Jvm.Volatile_store sentinel)) r.Profile.volatile_stores;
+        kind (compile (Jvm.Cas sentinel)) r.Profile.cas;
+        kind
+          (compile (Jvm.Lock_enter sentinel) @ [ Uop.Busy 8 ] @ compile (Jvm.Lock_exit sentinel))
+          r.Profile.locks;
+      |]
+  | Kernel_platform c ->
+      Array.of_list
+        (List.map
+           (fun (macro, rate) -> kind (Kernel.expand c macro ~loc:sentinel @ [ Uop.Busy 3 ]) rate)
+           p.Profile.kernel)
+
+(* Streams are written into a per-domain staging buffer that grows as
+   needed and is reused across calls; each stream leaves it in one
+   exact-size copy. *)
+let staging : Uop.t array Domain.DLS.key = Domain.DLS.new_key (fun () -> [||])
+
+let put buf i u =
+  let len = Array.length !buf in
+  if i >= len then begin
+    let bigger = Array.make (max (i + 1) (max 4096 (2 * len))) Uop.Fence_full in
+    Array.blit !buf 0 bigger 0 len;
+    buf := bigger
+  end;
+  !buf.(i) <- u
+
+(* Write one work unit at [pos] and return the position after it.
+   Compute is interleaved with memory traffic and platform operations
+   so barriers meet realistic store-buffer occupancy.  The draws come
+   in a fixed order (busy, platform-operation locations, loads, stores,
+   tail), but platform operations are emitted after the stores, so
+   they are written past the slots the loads and stores then fill. *)
+let emit_unit (p : Profile.t) kinds rng tid buf pos =
   let noise = p.Profile.noise in
   let busy =
     let mean = float_of_int p.Profile.unit_busy_cycles in
@@ -71,30 +93,35 @@ let unit_uops (p : Profile.t) platform rng tid =
     in
     max 1 (int_of_float drawn)
   in
-  let platform_ops =
-    match platform with
-    | Jvm_platform c -> jvm_unit_ops p c rng tid
-    | Kernel_platform c -> kernel_unit_ops p c rng
-  in
-  let loads = List.init p.Profile.unit_loads (fun _ -> Uop.Load (pick_location p rng tid)) in
-  let stores = List.init p.Profile.unit_stores (fun _ -> Uop.Store (pick_location p rng tid)) in
-  let tail =
-    if
-      noise.Profile.unit_tail_prob > 0.
-      && Rng.unit_float rng < noise.Profile.unit_tail_prob
-    then
-      [ Uop.Busy (int_of_float (Rng.pareto rng ~shape:1.5 ~scale:(float_of_int (max 1 noise.Profile.unit_tail_cycles)))) ]
-    else []
-  in
-  (* Interleave compute with memory traffic and platform operations
-     so barriers meet realistic store-buffer occupancy. *)
-  [ Uop.Busy (busy / 4) ]
-  @ loads
-  @ [ Uop.Busy (busy / 4) ]
-  @ stores
-  @ platform_ops
-  @ [ Uop.Busy (busy - (2 * (busy / 4))) ]
-  @ tail
+  let loads = p.Profile.unit_loads and stores = p.Profile.unit_stores in
+  let q = ref (pos + loads + stores + 2) in
+  for k = 0 to Array.length kinds - 1 do
+    let { template; rate } = kinds.(k) in
+    for _ = 1 to draw_count rng rate do
+      let loc = shared_location p rng in
+      for j = 0 to Array.length template - 1 do
+        put buf !q (retarget loc template.(j));
+        incr q
+      done
+    done
+  done;
+  let quarter = Uop.Busy (busy / 4) in
+  put buf pos quarter;
+  for i = 1 to loads do
+    put buf (pos + i) (Uop.Load (pick_location p rng tid))
+  done;
+  put buf (pos + loads + 1) quarter;
+  for i = 1 to stores do
+    put buf (pos + loads + 1 + i) (Uop.Store (pick_location p rng tid))
+  done;
+  put buf !q (Uop.Busy (busy - (2 * (busy / 4))));
+  if noise.Profile.unit_tail_prob > 0. && Rng.unit_float rng < noise.Profile.unit_tail_prob
+  then begin
+    let scale = float_of_int (max 1 noise.Profile.unit_tail_cycles) in
+    put buf (!q + 1) (Uop.Busy (int_of_float (Rng.pareto rng ~shape:1.5 ~scale)));
+    !q + 2
+  end
+  else !q + 1
 
 let streams ?units_override (p : Profile.t) platform ~seed =
   (match Profile.validate p with Ok () -> () | Error m -> invalid_arg m);
@@ -103,16 +130,20 @@ let streams ?units_override (p : Profile.t) platform ~seed =
   let units =
     match units_override with Some u -> u | None -> p.Profile.units_per_thread
   in
+  let kinds = op_kinds p platform in
+  (* Claim the buffer for this call: another thread on this domain that
+     calls in meanwhile starts from an empty one. *)
+  let buf = ref (Domain.DLS.get staging) in
+  Domain.DLS.set staging [||];
   let root = Rng.create (seed * 2654435761) in
-  Array.init threads (fun tid ->
-      let rng = Rng.split root in
-      let buffer = ref [] in
-      for _ = 1 to units do
-        buffer := List.rev_append (unit_uops p platform rng tid) !buffer
-      done;
-      Array.of_list (List.rev !buffer))
-
-let unit_uop_estimate (p : Profile.t) platform =
-  let sample = streams ~units_override:8 p platform ~seed:99 in
-  if Array.length sample = 0 then 0
-  else Array.length sample.(0) / 8
+  let result =
+    Array.init threads (fun tid ->
+        let rng = Rng.split root in
+        let pos = ref 0 in
+        for _ = 1 to units do
+          pos := emit_unit p kinds rng tid buf !pos
+        done;
+        Array.sub !buf 0 !pos)
+  in
+  Domain.DLS.set staging !buf;
+  result

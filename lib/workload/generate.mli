@@ -15,6 +15,3 @@ val streams :
     but not the rates.  [units_override] replaces
     [units_per_thread] (used to slice response-mode runs into
     requests). *)
-
-val unit_uop_estimate : Profile.t -> platform -> int
-(** Rough micro-ops per work unit, for sizing experiments. *)

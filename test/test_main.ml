@@ -16,6 +16,7 @@ let () =
       ("relaxed-machine", Test_relaxed.suite);
       ("perf-machine", Test_perf.suite);
       ("memsys", Test_memsys.suite);
+      ("simulator", Test_simulator.suite);
       ("costfn", Test_costfn.suite);
       ("platform", Test_platform.suite);
       ("workload", Test_workload.suite);

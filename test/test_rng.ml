@@ -103,6 +103,42 @@ let test_lognormal_positive () =
     Alcotest.(check bool) "positive" true (Rng.lognormal rng ~mu:0. ~sigma:1. > 0.)
   done
 
+(* Known answers: the first outputs of fixed seeds.  Every simulated
+   figure is a function of these streams, so a change to the generator's
+   representation must leave them bit-identical. *)
+let test_known_answers () =
+  let hex x = Printf.sprintf "%h" x in
+  let r = Rng.create 42 in
+  Alcotest.(check (list int64)) "create 42"
+    [ 0x15780b2e0c2ec716L; 0x6104d9866d113a7eL; 0xae17533239e499a1L; 0xecb8ad4703b360a1L ]
+    (List.init 4 (fun _ -> Rng.int64 r));
+  let r = Rng.create 42 in
+  let s = Rng.split r in
+  Alcotest.(check (list int64)) "split stream"
+    [ 0x8ee445d14631c453L; 0x106fa1a13296fe62L; 0x729a768806244ce5L ]
+    (List.init 3 (fun _ -> Rng.int64 s));
+  Alcotest.(check int64) "split advances the parent once" 0x6104d9866d113a7eL (Rng.int64 r);
+  let r = Rng.create 7 in
+  Alcotest.(check (list int)) "int" [ 998; 668; 909; 416; 166; 930 ]
+    (List.init 6 (fun _ -> Rng.int r 1000));
+  Alcotest.(check int) "int, large bound" 280169515587409429 (Rng.int r (max_int / 3));
+  Alcotest.(check int) "bits" 481625069074503799 (Rng.bits r);
+  Alcotest.(check (list bool)) "bool" [ false; true; true; false; true; true ]
+    (List.init 6 (fun _ -> Rng.bool r));
+  let r = Rng.create 9 in
+  Alcotest.(check (list string)) "unit_float"
+    [ "0x1.529dd9ec334p-9"; "0x1.01866e17454bep-2"; "0x1.0f485e418402cp-3" ]
+    (List.init 3 (fun _ -> hex (Rng.unit_float r)));
+  let r = Rng.create 13 in
+  Alcotest.(check (list string)) "gaussian"
+    [ "0x1.d8365c23254d5p+1"; "0x1.b724e03a3ec1ep+1"; "0x1.48cb3bb39b6bfp+0" ]
+    (List.init 3 (fun _ -> hex (Rng.gaussian r ~mean:3. ~std:2.)));
+  let r = Rng.create 17 in
+  Alcotest.(check string) "exponential" "0x1.ac9b941984b73p-3" (hex (Rng.exponential r ~rate:2.));
+  Alcotest.(check string) "pareto" "0x1.eb877decb684p+1" (hex (Rng.pareto r ~shape:1.5 ~scale:3.));
+  Alcotest.(check string) "lognormal" "0x1.6a83427d34d02p+0" (hex (Rng.lognormal r ~mu:0. ~sigma:1.));
+  Alcotest.(check string) "float" "0x1.aa728da91ab14p+2" (hex (Rng.float r 10.))
+
 let prop_shuffle_is_permutation =
   QCheck.Test.make ~name:"shuffle preserves multiset" ~count:200
     QCheck.(pair small_int (list small_int))
@@ -134,6 +170,7 @@ let suite =
     Alcotest.test_case "exponential mean" `Quick test_exponential_mean;
     Alcotest.test_case "pareto support" `Quick test_pareto_positive;
     Alcotest.test_case "lognormal support" `Quick test_lognormal_positive;
+    Alcotest.test_case "known answers" `Quick test_known_answers;
     QCheck_alcotest.to_alcotest prop_shuffle_is_permutation;
     QCheck_alcotest.to_alcotest prop_choose_member;
   ]
