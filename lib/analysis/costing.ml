@@ -79,7 +79,7 @@ let streams arch (g : Event_graph.t) (strategy : Placement.strategy) injection ~
             strategy;
           List.iter (fun u -> body := u :: !body) (uops_of_instr locs tid index instr))
         thread;
-      let body = Array.of_list (List.rev !body) in
+      let body = Uop.pack_list (List.rev !body) in
       Array.concat (List.init units (fun _ -> body)))
     g.program.Program.threads
 

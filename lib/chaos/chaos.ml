@@ -285,10 +285,12 @@ let shutdown_daemon d =
 (* ------------------------------------------------------------------ *)
 
 (* kill -9 resets the daemon's in-memory telemetry, so totals are
-   reconstructed as the sum over incarnations of the last snapshot
-   each incarnation answered.  Bumps between a snapshot and a kill
-   are lost - the accounting checks are all >=-thresholds against
-   events whose counter bump happens before the next snapshot. *)
+   reconstructed as the sum over incarnations of the largest value each
+   incarnation's snapshots reported (its counters only grow).  A
+   counter whose roundtrip failed is unmeasured, never 0.  Bumps
+   between an incarnation's last snapshot and its kill are lost - the
+   accounting checks are all >=-thresholds against events whose
+   counter bump happens before the next snapshot. *)
 let counter_keys =
   [
     "requests"; "ok"; "request_errors"; "overloaded"; "computed";
@@ -296,9 +298,11 @@ let counter_keys =
     "client_retries"; "verify_failures";
   ]
 
+(* The counters the daemon answered: [verify_failures] from the
+   cache-stats op, the rest from stats. *)
 let snapshot cfg =
   match Client.connect ~socket_path:cfg.socket_path with
-  | Error _ -> None
+  | Error _ -> []
   | Ok c ->
       Client.set_timeout c 30.;
       let final_of = function
@@ -311,22 +315,11 @@ let snapshot cfg =
       let stats = final_of (Client.roundtrip c (op_line "stats")) in
       let cstats = final_of (Client.roundtrip c (op_line "cache-stats")) in
       Client.close c;
-      match stats with
-      | None -> None
-      | Some _ ->
-          let get vo name =
-            match vo with
-            | None -> 0
-            | Some v -> Option.value ~default:0 (Json.int_member name v)
-          in
-          Some
-            (List.map
-               (fun k ->
-                 let v =
-                   if k = "verify_failures" then get cstats k else get stats k
-                 in
-                 (k, v))
-               counter_keys)
+      List.filter_map
+        (fun k ->
+          let source = if k = "verify_failures" then cstats else stats in
+          Option.map (fun v -> (k, v)) (Option.bind source (Json.int_member k)))
+        counter_keys
 
 (* ------------------------------------------------------------------ *)
 (* The run                                                             *)
@@ -360,18 +353,27 @@ let run cfg =
     kill_daemon d;
     failwith "Chaos.run: daemon did not come up"
   end;
-  let snapshots = Hashtbl.create 8 in
+  (* (incarnation, counter) -> the largest value seen. *)
+  let peaks = Hashtbl.create 64 in
   let snap () =
     match snapshot cfg with
-    | Some s ->
-        logf "snapshot incarnation %d: %s" d.d_incarnation
+    | [] -> logf "snapshot incarnation %d: daemon unreachable" d.d_incarnation
+    | s ->
+        let unmeasured = List.filter (fun k -> not (List.mem_assoc k s)) counter_keys in
+        logf "snapshot incarnation %d: %s%s" d.d_incarnation
           (String.concat " "
              (List.filter_map
                 (fun (k, v) ->
                   if v = 0 then None else Some (Printf.sprintf "%s=%d" k v))
-                s));
-        Hashtbl.replace snapshots d.d_incarnation s
-    | None -> logf "snapshot incarnation %d: daemon unreachable" d.d_incarnation
+                s))
+          (if unmeasured = [] then ""
+           else " (unmeasured: " ^ String.concat " " unmeasured ^ ")");
+        List.iter
+          (fun (k, v) ->
+            let key = (d.d_incarnation, k) in
+            let seen = Option.value ~default:0 (Hashtbl.find_opt peaks key) in
+            Hashtbl.replace peaks key (max seen v))
+          s
   in
   let retries = ref 0 and reconnects = ref 0 in
   let mismatches = ref [] in
@@ -658,17 +660,8 @@ let run cfg =
     Journal.fsck ~dir:(Filename.concat cfg.cache_dir "journal") ~run_id:"chaos"
       ()
   in
-  let totals =
-    Hashtbl.fold
-      (fun _ s acc ->
-        List.map
-          (fun (k, v) ->
-            (k, v + Option.value ~default:0 (List.assoc_opt k s)))
-          acc)
-      snapshots
-      (List.map (fun k -> (k, 0)) counter_keys)
-  in
-  let total k = Option.value ~default:0 (List.assoc_opt k totals) in
+  let total k = Hashtbl.fold (fun (_, k') v n -> if k' = k then n + v else n) peaks 0 in
+  let totals = List.map (fun k -> (k, total k)) counter_keys in
 
   (* Accounting: every injected fault must be visible somewhere. *)
   if !corruptions_done < cfg.corruptions then

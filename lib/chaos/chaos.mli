@@ -74,10 +74,11 @@ type report = {
   r_counters : (string * int) list;
       (** Server telemetry counters summed across daemon
           incarnations (each [kill -9] resets the live counters, so
-          the harness snapshots after every wave and sums the last
-          snapshot of each incarnation). *)
+          the harness snapshots after every wave and sums the largest
+          value each incarnation reported). *)
   r_corrupt_files : int;
-      (** Quarantined [.corrupt] files on disk at the end. *)
+      (** Quarantined [.corrupt] files on disk once the daemon has
+          stopped, before the final fsck. *)
   r_journal_fsck : Wmm_engine.Journal.fsck_report;
   r_cache_fsck : Wmm_engine.Cache.fsck_report;
   r_failures : string list;

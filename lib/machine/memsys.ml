@@ -13,6 +13,8 @@ type t = {
   mutable bus_free_at : int;
   mutable transactions : int;
   mutable bus_wait : int;
+  loads : int array;  (** Per core. *)
+  misses : int array;
 }
 
 let create timing ~cores =
@@ -24,6 +26,8 @@ let create timing ~cores =
     bus_free_at = 0;
     transactions = 0;
     bus_wait = 0;
+    loads = Array.make cores 0;
+    misses = Array.make cores 0;
   }
 
 let reset t =
@@ -31,7 +35,9 @@ let reset t =
   Array.fill t.states 0 (Array.length t.states) Invalid;
   t.bus_free_at <- 0;
   t.transactions <- 0;
-  t.bus_wait <- 0
+  t.bus_wait <- 0;
+  Array.fill t.loads 0 t.cores 0;
+  Array.fill t.misses 0 t.cores 0
 
 let line_of t loc = loc lsr t.timing.Timing.line_shift
 
@@ -75,8 +81,6 @@ let remote_holder t core line base =
   done;
   !found
 
-type access_cost = { ready_at : int; hit : bool }
-
 (* A remote copy held Exclusive is dirty: it comes by cache-to-cache
    transfer. *)
 let remote_exclusive t holder line base = holder >= 0 && holds t holder line base = Exclusive
@@ -85,9 +89,11 @@ let load t ~core ~loc ~now =
   let tm = t.timing in
   let line = line_of t loc in
   let base = set_base t line in
+  t.loads.(core) <- t.loads.(core) + 1;
   match holds t core line base with
-  | Shared | Exclusive -> { ready_at = now + tm.Timing.l1_hit_cycles; hit = true }
+  | Shared | Exclusive -> now + tm.Timing.l1_hit_cycles
   | Invalid ->
+      t.misses.(core) <- t.misses.(core) + 1;
       let grant = bus_grant t now in
       let holder = remote_holder t core line base in
       let transfer =
@@ -100,7 +106,7 @@ let load t ~core ~loc ~now =
         else tm.Timing.memory_cycles
       in
       set_state t core line base Shared;
-      { ready_at = grant + transfer; hit = false }
+      grant + transfer
 
 let store_drain t ~core ~loc ~now =
   let tm = t.timing in
@@ -126,3 +132,5 @@ let store_drain t ~core ~loc ~now =
 
 let bus_transactions t = t.transactions
 let bus_wait_cycles t = t.bus_wait
+let loads t ~core = t.loads.(core)
+let misses t ~core = t.misses.(core)

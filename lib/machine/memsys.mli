@@ -13,14 +13,9 @@ val create : Timing.t -> cores:int -> t
 
 val reset : t -> unit
 
-type access_cost = {
-  ready_at : int;  (** Completion time of the access. *)
-  hit : bool;  (** Whether it was a local L1 hit. *)
-}
-
-val load : t -> core:int -> loc:int -> now:int -> access_cost
-(** Perform a load: updates cache state and returns when the value is
-    available. *)
+val load : t -> core:int -> loc:int -> now:int -> int
+(** Perform a load: updates cache state and the core's load and miss
+    counts, and returns when the value is available. *)
 
 val store_drain : t -> core:int -> loc:int -> now:int -> int
 (** Drain one store-buffer entry to the coherent memory system:
@@ -32,3 +27,9 @@ val bus_transactions : t -> int
 
 val bus_wait_cycles : t -> int
 (** Total cycles spent waiting for the bus (contention measure). *)
+
+val loads : t -> core:int -> int
+(** Loads [core] has performed so far. *)
+
+val misses : t -> core:int -> int
+(** Those of [core]'s loads that missed its L1. *)

@@ -28,12 +28,10 @@ type stats = {
    forward from an entry that has drained. *)
 type core_state = {
   id : int;
-  stream : Uop.t array;
+  stream : Uop.packed array;
   mutable index : int;
   mutable time : int;
   mutable prev_was_spin : bool;
-  mutable loads_seen : int;
-  mutable misses_seen : int;
   sb_loc : int array;
   sb_done : int array;
   mutable sb_head : int;  (** Slot of the oldest entry. *)
@@ -99,8 +97,6 @@ let run config streams =
           index = 0;
           time = 0;
           prev_was_spin = false;
-          loads_seen = 0;
-          misses_seen = 0;
           sb_loc = Array.make !ring 0;
           sb_done = Array.make !ring 0;
           sb_head = 0;
@@ -114,8 +110,6 @@ let run config streams =
   let fence_stall = ref 0 in
   let release_stall = ref 0 in
   let forwarded = ref 0 in
-  let hits = ref 0 in
-  let misses = ref 0 in
   let executed = ref 0 in
   let enqueue_store ~extra_drain core loc =
     (* Drop entries whose drain has completed; the live ring is then
@@ -134,16 +128,7 @@ let run config streams =
       incr forwarded;
       core.time <- core.time + 1
     end
-    else begin
-      let cost = Memsys.load memsys ~core:core.id ~loc ~now:core.time in
-      core.loads_seen <- core.loads_seen + 1;
-      if cost.Memsys.hit then incr hits
-      else begin
-        incr misses;
-        core.misses_seen <- core.misses_seen + 1
-      end;
-      core.time <- cost.Memsys.ready_at
-    end
+    else core.time <- Memsys.load memsys ~core:core.id ~loc ~now:core.time
   in
   let spin_cost core ~light n =
     (* Back-to-back injected loops overlap in the pipeline; only a
@@ -160,21 +145,22 @@ let run config streams =
     let uop = core.stream.(core.index) in
     core.index <- core.index + 1;
     incr executed;
-    let was_spin = match uop with Uop.Spin _ | Uop.Spin_light _ -> true | _ -> false in
-    (match uop with
-    | Uop.Busy n -> core.time <- core.time + Int.max 0 n
-    | Uop.Nops n -> core.time <- core.time + Timing.nop_cycles tm n
-    | Uop.Spin n -> core.time <- core.time + spin_cost core ~light:false n
-    | Uop.Spin_light n -> core.time <- core.time + spin_cost core ~light:true n
-    | Uop.Branch ->
+    let kind = Uop.kind uop and arg = Uop.arg uop in
+    (match kind with
+    | Uop.Kind.Busy -> core.time <- core.time + Int.max 0 arg
+    | Nops -> core.time <- core.time + Timing.nop_cycles tm arg
+    | Spin -> core.time <- core.time + spin_cost core ~light:false arg
+    | Spin_light -> core.time <- core.time + spin_cost core ~light:true arg
+    | Branch ->
         (* Prediction quality tracks code/data footprint: tight
            cache-resident loops (lmbench-style) predict almost
            perfectly; large-footprint macro workloads do not.  This
            is the source of the paper's micro/macro divergence for
            the ctrl fencing strategy. *)
+        let loads = Memsys.loads memsys ~core:core.id in
         let miss_ratio =
-          if core.loads_seen = 0 then 0.
-          else float_of_int core.misses_seen /. float_of_int core.loads_seen
+          if loads = 0 then 0.
+          else float_of_int (Memsys.misses memsys ~core:core.id) /. float_of_int loads
         in
         let rate =
           Float.min tm.Timing.branch_mispredict_rate (0.06 +. (1.2 *. miss_ratio))
@@ -185,22 +171,22 @@ let run config streams =
           else tm.Timing.branch_cycles
         in
         core.time <- core.time + cost
-    | Uop.Load loc -> do_load core loc
-    | Uop.Load_acquire loc ->
+    | Load -> do_load core arg
+    | Load_acquire ->
         (* An acquire load may not return a buffered (not yet
            globally visible) value: wait for same-location drains. *)
-        core.time <- Int.max core.time (same_loc_drain_time core loc);
-        do_load core loc;
+        core.time <- Int.max core.time (same_loc_drain_time core arg);
+        do_load core arg;
         core.time <- core.time + tm.Timing.acquire_extra_cycles
-    | Uop.Store loc -> enqueue_store ~extra_drain:0 core loc
-    | Uop.Store_release loc ->
+    | Store -> enqueue_store ~extra_drain:0 core arg
+    | Store_release ->
         let avail = time_for_occupancy core core.time tm.Timing.release_drain_threshold in
         release_stall := !release_stall + Int.max 0 (avail - core.time);
         core.time <- Int.max core.time avail;
-        enqueue_store ~extra_drain:tm.Timing.release_drain_penalty_cycles core loc;
+        enqueue_store ~extra_drain:tm.Timing.release_drain_penalty_cycles core arg;
         core.time <- core.time + tm.Timing.release_extra_cycles;
         core.last_release <- core.time
-    | Uop.Fence_full ->
+    | Fence_full ->
         let drained = Int.max core.time core.sb_tail_completes in
         fence_stall := !fence_stall + (drained - core.time);
         let interaction =
@@ -209,32 +195,32 @@ let run config streams =
           else 0
         in
         core.time <- drained + tm.Timing.full_fence_cycles + interaction
-    | Uop.Fence_store -> core.time <- core.time + tm.Timing.store_fence_cycles
-    | Uop.Fence_load -> core.time <- core.time + tm.Timing.load_fence_cycles
-    | Uop.Fence_lw ->
+    | Fence_store -> core.time <- core.time + tm.Timing.store_fence_cycles
+    | Fence_load -> core.time <- core.time + tm.Timing.load_fence_cycles
+    | Fence_lw ->
         (* lwsync orders without a full drain: it only waits for the
            buffer to shrink below a couple of entries. *)
         let avail = time_for_occupancy core core.time 2 in
         fence_stall := !fence_stall + Int.max 0 (avail - core.time);
         core.time <- Int.max core.time avail + tm.Timing.lwsync_cycles
-    | Uop.Fence_pipeline -> core.time <- core.time + tm.Timing.pipeline_flush_cycles
-    | Uop.Counter_shared path ->
+    | Fence_pipeline -> core.time <- core.time + tm.Timing.pipeline_flush_cycles
+    | Counter_shared ->
         (* Invocation counter in a line shared by every core: a
            read-modify-write that bounces the line (the perturbation
            the paper warns about). *)
-        let loc = counter_base + (path * line_stride) in
+        let loc = counter_base + (arg * line_stride) in
         do_load core loc;
         core.time <- core.time + 1;
         enqueue_store ~extra_drain:0 core loc
-    | Uop.Counter_private path ->
+    | Counter_private ->
         let loc =
           counter_base + (1024 * line_stride)
-          + (((path * config.cores) + core.id) * line_stride)
+          + (((arg * config.cores) + core.id) * line_stride)
         in
         do_load core loc;
         core.time <- core.time + 1;
         enqueue_store ~extra_drain:0 core loc);
-    core.prev_was_spin <- was_spin
+    core.prev_was_spin <- (match kind with Spin | Spin_light -> true | _ -> false)
   in
   (* Advance cores in global time order so shared-resource usage is
      causally consistent: the earliest core steps next, the lowest index
@@ -268,6 +254,8 @@ let run config streams =
     current := rival
   done;
   let per_core_cycles = Array.map (fun c -> Int.max c.time c.sb_tail_completes) cores in
+  let total counter = Array.fold_left (fun n c -> n + counter memsys ~core:c.id) 0 cores in
+  let misses = total Memsys.misses in
   {
     wall_cycles = Array.fold_left Int.max 0 per_core_cycles;
     per_core_cycles;
@@ -276,8 +264,8 @@ let run config streams =
     fence_stall_cycles = !fence_stall;
     release_stall_cycles = !release_stall;
     forwarded_loads = !forwarded;
-    l1_hits = !hits;
-    l1_misses = !misses;
+    l1_hits = total Memsys.loads - misses;
+    l1_misses = misses;
     uops_executed = !executed;
   }
 
@@ -286,12 +274,12 @@ let wall_ns config stats = Timing.ns_of_cycles config.timing stats.wall_cycles
 let sequence_cost_ns ?(repetitions = 2000) timing sequence =
   let config = { timing; cores = 1; seed = 7 } in
   let spacer = [ Uop.Busy 4 ] in
-  let body = Array.of_list (List.concat_map (fun u -> u :: spacer) sequence) in
+  let body = Uop.pack_list (List.concat_map (fun u -> u :: spacer) sequence) in
   let repeated = Array.concat (List.init repetitions (fun _ -> body)) in
   let with_seq = run config [| repeated |] in
   let spacer_only =
     Array.concat
-      (List.init repetitions (fun _ -> Array.of_list (List.concat_map (fun _ -> spacer) sequence)))
+      (List.init repetitions (fun _ -> Uop.pack_list (List.concat_map (fun _ -> spacer) sequence)))
   in
   let base = run config [| spacer_only |] in
   Timing.ns_of_cycles timing (with_seq.wall_cycles - base.wall_cycles)

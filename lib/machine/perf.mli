@@ -31,7 +31,7 @@ type stats = {
   uops_executed : int;
 }
 
-val run : config -> Uop.t array array -> stats
+val run : config -> Uop.packed array array -> stats
 (** [run config streams] executes [streams.(i)] on core
     [i mod config.cores].  Raises [Invalid_argument] when more
     streams than cores are supplied. *)

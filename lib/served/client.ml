@@ -25,8 +25,10 @@ let connect ~socket_path =
 let close t =
   if not t.closed then begin
     t.closed <- true;
-    (* Closing either channel closes the shared descriptor. *)
-    try close_out_noerr t.oc; close_in_noerr t.ic with _ -> ()
+    (* Closing [oc] closes the descriptor both channels share.  Closing
+       [ic] too would close that number a second time, and by then
+       another thread may have reused it for an unrelated file. *)
+    close_out_noerr t.oc
   end
 
 let set_timeout t seconds =

@@ -25,26 +25,24 @@ let shared_location (p : Profile.t) rng = Rng.int rng p.Profile.shared_locations
 
 (* Each platform operation kind is compiled once per [streams] call
    into a template whose memory accesses target [sentinel]; emitting
-   an occurrence retargets them to the drawn location.  Uops without a
-   location are shared between occurrences, not copied. *)
-type op_kind = { template : Uop.t array; rate : float }
+   an occurrence retargets them to the drawn location. *)
+type op_kind = { template : Uop.packed array; rate : float }
 
 let sentinel = -1
 
-let retarget loc (u : Uop.t) : Uop.t =
-  match u with
-  | Load l when l = sentinel -> Load loc
-  | Store l when l = sentinel -> Store loc
-  | Load_acquire l when l = sentinel -> Load_acquire loc
-  | Store_release l when l = sentinel -> Store_release loc
-  | u -> u
+let retarget loc u =
+  if Uop.arg u <> sentinel then u
+  else
+    match Uop.kind u with
+    | (Load | Store | Load_acquire | Store_release) as k -> Uop.make k loc
+    | _ -> u
 
 (* The kinds in draw and emission order: JVM volatile loads, volatile
    stores, CASes, then locks (enter, a little work, exit); or each of
    the profile's kernel macros, followed by the surrounding work that
    keeps distinct invocations from overlapping in the pipeline. *)
 let op_kinds (p : Profile.t) platform =
-  let kind uops rate = { template = Array.of_list uops; rate } in
+  let kind uops rate = { template = Uop.pack_list uops; rate } in
   match platform with
   | Jvm_platform c ->
       let r = p.Profile.jvm and compile = Jvm.compile c in
@@ -65,12 +63,12 @@ let op_kinds (p : Profile.t) platform =
 (* Streams are written into a per-domain staging buffer that grows as
    needed and is reused across calls; each stream leaves it in one
    exact-size copy. *)
-let staging : Uop.t array Domain.DLS.key = Domain.DLS.new_key (fun () -> [||])
+let staging : Uop.packed array Domain.DLS.key = Domain.DLS.new_key (fun () -> [||])
 
 let put buf i u =
   let len = Array.length !buf in
   if i >= len then begin
-    let bigger = Array.make (max (i + 1) (max 4096 (2 * len))) Uop.Fence_full in
+    let bigger = Array.make (max (i + 1) (max 4096 (2 * len))) (Uop.make Busy 0) in
     Array.blit !buf 0 bigger 0 len;
     buf := bigger
   end;
@@ -105,20 +103,20 @@ let emit_unit (p : Profile.t) kinds rng tid buf pos =
       done
     done
   done;
-  let quarter = Uop.Busy (busy / 4) in
+  let quarter = Uop.make Busy (busy / 4) in
   put buf pos quarter;
   for i = 1 to loads do
-    put buf (pos + i) (Uop.Load (pick_location p rng tid))
+    put buf (pos + i) (Uop.make Load (pick_location p rng tid))
   done;
   put buf (pos + loads + 1) quarter;
   for i = 1 to stores do
-    put buf (pos + loads + 1 + i) (Uop.Store (pick_location p rng tid))
+    put buf (pos + loads + 1 + i) (Uop.make Store (pick_location p rng tid))
   done;
-  put buf !q (Uop.Busy (busy - (2 * (busy / 4))));
+  put buf !q (Uop.make Busy (busy - (2 * (busy / 4))));
   if noise.Profile.unit_tail_prob > 0. && Rng.unit_float rng < noise.Profile.unit_tail_prob
   then begin
     let scale = float_of_int (max 1 noise.Profile.unit_tail_cycles) in
-    put buf (!q + 1) (Uop.Busy (int_of_float (Rng.pareto rng ~shape:1.5 ~scale)));
+    put buf (!q + 1) (Uop.make Busy (int_of_float (Rng.pareto rng ~shape:1.5 ~scale)));
     !q + 2
   end
   else !q + 1

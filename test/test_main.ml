@@ -14,6 +14,7 @@ let () =
       ("model", Test_model.suite);
       ("explore", Test_explore.suite);
       ("relaxed-machine", Test_relaxed.suite);
+      ("uop", Test_uop.suite);
       ("perf-machine", Test_perf.suite);
       ("memsys", Test_memsys.suite);
       ("simulator", Test_simulator.suite);

@@ -5,59 +5,66 @@ open Wmm_core
 
 (* Optimizer -------------------------------------------------------- *)
 
+let stream = Uop.pack_list
+
 let test_strength_lattice () =
-  Alcotest.(check bool) "full top" true (Optimizer.strength Uop.Fence_full = Some 3);
-  Alcotest.(check bool) "non-fence" true (Optimizer.strength (Uop.Load 0) = None);
-  Alcotest.(check bool) "full subsumes lw" true (Optimizer.subsumes Uop.Fence_full Uop.Fence_lw);
-  Alcotest.(check bool) "lw subsumes ld" true (Optimizer.subsumes Uop.Fence_lw Uop.Fence_load);
+  Alcotest.(check bool) "full top" true (Optimizer.strength Uop.Kind.Fence_full = Some 3);
+  Alcotest.(check bool) "non-fence" true (Optimizer.strength Uop.Kind.Load = None);
+  Alcotest.(check bool) "full subsumes lw" true
+    (Optimizer.subsumes Uop.Kind.Fence_full Uop.Kind.Fence_lw);
+  Alcotest.(check bool) "lw subsumes ld" true
+    (Optimizer.subsumes Uop.Kind.Fence_lw Uop.Kind.Fence_load);
   Alcotest.(check bool) "ld does not subsume st" false
-    (Optimizer.subsumes Uop.Fence_load Uop.Fence_store);
+    (Optimizer.subsumes Uop.Kind.Fence_load Uop.Kind.Fence_store);
   Alcotest.(check bool) "duplicate subsumes" true
-    (Optimizer.subsumes Uop.Fence_store Uop.Fence_store)
+    (Optimizer.subsumes Uop.Kind.Fence_store Uop.Kind.Fence_store)
 
 let test_adjacent_duplicates_merge () =
-  let r = Optimizer.eliminate [| Uop.Fence_full; Uop.Fence_full |] in
+  let r = Optimizer.eliminate (stream [ Uop.Fence_full; Uop.Fence_full ]) in
   Alcotest.(check int) "one eliminated" 1 r.Optimizer.eliminated;
-  Alcotest.(check bool) "one remains" true (r.Optimizer.stream = [| Uop.Fence_full |])
+  Alcotest.(check bool) "one remains" true (r.Optimizer.stream = stream [ Uop.Fence_full ])
 
 let test_full_subsumes_neighbours () =
   let r =
-    Optimizer.eliminate [| Uop.Fence_load; Uop.Fence_full; Uop.Fence_store |]
+    Optimizer.eliminate (stream [ Uop.Fence_load; Uop.Fence_full; Uop.Fence_store ])
   in
   Alcotest.(check int) "two eliminated" 2 r.Optimizer.eliminated;
-  Alcotest.(check bool) "only the full fence" true (r.Optimizer.stream = [| Uop.Fence_full |])
+  Alcotest.(check bool) "only the full fence" true
+    (r.Optimizer.stream = stream [ Uop.Fence_full ])
 
 let test_memory_access_blocks_merging () =
-  let stream = [| Uop.Fence_full; Uop.Load 1; Uop.Fence_full |] in
+  let stream = stream [ Uop.Fence_full; Uop.Load 1; Uop.Fence_full ] in
   let r = Optimizer.eliminate stream in
   Alcotest.(check int) "nothing eliminated" 0 r.Optimizer.eliminated;
   Alcotest.(check bool) "stream unchanged" true (r.Optimizer.stream = stream)
 
 let test_isb_is_a_boundary () =
-  let stream = [| Uop.Fence_full; Uop.Fence_pipeline; Uop.Fence_full |] in
+  let stream = stream [ Uop.Fence_full; Uop.Fence_pipeline; Uop.Fence_full ] in
   let r = Optimizer.eliminate stream in
   Alcotest.(check int) "isb prevents merging" 0 r.Optimizer.eliminated
 
 let test_busy_does_not_block () =
-  let r = Optimizer.eliminate [| Uop.Fence_store; Uop.Busy 5; Uop.Fence_store |] in
+  let r = Optimizer.eliminate (stream [ Uop.Fence_store; Uop.Busy 5; Uop.Fence_store ]) in
   Alcotest.(check int) "merged across busy" 1 r.Optimizer.eliminated
 
 let test_probe_insertion () =
-  let r = Optimizer.eliminate ~probe:(Uop.Spin 8) [| Uop.Fence_full; Uop.Fence_full |] in
+  let r =
+    Optimizer.eliminate ~probe:(Uop.Spin 8) (stream [ Uop.Fence_full; Uop.Fence_full ])
+  in
   Alcotest.(check bool) "probe at the site" true
-    (r.Optimizer.stream = [| Uop.Fence_full; Uop.Spin 8 |])
+    (r.Optimizer.stream = stream [ Uop.Fence_full; Uop.Spin 8 ])
 
 let test_ld_st_pair_survives () =
-  let r = Optimizer.eliminate [| Uop.Fence_load; Uop.Fence_store |] in
+  let r = Optimizer.eliminate (stream [ Uop.Fence_load; Uop.Fence_store ]) in
   Alcotest.(check int) "incomparable pair kept" 0 r.Optimizer.eliminated
 
 let test_optimised_never_slower_when_fences_removed () =
   (* Performance sanity: removing fences cannot make the simulated
      run slower on one core. *)
   let stream =
-    Array.concat
-      (List.init 50 (fun i ->
-           [| Uop.Store i; Uop.Fence_store; Uop.Fence_full; Uop.Busy 10 |]))
+    stream
+      (List.concat
+         (List.init 50 (fun i -> [ Uop.Store i; Uop.Fence_store; Uop.Fence_full; Uop.Busy 10 ])))
   in
   let optimised, eliminated = Optimizer.optimise_streams [| stream |] in
   Alcotest.(check bool) "eliminated some" true (eliminated > 0);
@@ -80,7 +87,7 @@ let prop_idempotent =
         | 5 -> Uop.Store 2
         | _ -> Uop.Busy 3
       in
-      let stream = Array.of_list (List.map uop_of codes) in
+      let stream = stream (List.map uop_of codes) in
       let once = (Optimizer.eliminate stream).Optimizer.stream in
       let twice = (Optimizer.eliminate once).Optimizer.stream in
       once = twice)
@@ -98,9 +105,9 @@ let prop_non_fences_preserved =
         | 5 -> Uop.Store 2
         | _ -> Uop.Busy 3
       in
-      let stream = Array.of_list (List.map uop_of codes) in
+      let stream = stream (List.map uop_of codes) in
       let non_fence s =
-        List.filter (fun u -> Optimizer.strength u = None) (Array.to_list s)
+        List.filter (fun w -> Optimizer.strength (Uop.kind w) = None) (Array.to_list s)
       in
       non_fence (Optimizer.eliminate stream).Optimizer.stream = non_fence stream)
 

@@ -3,10 +3,10 @@ open Wmm_machine
 
 let config ?(cores = 2) arch = Perf.config ~seed:9 ~cores arch
 
-let run1 arch stream = Perf.run (config ~cores:1 arch) [| Array.of_list stream |]
+let run1 arch stream = Perf.run (config ~cores:1 arch) [| Uop.pack_list stream |]
 
 let test_determinism () =
-  let stream = [| Array.init 100 (fun i -> if i mod 3 = 0 then Uop.Store i else Uop.Load i) |] in
+  let stream = [| Array.init 100 (fun i -> Uop.pack (if i mod 3 = 0 then Uop.Store i else Uop.Load i)) |] in
   let a = Perf.run (config Arch.Armv8) stream in
   let b = Perf.run (config Arch.Armv8) stream in
   Alcotest.(check int) "same cycles" a.Perf.wall_cycles b.Perf.wall_cycles
@@ -18,7 +18,10 @@ let test_busy_additive () =
   Alcotest.(check int) "single" 100 a.Perf.wall_cycles
 
 let test_monotone_in_work () =
-  let mk n = Array.init n (fun i -> if i mod 4 = 0 then Uop.Store (i mod 32) else Uop.Load (i mod 64)) in
+  let mk n =
+    Array.init n (fun i ->
+        Uop.pack (if i mod 4 = 0 then Uop.Store (i mod 32) else Uop.Load (i mod 64)))
+  in
   let small = Perf.run (config Arch.Armv8) [| mk 100 |] in
   let large = Perf.run (config Arch.Armv8) [| mk 400 |] in
   Alcotest.(check bool) "more work, more cycles" true
@@ -73,7 +76,7 @@ let test_cache_locality () =
 
 let test_bus_contention () =
   (* Cores fighting over one line generate transactions and wait. *)
-  let stream = Array.init 200 (fun i -> if i mod 2 = 0 then Uop.Store 0 else Uop.Load 0) in
+  let stream = Array.init 200 (fun i -> Uop.pack (if i mod 2 = 0 then Uop.Store 0 else Uop.Load 0)) in
   let shared = Perf.run (Perf.config ~seed:3 ~cores:4 Arch.Armv8) (Array.make 4 stream) in
   Alcotest.(check bool) "transactions happened" true (shared.Perf.bus_transactions > 100);
   Alcotest.(check bool) "bus contention visible" true (shared.Perf.bus_wait_cycles > 0)
@@ -83,7 +86,7 @@ let test_release_stalls_when_buffer_deep () =
      attributable to the release semantics. *)
   let timing = { Timing.armv8 with Timing.release_drain_threshold = 2 } in
   let stores = List.init 10 (fun i -> Uop.Store i) in
-  let stream = Array.of_list (stores @ [ Uop.Store_release 99 ]) in
+  let stream = Uop.pack_list (stores @ [ Uop.Store_release 99 ]) in
   let r = Perf.run { Perf.timing; cores = 1; seed = 9 } [| stream |] in
   Alcotest.(check bool) "release waited for drains" true (r.Perf.release_stall_cycles > 0)
 

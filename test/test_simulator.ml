@@ -5,7 +5,8 @@
    uop kind.  Each pins the generated streams (by digest) and every
    field of [Perf.stats], so a faster generator or simulator must
    reproduce the same bits.  The allocation budget keeps the hot path
-   allocation-free, which is what lets two engine jobs scale. *)
+   allocation-free and the streams one word per uop, which is what lets
+   two engine jobs scale. *)
 
 open Wmm_util
 open Wmm_isa
@@ -19,7 +20,7 @@ let stream_digest streams =
   let fmt = Format.formatter_of_buffer b in
   Array.iter
     (fun s ->
-      Array.iter (fun u -> Format.fprintf fmt "%a;" Uop.pp u) s;
+      Array.iter (fun w -> Format.fprintf fmt "%a;" Uop.pp (Uop.unpack w)) s;
       Format.pp_print_char fmt '\n')
     streams;
   Format.pp_print_flush fmt ();
@@ -141,6 +142,8 @@ let mixed_streams () =
   Array.init 3 (fun _ ->
       Array.init 3000 (fun _ ->
           let loc = Rng.int rng 24 in
+          Uop.pack
+          @@
           match Rng.int rng 16 with
           | 0 -> Uop.Busy (Rng.int rng 20)
           | 1 | 2 -> Uop.Load loc
@@ -172,9 +175,11 @@ let test_mixed_stream () =
     (run Arch.Power7)
 
 (* Minor-heap words per uop for generation and for simulation of fig5's
-   base configuration.  What remains is the uops themselves and a few
-   boxed floats per work unit; the list-based paths this replaced
-   allocated about 50 words per uop in each. *)
+   base configuration, and the streams' footprint.  Packed uops are
+   unboxed, so what generation still allocates is a few boxed floats
+   per work unit, and simulation allocates only per run; boxed uops
+   cost about 2 and 1 words per uop here, and the list-based paths
+   before them about 50 in each. *)
 let test_allocation_budget () =
   let p = Dacapo.spark and platform = Exp_common.jvm_nop_base Arch.Armv8 in
   let generate () = Generate.streams ~units_override:100 p platform ~seed:1 in
@@ -188,12 +193,16 @@ let test_allocation_budget () =
   let stats = Perf.run config streams in
   let w3 = Gc.minor_words () in
   let per_uop words n = words /. float_of_int n in
-  let budget = 8. in
   let gen = per_uop (w1 -. w0) uops and sim = per_uop (w3 -. w2) stats.Perf.uops_executed in
-  Alcotest.(check bool) (Printf.sprintf "Generate.streams: %.2f words/uop <= %g" gen budget) true
-    (gen <= budget);
-  Alcotest.(check bool) (Printf.sprintf "Perf.run: %.2f words/uop <= %g" sim budget) true
-    (sim <= budget)
+  Alcotest.(check bool) (Printf.sprintf "Generate.streams: %.2f words/uop <= 1" gen) true
+    (gen <= 1.);
+  Alcotest.(check bool) (Printf.sprintf "Perf.run: %.3f words/uop <= 0.1" sim) true (sim <= 0.1);
+  (* One word per uop, a header per stream, and the outer array. *)
+  let footprint = Obj.reachable_words (Obj.repr streams) in
+  let n = Array.length streams in
+  let bound = uops + n + (n + 1) in
+  Alcotest.(check bool) (Printf.sprintf "streams: %d words <= %d" footprint bound) true
+    (footprint <= bound)
 
 let suite =
   List.map golden_case cases

@@ -48,13 +48,17 @@ let test_thread_count_capped () =
 let test_kernel_streams_contain_macros () =
   let streams = Generate.streams ~units_override:50 Kernelbench.netperf_udp kernel_platform ~seed:2 in
   let has_fence =
-    Array.exists (fun s -> Array.exists Uop.is_fence s) streams
+    Array.exists (fun s -> Array.exists (fun w -> Uop.is_fence (Uop.unpack w)) s) streams
   in
   Alcotest.(check bool) "kernel macros expanded to fences" true has_fence
 
 let test_jvm_streams_contain_barriers () =
   let streams = Generate.streams ~units_override:50 Dacapo.spark arm_platform ~seed:2 in
-  let count p = Array.fold_left (fun acc s -> acc + Array.length (Array.of_list (List.filter p (Array.to_list s)))) 0 streams in
+  let count p =
+    Array.fold_left
+      (fun acc s -> acc + List.length (List.filter (fun w -> p (Uop.unpack w)) (Array.to_list s)))
+      0 streams
+  in
   Alcotest.(check bool) "volatile traffic produces fences" true
     (count Uop.is_fence > 0);
   (* In acqrel mode the same profile produces ldar/stlr instead. *)
@@ -62,7 +66,11 @@ let test_jvm_streams_contain_barriers () =
     Generate.Jvm_platform { (Jvm.default Arch.Armv8) with Jvm.mode = Jvm.Acqrel }
   in
   let streams' = Generate.streams ~units_override:50 Dacapo.spark acqrel ~seed:2 in
-  let count' p = Array.fold_left (fun acc s -> acc + List.length (List.filter p (Array.to_list s))) 0 streams' in
+  let count' p =
+    Array.fold_left
+      (fun acc s -> acc + List.length (List.filter (fun w -> p (Uop.unpack w)) (Array.to_list s)))
+      0 streams'
+  in
   Alcotest.(check bool) "acqrel produces acquire/release accesses" true
     (count'
        (function Uop.Load_acquire _ | Uop.Store_release _ -> true | _ -> false)
@@ -102,7 +110,8 @@ let prop_share_ratio_bounds_locations =
       Array.for_all
         (fun stream ->
           Array.for_all
-            (function
+            (fun w ->
+              match Uop.unpack w with
               | Uop.Load l | Uop.Store l | Uop.Load_acquire l | Uop.Store_release l ->
                   l >= 0 && l < bound
               | _ -> true)
