@@ -1,33 +1,24 @@
 (* Perf baseline for the exploration core.
 
-   v2: three-way comparison.  For every case the pruned backtracking
-   search ([~engine:Pruned]), the execution-graph enumerator
-   ([~engine:Graph], with [Auto] timed separately so the adaptive
-   cutover is measured as the graph engine's deployed configuration)
-   and the generate-and-filter [Enumerate.Reference] path are run
-   over the full litmus library and a set of synthetic IRIW-class
-   worst cases; outcome sets are asserted identical across all three
-   per program; the result is written as BENCH_explore.json.
-
-   Engine attribution: a case whose every program the Auto cutover
-   routes to the pruned engine is reported with engine
-   "pruned-cutover" and inherits the pruned measurement (speedup vs
-   pruned exactly 1.00 by construction - the graph engine's answer
-   for a tiny test IS the pruned search).  Anything else is "graph"
-   and is timed under [Auto].
+   v3: graph engine against reference.  For every case the graph
+   engine ([Enumerate.allowed_outcomes_stats]) and the
+   generate-and-filter [Enumerate.Reference] path are run over the
+   full litmus library and a set of synthetic IRIW-class worst cases;
+   outcome sets are asserted identical per program; the result is
+   written as BENCH_explore.json.
 
    Usage: bench_explore [--out FILE] [--expected FILE] [--reps N]
                         [--no-reference] [--write-expected FILE]
                         [--assert-optimal]
 
-   --expected FILE asserts the deterministic per-engine exploration
-   counts (explored / consistent / outcomes / revisits /
-   symmetry-skips) against a checked-in table and exits non-zero on
-   drift; --assert-optimal additionally fails if any graph case
-   wastes work (explored > consistent) or loses to the pruned engine.
-   CI runs both under WMM_FAST=1.  The counts do not depend on
-   WMM_FAST - only the repetition count and whether the slow
-   reference path is timed do. *)
+   --expected FILE asserts the deterministic exploration counts
+   (explored / consistent / outcomes / revisits / symmetry-skips)
+   against a checked-in table and exits non-zero on drift;
+   --assert-optimal additionally fails if any case wastes work
+   (explored > consistent).  CI runs both under WMM_FAST=1.  The
+   counts do not depend on WMM_FAST - only the repetition count
+   does.  --no-reference skips the reference path, and with it the
+   outcome-set check. *)
 
 open Wmm_isa
 open Wmm_model
@@ -106,12 +97,8 @@ let cases =
 type result = {
   case : case;
   outcomes : int;
-  engine_label : string;  (* "graph" or "pruned-cutover" *)
-  pruned_stats : Enumerate.stats;
-  graph_stats : Enumerate.stats;  (* forced graph engine: waste-free counts *)
-  cutover_small : int;  (* programs Auto routed to the pruned engine *)
-  pruned_s : float;
-  graph_s : float;  (* Auto timing; = pruned_s on a full cutover *)
+  stats : Enumerate.stats;
+  graph_s : float;
   ref_s : float option;
 }
 
@@ -135,19 +122,16 @@ let add_stats (a : Enumerate.stats) (b : Enumerate.stats) =
   {
     Enumerate.generated = a.Enumerate.generated + b.Enumerate.generated;
     pruned = a.Enumerate.pruned + b.Enumerate.pruned;
-    well_formed = a.Enumerate.well_formed + b.Enumerate.well_formed;
     consistent = a.Enumerate.consistent + b.Enumerate.consistent;
-    graph_executions = a.Enumerate.graph_executions + b.Enumerate.graph_executions;
     revisits = a.Enumerate.revisits + b.Enumerate.revisits;
     symmetry_skips = a.Enumerate.symmetry_skips + b.Enumerate.symmetry_skips;
-    cutover_small = a.Enumerate.cutover_small + b.Enumerate.cutover_small;
     wall_s = a.Enumerate.wall_s +. b.Enumerate.wall_s;
   }
 
-let sweep ~engine model programs =
+let sweep model programs =
   List.fold_left
     (fun (outs, acc) p ->
-      let o, s = Enumerate.allowed_outcomes_stats ~engine model p in
+      let o, s = Enumerate.allowed_outcomes_stats model p in
       (* [allowed_outcomes] output is sorted already; re-sorting 2k+
          outcomes with a polymorphic compare would cost as much as the
          graph engine's whole search on the big cases. *)
@@ -155,88 +139,46 @@ let sweep ~engine model programs =
     ([], Enumerate.zero_stats) programs
 
 let run_case ~reps ~reference case =
-  let pruned_path () = sweep ~engine:Enumerate.Pruned case.model case.programs in
-  let (pruned_outs, pruned_stats), pruned_s = time_reps reps pruned_path in
-  (* Forced graph run, un-timed: its counters are the waste-free
-     per-case record; its outcome sets are the correctness check. *)
-  let graph_outs, graph_stats =
-    sweep ~engine:Enumerate.Graph case.model case.programs
-  in
-  List.iteri
-    (fun i (p : Program.t) ->
-      if List.nth pruned_outs i <> List.nth graph_outs i then (
-        Printf.eprintf "FATAL: %s/%s: graph and pruned outcome sets differ on %s\n"
-          case.name (Axiomatic.model_name case.model) p.Program.name;
-        exit 1))
-    case.programs;
-  (* Auto is the graph engine as deployed: big programs take the graph
-     path, tiny ones cut over to the pruned search. *)
-  let auto_path () = sweep ~engine:Enumerate.Auto case.model case.programs in
-  let (_, auto_stats), auto_s = time_reps reps auto_path in
-  let cutover_small = auto_stats.Enumerate.cutover_small in
-  let engine_label, graph_s =
-    if cutover_small >= List.length case.programs then ("pruned-cutover", pruned_s)
-    else ("graph", auto_s)
-  in
-  let outcomes = List.fold_left (fun n o -> n + List.length o) 0 pruned_outs in
+  let (outs, stats), graph_s = time_reps reps (fun () -> sweep case.model case.programs) in
   let ref_s =
     if not reference then None
     else
-      let ref_path () =
-        List.fold_left
-          (fun n p -> n + List.length (Enumerate.Reference.allowed_outcomes case.model p))
-          0 case.programs
+      let ref_outs, dt =
+        time_reps reps (fun () ->
+            List.map (Enumerate.Reference.allowed_outcomes case.model) case.programs)
       in
-      let ref_outcomes, dt = time_reps reps ref_path in
-      if ref_outcomes <> outcomes then (
-        Printf.eprintf "FATAL: %s/%s: reference path found %d outcomes, search found %d\n"
-          case.name (Axiomatic.model_name case.model) ref_outcomes outcomes;
-        exit 1);
+      List.iteri
+        (fun i (p : Program.t) ->
+          if List.nth outs i <> List.nth ref_outs i then (
+            Printf.eprintf "FATAL: %s/%s: graph and reference outcome sets differ on %s\n"
+              case.name (Axiomatic.model_name case.model) p.Program.name;
+            exit 1))
+        case.programs;
       Some dt
   in
-  {
-    case;
-    outcomes;
-    engine_label;
-    pruned_stats;
-    graph_stats;
-    cutover_small;
-    pruned_s;
-    graph_s;
-    ref_s;
-  }
+  let outcomes = List.fold_left (fun n o -> n + List.length o) 0 outs in
+  { case; outcomes; stats; graph_s; ref_s }
 
 (* ------------------------------------------------------------------ *)
-(* Expected-count assertions.  One line per (case, engine): both
-   engines' exploration counts are deterministic, so any drift is a
-   semantic change and must be re-baselined consciously.               *)
+(* Expected-count assertions.  One line per case: the exploration
+   counts are deterministic, so any drift is a semantic change and
+   must be re-baselined consciously.                                   *)
 (* ------------------------------------------------------------------ *)
 
-let count_key r engine =
-  Printf.sprintf "%s|%s|%s" r.case.name (Axiomatic.model_name r.case.model) engine
+(* The key keeps its engine column so the table's lines stay stable. *)
+let count_key r =
+  Printf.sprintf "%s|%s|graph" r.case.name (Axiomatic.model_name r.case.model)
 
-let counts_of r = function
-  | "pruned" ->
-      Printf.sprintf "%d %d %d %d %d" r.pruned_stats.Enumerate.generated
-        r.pruned_stats.Enumerate.consistent r.outcomes 0 0
-  | _ ->
-      Printf.sprintf "%d %d %d %d %d" r.graph_stats.Enumerate.generated
-        r.graph_stats.Enumerate.consistent r.outcomes
-        r.graph_stats.Enumerate.revisits r.graph_stats.Enumerate.symmetry_skips
-
-let engines = [ "pruned"; "graph" ]
+let counts_of r =
+  Printf.sprintf "%d %d %d %d %d" r.stats.Enumerate.generated r.stats.Enumerate.consistent
+    r.outcomes r.stats.Enumerate.revisits r.stats.Enumerate.symmetry_skips
 
 let write_expected path results =
   let oc = open_out path in
   output_string oc
     "# case|model|engine explored consistent outcomes revisits symmetry_skips - \
      regenerate with bench_explore --write-expected\n";
-  List.iter
-    (fun r ->
-      List.iter
-        (fun e -> output_string oc (count_key r e ^ " " ^ counts_of r e ^ "\n"))
-        engines)
-    results;
+  List.iter (fun r -> output_string oc (count_key r ^ " " ^ counts_of r ^ "\n")) results;
   close_out oc
 
 let assert_expected path results =
@@ -256,45 +198,34 @@ let assert_expected path results =
   let failures = ref 0 in
   List.iter
     (fun r ->
-      List.iter
-        (fun e ->
-          let key = count_key r e in
-          let got = counts_of r e in
-          match Hashtbl.find_opt table key with
-          | None ->
-              incr failures;
-              Printf.eprintf "EXPECTED-COUNTS: no entry for %s (got %s)\n" key got
-          | Some want when want <> got ->
-              incr failures;
-              Printf.eprintf "EXPECTED-COUNTS: %s: expected %s, got %s\n" key want got
-          | Some _ -> ())
-        engines)
+      let key = count_key r in
+      let got = counts_of r in
+      match Hashtbl.find_opt table key with
+      | None ->
+          incr failures;
+          Printf.eprintf "EXPECTED-COUNTS: no entry for %s (got %s)\n" key got
+      | Some want when want <> got ->
+          incr failures;
+          Printf.eprintf "EXPECTED-COUNTS: %s: expected %s, got %s\n" key want got
+      | Some _ -> ())
     results;
   if !failures > 0 then (
     Printf.eprintf "EXPECTED-COUNTS: %d mismatches\n" !failures;
     exit 1)
 
 (* The optimality gate: the graph engine must enumerate with zero
-   waste (every candidate it completes is consistent) and must never
-   lose to the pruned engine it replaces (a full cutover inherits the
-   pruned measurement, so it passes by construction). *)
+   waste (every execution it completes is consistent). *)
 let assert_optimal results =
   let failures = ref 0 in
   List.iter
     (fun r ->
-      let g = r.graph_stats in
+      let g = r.stats in
       if g.Enumerate.generated <> g.Enumerate.consistent then (
         incr failures;
         Printf.eprintf "OPTIMAL: %s|%s: graph explored %d but only %d consistent\n"
           r.case.name
           (Axiomatic.model_name r.case.model)
-          g.Enumerate.generated g.Enumerate.consistent);
-      if r.graph_s > 0. && r.pruned_s /. r.graph_s < 1.0 then (
-        incr failures;
-        Printf.eprintf "OPTIMAL: %s|%s: graph %.4fs slower than pruned %.4fs (%.2fx)\n"
-          r.case.name
-          (Axiomatic.model_name r.case.model)
-          r.graph_s r.pruned_s (r.pruned_s /. r.graph_s)))
+          g.Enumerate.generated g.Enumerate.consistent))
     results;
   if !failures > 0 then (
     Printf.eprintf "OPTIMAL: %d violations\n" !failures;
@@ -304,15 +235,15 @@ let assert_optimal results =
 (* JSON emission.                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* v2 keeps every v1 per-case field (name, model, new_s, ref_s,
-   speedup, outcomes, explored, pruned, consistent - now describing
-   the graph engine) and adds engine, pruned_s, speedup_vs_pruned,
-   revisits, symmetry_skips, cutover_small and waste. *)
+(* v3 drops v2's fields about the pruned engine and the routing to it
+   (engine, pruned_s, speedup_vs_pruned and the routed-program count);
+   every other field is kept, and speedup is reference time over graph
+   time. *)
 let json_of results ~reps ~mode =
   let b = Buffer.create 4096 in
   let fl f = Printf.sprintf "%.6f" f in
   Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"schema_version\": 2,\n";
+  Buffer.add_string b "  \"schema_version\": 3,\n";
   Buffer.add_string b (Printf.sprintf "  \"mode\": \"%s\",\n" mode);
   Buffer.add_string b (Printf.sprintf "  \"reps\": %d,\n" reps);
   Buffer.add_string b "  \"cases\": [\n";
@@ -324,51 +255,39 @@ let json_of results ~reps ~mode =
         | Some ref_s when r.graph_s > 0. -> Printf.sprintf "%.2f" (ref_s /. r.graph_s)
         | _ -> "null"
       in
-      let vs_pruned =
-        if r.engine_label = "pruned-cutover" then "1.00"
-        else if r.graph_s > 0. then Printf.sprintf "%.2f" (r.pruned_s /. r.graph_s)
-        else "null"
-      in
       let waste =
-        if r.graph_stats.Enumerate.consistent > 0 then
+        if r.stats.Enumerate.consistent > 0 then
           Printf.sprintf "%.4f"
-            (float_of_int r.graph_stats.Enumerate.generated
-            /. float_of_int r.graph_stats.Enumerate.consistent)
+            (float_of_int r.stats.Enumerate.generated
+            /. float_of_int r.stats.Enumerate.consistent)
         else "1.0"
       in
       Buffer.add_string b
         (Printf.sprintf
-           "    {\"name\": \"%s\", \"model\": \"%s\", \"engine\": \"%s\", \"new_s\": \
-            %s, \"pruned_s\": %s, \"ref_s\": %s, \"speedup\": %s, \
-            \"speedup_vs_pruned\": %s, \"outcomes\": %d, \"explored\": %d, \"pruned\": \
-            %d, \"consistent\": %d, \"revisits\": %d, \"symmetry_skips\": %d, \
-            \"cutover_small\": %d, \"waste\": %s}%s\n"
+           "    {\"name\": \"%s\", \"model\": \"%s\", \"new_s\": %s, \"ref_s\": %s, \
+            \"speedup\": %s, \"outcomes\": %d, \"explored\": %d, \"pruned\": %d, \
+            \"consistent\": %d, \"revisits\": %d, \"symmetry_skips\": %d, \"waste\": \
+            %s}%s\n"
            r.case.name
            (Axiomatic.model_name r.case.model)
-           r.engine_label (fl r.graph_s) (fl r.pruned_s)
+           (fl r.graph_s)
            (match r.ref_s with Some s -> fl s | None -> "null")
-           speedup vs_pruned r.outcomes r.graph_stats.Enumerate.generated
-           r.graph_stats.Enumerate.pruned r.graph_stats.Enumerate.consistent
-           r.graph_stats.Enumerate.revisits r.graph_stats.Enumerate.symmetry_skips
-           r.cutover_small waste
+           speedup r.outcomes r.stats.Enumerate.generated r.stats.Enumerate.pruned
+           r.stats.Enumerate.consistent r.stats.Enumerate.revisits
+           r.stats.Enumerate.symmetry_skips waste
            (if i = n - 1 then "" else ",")))
     results;
   Buffer.add_string b "  ],\n";
   let total_new = List.fold_left (fun acc r -> acc +. r.graph_s) 0. results in
-  let total_pruned = List.fold_left (fun acc r -> acc +. r.pruned_s) 0. results in
   let total_ref =
     List.fold_left (fun acc r -> match r.ref_s with Some s -> acc +. s | None -> acc) 0.
       results
   in
   Buffer.add_string b
-    (Printf.sprintf
-       "  \"totals\": {\"new_s\": %s, \"pruned_s\": %s, \"ref_s\": %s, \"speedup\": \
-        %s, \"speedup_vs_pruned\": %s}\n"
-       (fl total_new) (fl total_pruned) (fl total_ref)
+    (Printf.sprintf "  \"totals\": {\"new_s\": %s, \"ref_s\": %s, \"speedup\": %s}\n"
+       (fl total_new) (fl total_ref)
        (if total_new > 0. && total_ref > 0. then
           Printf.sprintf "%.2f" (total_ref /. total_new)
-        else "null")
-       (if total_new > 0. then Printf.sprintf "%.2f" (total_pruned /. total_new)
         else "null"));
   Buffer.add_string b "}\n";
   Buffer.contents b
@@ -420,20 +339,15 @@ let () =
       (fun c ->
         let r = run_case ~reps:!reps ~reference:!reference c in
         Printf.printf
-          "  %-14s %-6s %-14s %8.4fs  vs pruned %5s  %s outcomes %5d  explored %7d  \
-           revisits %5d  sym-skips %6d\n%!"
+          "  %-14s %-6s %8.4fs  %s outcomes %5d  explored %7d  revisits %5d  sym-skips %6d\n%!"
           r.case.name
           (Axiomatic.model_name r.case.model)
-          r.engine_label r.graph_s
-          (if r.engine_label = "pruned-cutover" then "1.00x"
-           else if r.graph_s > 0. then Printf.sprintf "%.2fx" (r.pruned_s /. r.graph_s)
-           else "-")
+          r.graph_s
           (match r.ref_s with
-          | Some s when r.graph_s > 0. ->
-              Printf.sprintf "vs ref %6.2fx " (s /. r.graph_s)
+          | Some s when r.graph_s > 0. -> Printf.sprintf "vs ref %6.2fx " (s /. r.graph_s)
           | _ -> "")
-          r.outcomes r.graph_stats.Enumerate.generated r.graph_stats.Enumerate.revisits
-          r.graph_stats.Enumerate.symmetry_skips;
+          r.outcomes r.stats.Enumerate.generated r.stats.Enumerate.revisits
+          r.stats.Enumerate.symmetry_skips;
         r)
       cases
   in

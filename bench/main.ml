@@ -27,12 +27,9 @@ let record_exploration engine =
     {
       Wmm_engine.Telemetry.explored = s.Wmm_model.Enumerate.generated;
       pruned = s.Wmm_model.Enumerate.pruned;
-      well_formed = s.Wmm_model.Enumerate.well_formed;
       consistent = s.Wmm_model.Enumerate.consistent;
-      graph_executions = s.Wmm_model.Enumerate.graph_executions;
       revisits = s.Wmm_model.Enumerate.revisits;
       symmetry_skips = s.Wmm_model.Enumerate.symmetry_skips;
-      cutover_small = s.Wmm_model.Enumerate.cutover_small;
       explore_wall_s = s.Wmm_model.Enumerate.wall_s;
     }
 
@@ -198,12 +195,7 @@ let conform_summary ~engine () =
       in
       let report =
         Wmm_synth.Conform.run
-          ~config:
-            {
-              Wmm_synth.Conform.default_config with
-              infer_limit;
-              explorer = Wmm_model.Enumerate.current_default_engine ();
-            }
+          ~config:{ Wmm_synth.Conform.default_config with infer_limit }
           ~engine ~arch tests
       in
       Buffer.add_string buffer (Wmm_synth.Conform.render report);
@@ -252,7 +244,6 @@ type options = {
   retries : int;
   resume : string option;
   robust : bool;
-  explorer : Wmm_model.Enumerate.engine_kind;
 }
 
 let usage () =
@@ -260,8 +251,6 @@ let usage () =
     "usage: main.exe [SECTION ...] [--jobs N] [--no-cache] [--telemetry FILE]";
   prerr_endline
     "                [--inject-faults SPEC] [--retries N] [--resume RUN-ID] [--robust-fit]";
-  prerr_endline
-    "                [--engine pruned|graph|reference|auto]  (exploration engine; default auto)";
   prerr_endline
     "--jobs N: worker domains (0 = auto-detect via Domain.recommended_domain_count;";
   prerr_endline "          1 = sequential, the default)";
@@ -290,12 +279,6 @@ let parse_options () =
         | _ -> usage ())
     | "--resume" :: id :: rest -> go { opts with resume = Some id } rest
     | "--robust-fit" :: rest -> go { opts with robust = true } rest
-    | "--engine" :: name :: rest -> (
-        match Wmm_model.Enumerate.engine_of_string name with
-        | Some explorer -> go { opts with explorer } rest
-        | None ->
-            Printf.eprintf "--engine: unknown engine %S\n" name;
-            usage ())
     | arg :: _ when String.length arg > 0 && arg.[0] = '-' -> usage ()
     | name :: rest -> go { opts with sections = name :: opts.sections } rest
   in
@@ -309,13 +292,11 @@ let parse_options () =
       retries = 2;
       resume = None;
       robust = false;
-      explorer = Wmm_model.Enumerate.Auto;
     }
     (List.tl (Array.to_list Sys.argv))
 
 let () =
   let opts = parse_options () in
-  Wmm_model.Enumerate.set_default_engine opts.explorer;
   Wmm_engine.Fault.set_ambient opts.faults;
   let robust = opts.robust in
   let cache =

@@ -33,12 +33,9 @@ let record_exploration engine =
     {
       Wmm_engine.Telemetry.explored = s.Wmm_model.Enumerate.generated;
       pruned = s.Wmm_model.Enumerate.pruned;
-      well_formed = s.Wmm_model.Enumerate.well_formed;
       consistent = s.Wmm_model.Enumerate.consistent;
-      graph_executions = s.Wmm_model.Enumerate.graph_executions;
       revisits = s.Wmm_model.Enumerate.revisits;
       symmetry_skips = s.Wmm_model.Enumerate.symmetry_skips;
-      cutover_small = s.Wmm_model.Enumerate.cutover_small;
       explore_wall_s = s.Wmm_model.Enumerate.wall_s;
     }
 
@@ -59,36 +56,119 @@ let arch_conv =
 let arch_arg =
   Arg.(value & opt arch_conv Wmm_isa.Arch.Armv8 & info [ "arch" ] ~doc:"arm or power")
 
-let engine_conv =
-  let parse s =
-    match Wmm_model.Enumerate.engine_of_string s with
-    | Some e -> Ok e
-    | None ->
-        Error
-          (`Msg
-             (Printf.sprintf "unknown engine %S (%s)" s
-                (String.concat " | "
-                   (List.map Wmm_model.Enumerate.engine_name
-                      Wmm_model.Enumerate.all_engines))))
+let mode_tag () = if Sys.getenv_opt "WMM_FAST" <> None then "fast" else "full"
+
+(* The --arch value of analyze and conform: one architecture, or both. *)
+let archs_of_string = function
+  | "both" -> [ Wmm_isa.Arch.Armv8; Wmm_isa.Arch.Power7 ]
+  | s -> (
+      match Wmm_isa.Arch.of_string s with
+      | Some a -> [ a ]
+      | None ->
+          die "unknown architecture %S; %s (or both)" s
+            Wmm_registry.Registry.valid_arches_sentence)
+
+(* ------------------------------------------------------------------ *)
+(* Engine-backed batch runs (figure, analyze, conform, lang)           *)
+(* ------------------------------------------------------------------ *)
+
+type batch = {
+  jobs : int;
+  no_cache : bool;
+  cache_dir : string;
+  telemetry_out : string option;
+  retries : int;
+  resume : string option;
+}
+
+let batch_term =
+  let jobs =
+    Arg.(
+      value & opt int 1
+      & info [ "jobs"; "j" ] ~docv:"N"
+          ~doc:
+            "Worker domains for the execution engine (0 = auto-detect via \
+             Domain.recommended_domain_count; 1 = sequential)")
   in
-  let print fmt e = Format.pp_print_string fmt (Wmm_model.Enumerate.engine_name e) in
-  Arg.conv (parse, print)
+  let no_cache = Arg.(value & flag & info [ "no-cache" ] ~doc:"Disable the result cache") in
+  let cache_dir =
+    Arg.(
+      value
+      & opt string Wmm_engine.Cache.default_dir
+      & info [ "cache-dir" ] ~docv:"DIR" ~doc:"Result cache directory")
+  in
+  let telemetry_out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "telemetry" ] ~docv:"FILE" ~doc:"Dump run telemetry as JSON to $(docv)")
+  in
+  let retries =
+    Arg.(
+      value & opt int 2
+      & info [ "retries" ] ~docv:"N"
+          ~doc:"Retries (with capped exponential backoff) for transient task failures")
+  in
+  let resume =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "resume" ] ~docv:"RUN-ID"
+          ~doc:
+            "Journal run id to resume: replays completed tasks from the cache \
+             directory's $(b,journal/RUN-ID.jsonl) and computes only the remainder. \
+             Without this flag a run id is derived from the request, so rerunning an \
+             interrupted identical invocation resumes automatically.")
+  in
+  Term.(
+    const (fun jobs no_cache cache_dir telemetry_out retries resume ->
+        { jobs; no_cache; cache_dir; telemetry_out; retries; resume })
+    $ jobs $ no_cache $ cache_dir $ telemetry_out $ retries $ resume)
 
-(* Every exploration-backed subcommand takes --engine; applying it
-   sets the ambient default before any worker domain spawns, so the
-   whole pipeline (Check, Conform, Infer, Contain, served ops)
-   inherits the choice. *)
-let engine_arg =
-  Arg.(
-    value
-    & opt engine_conv Wmm_model.Enumerate.Auto
-    & info [ "engine" ]
-        ~doc:
-          "Exploration engine: graph (incremental execution graphs), pruned \
-           (backtracking search), reference (generate-and-filter oracle) or auto \
-           (cutover: pruned for tiny tests, graph otherwise)")
-
-let apply_engine e = Wmm_model.Enumerate.set_default_engine e
+(* Run [f] on an engine built from the batch flags (and the ambient
+   fault plan), then record the exploration counters, print the run
+   summary and write the telemetry.  The summary goes to stderr so
+   stdout stays byte-identical across --jobs settings.  Automatic
+   resume: identical requests derive identical run ids from [tag], the
+   code version and [parts].  --no-cache opts out of reuse entirely,
+   unless an explicit --resume asks for the journal anyway (journal
+   entries are self-contained, so resume works cacheless). *)
+let with_batch_engine b ~tag ~parts f =
+  let cache =
+    if b.no_cache then Wmm_engine.Cache.disabled
+    else Wmm_engine.Cache.create ~dir:b.cache_dir ()
+  in
+  let run_id =
+    match b.resume with
+    | Some id -> Some id
+    | None when b.no_cache -> None
+    | None ->
+        Some
+          (Wmm_engine.Journal.derived_run_id ~tag
+             (Wmm_engine.Cache.code_version () :: parts))
+  in
+  let journal =
+    Option.map
+      (fun run_id ->
+        let dir = Filename.concat b.cache_dir "journal" in
+        let j = Wmm_engine.Journal.open_ ~dir ~run_id () in
+        Printf.eprintf "journal: run id %s (%d completed tasks on file)\n%!" run_id
+          (Wmm_engine.Journal.loaded j);
+        j)
+      run_id
+  in
+  let engine =
+    Wmm_engine.Engine.create ~jobs:b.jobs ~cache ~retries:b.retries ?journal ()
+  in
+  let result = f engine in
+  record_exploration engine;
+  prerr_endline (Wmm_engine.Engine.render_summary engine);
+  Option.iter
+    (fun path ->
+      try Wmm_engine.Engine.write_telemetry engine path
+      with Sys_error msg -> Printf.eprintf "warning: cannot write telemetry: %s\n" msg)
+    b.telemetry_out;
+  result
 
 (* ------------------------------------------------------------------ *)
 (* Certificate emission helpers (litmus --certify / analyze --certify) *)
@@ -186,8 +266,7 @@ let litmus_cmd =
       value & opt string "_wmm_certs"
       & info [ "cert-dir" ] ~docv:"DIR" ~doc:"Directory certificates are written to")
   in
-  let run engine test_name file exhaustive iterations certify cert_dir =
-    apply_engine engine;
+  let run test_name file exhaustive iterations certify cert_dir =
     let tests =
       match (test_name, file) with
       | _, Some path -> (
@@ -255,8 +334,8 @@ let litmus_cmd =
   Cmd.v
     (Cmd.info "litmus" ~doc:"Run litmus tests on the operational machine and the models")
     Term.(
-      const run $ engine_arg $ test_arg $ file_arg $ exhaustive_arg $ iterations_arg
-      $ certify_arg $ cert_dir_arg)
+      const run $ test_arg $ file_arg $ exhaustive_arg $ iterations_arg $ certify_arg
+      $ cert_dir_arg)
 
 (* ------------------------------------------------------------------ *)
 (* litmus-table                                                        *)
@@ -448,29 +527,6 @@ let figure_cmd =
   let id_arg =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"ID" ~doc:"Experiment id")
   in
-  let jobs_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Worker domains for the execution engine (0 = auto-detect via \
-             Domain.recommended_domain_count; 1 = sequential)")
-  in
-  let no_cache_arg =
-    Arg.(value & flag & info [ "no-cache" ] ~doc:"Disable the result cache")
-  in
-  let cache_dir_arg =
-    Arg.(
-      value
-      & opt string Wmm_engine.Cache.default_dir
-      & info [ "cache-dir" ] ~docv:"DIR" ~doc:"Result cache directory")
-  in
-  let telemetry_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "telemetry" ] ~docv:"FILE" ~doc:"Dump run telemetry as JSON to $(docv)")
-  in
   let faults_arg =
     Arg.(
       value
@@ -480,23 +536,6 @@ let figure_cmd =
             "Deterministic fault injection, e.g. \
              $(b,seed=7,transient=0.3x2,outlier=0.05x10,corrupt=0.1)")
   in
-  let retries_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "retries" ] ~docv:"N"
-          ~doc:"Retries (with capped exponential backoff) for transient task failures")
-  in
-  let resume_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "resume" ] ~docv:"RUN-ID"
-          ~doc:
-            "Journal run id to resume: replays completed tasks from \
-             $(b,_wmm_cache/journal/RUN-ID.jsonl) and computes only the remainder. \
-             Without this flag a run id is derived from the request, so rerunning an \
-             interrupted identical invocation resumes automatically.")
-  in
   let robust_arg =
     Arg.(
       value & flag
@@ -505,7 +544,7 @@ let figure_cmd =
             "Robust estimation: MAD outlier rejection on raw samples and \
              Huber-weighted sensitivity fits")
   in
-  let run id jobs no_cache cache_dir telemetry_out faults_spec retries resume robust =
+  let run id batch faults_spec robust =
     let open Wmm_experiments in
     let faults =
       match faults_spec with
@@ -517,7 +556,7 @@ let figure_cmd =
     in
     (* Installed before any sample request is built: the experiment
        layer captures the ambient plan into each task's closure and
-       cache key. *)
+       cache key, and the engine takes it as its fault plan. *)
     Wmm_engine.Fault.set_ambient faults;
     let report =
       match id with
@@ -535,57 +574,14 @@ let figure_cmd =
       | other ->
           die "unknown experiment %S; valid ids: %s" other (String.concat " " experiment_ids)
     in
-    let cache =
-      if no_cache then Wmm_engine.Cache.disabled
-      else Wmm_engine.Cache.create ~dir:cache_dir ()
-    in
-    let journal =
-      (* Automatic resume: identical requests derive identical run
-         ids.  --no-cache opts out of reuse entirely, unless an
-         explicit --resume asks for the journal anyway (journal
-         entries are self-contained, so resume works cacheless). *)
-      let run_id =
-        match resume with
-        | Some id -> Some id
-        | None when no_cache -> None
-        | None ->
-            Some
-              (Wmm_engine.Journal.derived_run_id ~tag:("figure-" ^ id)
-                 [
-                   id;
-                   Wmm_engine.Cache.code_version ();
-                   (if Sys.getenv_opt "WMM_FAST" <> None then "fast" else "full");
-                   Wmm_engine.Fault.fingerprint faults;
-                   string_of_bool robust;
-                 ])
-      in
-      Option.map
-        (fun run_id ->
-          let dir = Filename.concat cache_dir "journal" in
-          let j = Wmm_engine.Journal.open_ ~dir ~run_id () in
-          Printf.eprintf "journal: run id %s (%d completed tasks on file)\n%!" run_id
-            (Wmm_engine.Journal.loaded j);
-          j)
-        run_id
-    in
-    let engine = Wmm_engine.Engine.create ~jobs ~cache ~retries ~faults ?journal () in
-    print_endline (report engine);
-    record_exploration engine;
-    (* The run summary goes to stderr so figure output on stdout
-       stays byte-identical across --jobs settings. *)
-    prerr_endline (Wmm_engine.Engine.render_summary engine);
-    Option.iter
-      (fun path ->
-        try Wmm_engine.Engine.write_telemetry engine path
-        with Sys_error msg ->
-          Printf.eprintf "warning: cannot write telemetry: %s\n" msg)
-      telemetry_out
+    with_batch_engine batch ~tag:("figure-" ^ id)
+      ~parts:
+        [ id; mode_tag (); Wmm_engine.Fault.fingerprint faults; string_of_bool robust ]
+      (fun engine -> print_endline (report engine))
   in
   Cmd.v
     (Cmd.info "figure" ~doc:"Regenerate one of the paper's figures or tables")
-    Term.(
-      const run $ id_arg $ jobs_arg $ no_cache_arg $ cache_dir_arg $ telemetry_arg
-      $ faults_arg $ retries_arg $ resume_arg $ robust_arg)
+    Term.(const run $ id_arg $ batch_term $ faults_arg $ robust_arg)
 
 (* ------------------------------------------------------------------ *)
 (* analyze                                                             *)
@@ -605,45 +601,6 @@ let analyze_cmd =
     Arg.(
       value & opt string "both"
       & info [ "arch" ] ~docv:"ARCH" ~doc:"arm, power, or both (the default)")
-  in
-  let jobs_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Worker domains for the execution engine (0 = auto-detect via \
-             Domain.recommended_domain_count; 1 = sequential)")
-  in
-  let no_cache_arg =
-    Arg.(value & flag & info [ "no-cache" ] ~doc:"Disable the result cache")
-  in
-  let cache_dir_arg =
-    Arg.(
-      value
-      & opt string Wmm_engine.Cache.default_dir
-      & info [ "cache-dir" ] ~docv:"DIR" ~doc:"Result cache directory")
-  in
-  let telemetry_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "telemetry" ] ~docv:"FILE" ~doc:"Dump run telemetry as JSON to $(docv)")
-  in
-  let retries_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "retries" ] ~docv:"N"
-          ~doc:"Retries (with capped exponential backoff) for transient task failures")
-  in
-  let resume_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "resume" ] ~docv:"RUN-ID"
-          ~doc:
-            "Journal run id to resume; without this flag a run id is derived from the \
-             request, so rerunning an interrupted identical invocation resumes \
-             automatically.")
   in
   let no_cost_arg =
     Arg.(
@@ -670,17 +627,8 @@ let analyze_cmd =
       value & opt string "_wmm_certs"
       & info [ "cert-dir" ] ~docv:"DIR" ~doc:"Directory certificates are written to")
   in
-  let run engine names all arch_s jobs no_cache cache_dir telemetry_out retries resume
-      no_cost detail certify cert_dir =
-    apply_engine engine;
-    let archs =
-      match arch_s with
-      | "both" -> [ Wmm_isa.Arch.Armv8; Wmm_isa.Arch.Power7 ]
-      | s -> (
-          match Wmm_isa.Arch.of_string s with
-          | Some a -> [ a ]
-          | None -> die "unknown architecture %S; %s (or both)" s Wmm_registry.Registry.valid_arches_sentence)
-    in
+  let run names all arch_s batch no_cost detail certify cert_dir =
+    let archs = archs_of_string arch_s in
     let tests =
       if all || names = [] then Wmm_litmus.Library.all
       else
@@ -691,74 +639,43 @@ let analyze_cmd =
             | None -> die "unknown litmus test %S (see `wmm_bench list`)" n)
           names
     in
-    let cache =
-      if no_cache then Wmm_engine.Cache.disabled
-      else Wmm_engine.Cache.create ~dir:cache_dir ()
-    in
-    let journal =
-      let run_id =
-        match resume with
-        | Some id -> Some id
-        | None when no_cache -> None
-        | None ->
-            Some
-              (Wmm_engine.Journal.derived_run_id ~tag:"analyze"
-                 ([
-                    Wmm_engine.Cache.code_version ();
-                    (if Sys.getenv_opt "WMM_FAST" <> None then "fast" else "full");
-                    arch_s;
-                    string_of_bool no_cost;
-                  ]
-                 @ List.sort compare (List.map (fun (t : Wmm_litmus.Test.t) -> t.Wmm_litmus.Test.name) tests)))
-      in
-      Option.map
-        (fun run_id ->
-          let dir = Filename.concat cache_dir "journal" in
-          let j = Wmm_engine.Journal.open_ ~dir ~run_id () in
-          Printf.eprintf "journal: run id %s (%d completed tasks on file)\n%!" run_id
-            (Wmm_engine.Journal.loaded j);
-          j)
-        run_id
-    in
-    let engine = Wmm_engine.Engine.create ~jobs ~cache ~retries ?journal () in
-    List.iter
-      (fun arch ->
-        let rows =
-          Wmm_analysis.Infer.analyze_all ~with_cost:(not no_cost) ~engine ~arch tests
-        in
-        print_string (Wmm_analysis.Infer.render ~detail arch rows);
-        print_newline ();
-        if certify then
-          List.iter
-            (fun (row : Wmm_analysis.Infer.row) ->
-              match row.Wmm_analysis.Infer.status with
-              | Wmm_analysis.Infer.Inferred inf -> (
-                  match
-                    Wmm_certify.Emit.minimal row.Wmm_analysis.Infer.model
-                      row.Wmm_analysis.Infer.test inf.Wmm_analysis.Infer.minimal
-                  with
-                  | Ok cert ->
-                      let path =
-                        write_cert cert_dir
-                          (row.Wmm_analysis.Infer.test.Wmm_litmus.Test.name
-                         ^ "__minimal")
-                          (Wmm_model.Axiomatic.model_name row.Wmm_analysis.Infer.model)
-                          cert
-                      in
-                      Printf.printf "certificate: %s\n" path
-                  | Error msg ->
-                      Printf.printf "certificate: %s skipped (%s)\n"
-                        row.Wmm_analysis.Infer.test.Wmm_litmus.Test.name msg)
-              | _ -> ())
-            rows)
-      archs;
-    record_exploration engine;
-    prerr_endline (Wmm_engine.Engine.render_summary engine);
-    Option.iter
-      (fun path ->
-        try Wmm_engine.Engine.write_telemetry engine path
-        with Sys_error msg -> Printf.eprintf "warning: cannot write telemetry: %s\n" msg)
-      telemetry_out
+    with_batch_engine batch ~tag:"analyze"
+      ~parts:
+        ([ mode_tag (); arch_s; string_of_bool no_cost ]
+        @ List.sort compare
+            (List.map (fun (t : Wmm_litmus.Test.t) -> t.Wmm_litmus.Test.name) tests))
+      (fun engine ->
+        List.iter
+          (fun arch ->
+            let rows =
+              Wmm_analysis.Infer.analyze_all ~with_cost:(not no_cost) ~engine ~arch tests
+            in
+            print_string (Wmm_analysis.Infer.render ~detail arch rows);
+            print_newline ();
+            if certify then
+              List.iter
+                (fun (row : Wmm_analysis.Infer.row) ->
+                  match row.Wmm_analysis.Infer.status with
+                  | Wmm_analysis.Infer.Inferred inf -> (
+                      match
+                        Wmm_certify.Emit.minimal row.Wmm_analysis.Infer.model
+                          row.Wmm_analysis.Infer.test inf.Wmm_analysis.Infer.minimal
+                      with
+                      | Ok cert ->
+                          let path =
+                            write_cert cert_dir
+                              (row.Wmm_analysis.Infer.test.Wmm_litmus.Test.name
+                             ^ "__minimal")
+                              (Wmm_model.Axiomatic.model_name row.Wmm_analysis.Infer.model)
+                              cert
+                          in
+                          Printf.printf "certificate: %s\n" path
+                      | Error msg ->
+                          Printf.printf "certificate: %s skipped (%s)\n"
+                            row.Wmm_analysis.Infer.test.Wmm_litmus.Test.name msg)
+                  | _ -> ())
+                rows)
+          archs)
   in
   Cmd.v
     (Cmd.info "analyze"
@@ -766,9 +683,8 @@ let analyze_cmd =
          "Infer fence placements for litmus tests: critical cycles, verified-minimal \
           insertion, cost-ranked alternatives")
     Term.(
-      const run $ engine_arg $ tests_arg $ all_arg $ arch_arg $ jobs_arg $ no_cache_arg
-      $ cache_dir_arg $ telemetry_arg $ retries_arg $ resume_arg $ no_cost_arg
-      $ detail_arg $ certify_arg $ cert_dir_arg)
+      const run $ tests_arg $ all_arg $ arch_arg $ batch_term $ no_cost_arg $ detail_arg
+      $ certify_arg $ cert_dir_arg)
 
 (* ------------------------------------------------------------------ *)
 (* check                                                               *)
@@ -851,126 +767,45 @@ let conform_cmd =
       & info [ "infer-limit" ] ~docv:"N"
           ~doc:"Tests run through the fence-inference layer (0 disables it)")
   in
-  let jobs_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Worker domains for the execution engine (0 = auto-detect via \
-             Domain.recommended_domain_count; 1 = sequential)")
-  in
-  let no_cache_arg =
-    Arg.(value & flag & info [ "no-cache" ] ~doc:"Disable the result cache")
-  in
-  let cache_dir_arg =
-    Arg.(
-      value
-      & opt string Wmm_engine.Cache.default_dir
-      & info [ "cache-dir" ] ~docv:"DIR" ~doc:"Result cache directory")
-  in
-  let telemetry_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "telemetry" ] ~docv:"FILE" ~doc:"Dump run telemetry as JSON to $(docv)")
-  in
-  let retries_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "retries" ] ~docv:"N"
-          ~doc:"Retries (with capped exponential backoff) for transient task failures")
-  in
-  let resume_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "resume" ] ~docv:"RUN-ID"
-          ~doc:
-            "Journal run id to resume; without this flag a run id is derived from the \
-             request, so rerunning an interrupted identical invocation resumes \
-             automatically.")
-  in
-  let run explorer arch_s max_edges limit infer_limit jobs no_cache cache_dir
-      telemetry_out retries resume =
-    apply_engine explorer;
-    let archs =
-      match arch_s with
-      | "both" -> [ Wmm_isa.Arch.Armv8; Wmm_isa.Arch.Power7 ]
-      | s -> (
-          match Wmm_isa.Arch.of_string s with
-          | Some a -> [ a ]
-          | None -> die "unknown architecture %S; %s (or both)" s Wmm_registry.Registry.valid_arches_sentence)
-    in
+  let run arch_s max_edges limit infer_limit batch =
+    let archs = archs_of_string arch_s in
     if max_edges < 2 then die "--max-edges must be at least 2";
-    let cache =
-      if no_cache then Wmm_engine.Cache.disabled
-      else Wmm_engine.Cache.create ~dir:cache_dir ()
+    let disagreements =
+      with_batch_engine batch ~tag:"conform"
+        ~parts:
+          [
+            arch_s; string_of_int max_edges; string_of_int limit; string_of_int infer_limit;
+          ]
+        (fun engine ->
+          List.fold_left
+            (fun n arch ->
+              let family = Wmm_synth.Synth.generate ~max_edges arch in
+              let tests =
+                List.filteri
+                  (fun i _ -> limit = 0 || i < limit)
+                  (List.map (fun g -> g.Wmm_synth.Synth.g_test) family)
+              in
+              let report =
+                Wmm_synth.Conform.run
+                  ~config:{ Wmm_synth.Conform.default_config with infer_limit }
+                  ~engine ~arch tests
+              in
+              print_string (Wmm_synth.Conform.render report);
+              print_newline ();
+              n + List.length report.Wmm_synth.Conform.disagreements)
+            0 archs)
     in
-    let journal =
-      let run_id =
-        match resume with
-        | Some id -> Some id
-        | None when no_cache -> None
-        | None ->
-            Some
-              (Wmm_engine.Journal.derived_run_id ~tag:"conform"
-                 [
-                   Wmm_engine.Cache.code_version ();
-                   arch_s;
-                   string_of_int max_edges;
-                   string_of_int limit;
-                   string_of_int infer_limit;
-                   Wmm_model.Enumerate.engine_name explorer;
-                 ])
-      in
-      Option.map
-        (fun run_id ->
-          let dir = Filename.concat cache_dir "journal" in
-          let j = Wmm_engine.Journal.open_ ~dir ~run_id () in
-          Printf.eprintf "journal: run id %s (%d completed tasks on file)\n%!" run_id
-            (Wmm_engine.Journal.loaded j);
-          j)
-        run_id
-    in
-    let engine = Wmm_engine.Engine.create ~jobs ~cache ~retries ?journal () in
-    let disagreements = ref 0 in
-    List.iter
-      (fun arch ->
-        let family = Wmm_synth.Synth.generate ~max_edges arch in
-        let tests =
-          List.filteri
-            (fun i _ -> limit = 0 || i < limit)
-            (List.map (fun g -> g.Wmm_synth.Synth.g_test) family)
-        in
-        let report =
-          Wmm_synth.Conform.run
-            ~config:{ Wmm_synth.Conform.default_config with infer_limit; explorer }
-            ~engine ~arch tests
-        in
-        disagreements :=
-          !disagreements + List.length report.Wmm_synth.Conform.disagreements;
-        print_string (Wmm_synth.Conform.render report);
-        print_newline ())
-      archs;
-    record_exploration engine;
-    prerr_endline (Wmm_engine.Engine.render_summary engine);
-    Option.iter
-      (fun path ->
-        try Wmm_engine.Engine.write_telemetry engine path
-        with Sys_error msg -> Printf.eprintf "warning: cannot write telemetry: %s\n" msg)
-      telemetry_out;
-    if !disagreements > 0 then exit 1
+    if disagreements > 0 then exit 1
   in
   Cmd.v
     (Cmd.info "conform"
        ~doc:
-         "Differential conformance over a synthesized litmus battery: pruned search vs \
+         "Differential conformance over a synthesized litmus battery: graph engine vs \
           reference enumeration, operational machine vs axiomatic models, fence \
-          inference; disagreements are shrunk to minimal failing tests")
+          inference, certificates vs the independent checker; disagreements are shrunk \
+          to minimal failing tests")
     Term.(
-      const run $ engine_arg $ arch_arg $ max_edges_arg $ limit_arg $ infer_limit_arg
-      $ jobs_arg $ no_cache_arg $ cache_dir_arg $ telemetry_arg $ retries_arg
-      $ resume_arg)
+      const run $ arch_arg $ max_edges_arg $ limit_arg $ infer_limit_arg $ batch_term)
 
 (* ------------------------------------------------------------------ *)
 (* lang                                                                *)
@@ -1004,46 +839,7 @@ let lang_cmd =
       value & opt int 0
       & info [ "limit" ] ~docv:"N" ~doc:"Battery cap (0 = the whole battery)")
   in
-  let jobs_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:"Worker domains for the execution engine (0 = auto-detect)")
-  in
-  let no_cache_arg =
-    Arg.(value & flag & info [ "no-cache" ] ~doc:"Disable the result cache")
-  in
-  let cache_dir_arg =
-    Arg.(
-      value
-      & opt string Wmm_engine.Cache.default_dir
-      & info [ "cache-dir" ] ~docv:"DIR" ~doc:"Result cache directory")
-  in
-  let telemetry_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "telemetry" ] ~docv:"FILE" ~doc:"Dump run telemetry as JSON to $(docv)")
-  in
-  let retries_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "retries" ] ~docv:"N"
-          ~doc:"Retries (with capped exponential backoff) for transient task failures")
-  in
-  let resume_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "resume" ] ~docv:"RUN-ID"
-          ~doc:
-            "Journal run id to resume; without this flag a run id is derived from the \
-             request, so rerunning an interrupted identical invocation resumes \
-             automatically.")
-  in
-  let run engine action test_names scheme_names limit jobs no_cache cache_dir
-      telemetry_out retries resume =
-    apply_engine engine;
+  let run action test_names scheme_names limit batch =
     let open Wmm_lang in
     if not (List.mem action [ "explore"; "conform"; "rank" ]) then
       die "unknown lang action %S; valid actions: explore conform rank" action;
@@ -1081,99 +877,70 @@ let lang_cmd =
             names
     in
     let cap tests = List.filteri (fun i _ -> limit = 0 || i < limit) tests in
-    let cache =
-      if no_cache then Wmm_engine.Cache.disabled
-      else Wmm_engine.Cache.create ~dir:cache_dir ()
+    let failed =
+      with_batch_engine batch ~tag:"lang"
+        ~parts:
+          ([ action; string_of_int limit ]
+          @ List.sort compare test_names @ List.sort compare scheme_names)
+        (fun engine ->
+          match action with
+          | "explore" ->
+              let battery =
+                cap (resolve_tests ~default:(fun () -> List.map Locks.test_of Locks.all))
+              in
+              List.iter
+                (fun (t : Wmm_litmus.Test.t) ->
+                  let outcomes =
+                    Wmm_model.Enumerate.allowed_outcomes Wmm_model.Axiomatic.Rc11
+                      t.Wmm_litmus.Test.program
+                  in
+                  let witness =
+                    Wmm_model.Enumerate.outcome_allowed Wmm_model.Axiomatic.Rc11
+                      t.Wmm_litmus.Test.program
+                      {
+                        Wmm_model.Enumerate.registers = t.Wmm_litmus.Test.condition;
+                        memory = t.Wmm_litmus.Test.mem_condition;
+                      }
+                  in
+                  Printf.printf "explore|%s|outcomes=%d|witness=%s\n"
+                    t.Wmm_litmus.Test.name (List.length outcomes)
+                    (if witness then "allow" else "forbid"))
+                battery;
+              false
+          | "conform" ->
+              let battery =
+                cap
+                  (resolve_tests ~default:(fun () ->
+                       List.map C11.lift_test Wmm_litmus.Library.all
+                       @ List.map Locks.test_of Locks.all))
+              in
+              let report =
+                Contain.run ~schemes:(schemes ~default:Compile.all_schemes) ~engine battery
+              in
+              print_string (Contain.render report);
+              report.Contain.disagreements <> []
+          | _rank ->
+              let locks =
+                match test_names with
+                | [] -> Locks.all
+                | names ->
+                    List.map
+                      (fun name ->
+                        match Locks.by_name name with
+                        | Some l -> l
+                        | None ->
+                            die "unknown lock %S; valid locks: %s" name
+                              (String.concat " "
+                                 (List.map (fun (l : Locks.t) -> l.Locks.name) Locks.all)))
+                      names
+              in
+              let schemes = schemes ~default:Rank.default_schemes in
+              let rows = Rank.run ~schemes ~locks ~engine () in
+              print_string (Rank.render ~schemes rows);
+              List.iter (fun r -> print_endline (Rank.row_line r)) rows;
+              false)
     in
-    let journal =
-      let run_id =
-        match resume with
-        | Some id -> Some id
-        | None when no_cache -> None
-        | None ->
-            Some
-              (Wmm_engine.Journal.derived_run_id ~tag:"lang"
-                 ([
-                    Wmm_engine.Cache.code_version ();
-                    action;
-                    string_of_int limit;
-                  ]
-                 @ List.sort compare test_names
-                 @ List.sort compare scheme_names))
-      in
-      Option.map
-        (fun run_id ->
-          let dir = Filename.concat cache_dir "journal" in
-          let j = Wmm_engine.Journal.open_ ~dir ~run_id () in
-          Printf.eprintf "journal: run id %s (%d completed tasks on file)\n%!" run_id
-            (Wmm_engine.Journal.loaded j);
-          j)
-        run_id
-    in
-    let engine = Wmm_engine.Engine.create ~jobs ~cache ~retries ?journal () in
-    let failed = ref false in
-    (match action with
-    | "explore" ->
-        let battery =
-          cap (resolve_tests ~default:(fun () -> List.map Locks.test_of Locks.all))
-        in
-        List.iter
-          (fun (t : Wmm_litmus.Test.t) ->
-            let outcomes =
-              Wmm_model.Enumerate.allowed_outcomes Wmm_model.Axiomatic.Rc11
-                t.Wmm_litmus.Test.program
-            in
-            let witness =
-              Wmm_model.Enumerate.outcome_allowed Wmm_model.Axiomatic.Rc11
-                t.Wmm_litmus.Test.program
-                {
-                  Wmm_model.Enumerate.registers = t.Wmm_litmus.Test.condition;
-                  memory = t.Wmm_litmus.Test.mem_condition;
-                }
-            in
-            Printf.printf "explore|%s|outcomes=%d|witness=%s\n"
-              t.Wmm_litmus.Test.name (List.length outcomes)
-              (if witness then "allow" else "forbid"))
-          battery
-    | "conform" ->
-        let battery =
-          cap
-            (resolve_tests ~default:(fun () ->
-                 List.map C11.lift_test Wmm_litmus.Library.all
-                 @ List.map Locks.test_of Locks.all))
-        in
-        let report =
-          Contain.run ~schemes:(schemes ~default:Compile.all_schemes) ~engine battery
-        in
-        print_string (Contain.render report);
-        if report.Contain.disagreements <> [] then failed := true
-    | _rank ->
-        let locks =
-          match test_names with
-          | [] -> Locks.all
-          | names ->
-              List.map
-                (fun name ->
-                  match Locks.by_name name with
-                  | Some l -> l
-                  | None ->
-                      die "unknown lock %S; valid locks: %s" name
-                        (String.concat " "
-                           (List.map (fun (l : Locks.t) -> l.Locks.name) Locks.all)))
-                names
-        in
-        let schemes = schemes ~default:Rank.default_schemes in
-        let rows = Rank.run ~schemes ~locks ~engine () in
-        print_string (Rank.render ~schemes rows);
-        List.iter (fun r -> print_endline (Rank.row_line r)) rows);
-    record_exploration engine;
-    prerr_endline (Wmm_engine.Engine.render_summary engine);
-    Option.iter
-      (fun path ->
-        try Wmm_engine.Engine.write_telemetry engine path
-        with Sys_error msg -> Printf.eprintf "warning: cannot write telemetry: %s\n" msg)
-      telemetry_out;
-    if !failed then exit 1
+    if failed then exit 1
   in
   Cmd.v
     (Cmd.info "lang"
@@ -1182,10 +949,7 @@ let lang_cmd =
           compilation containment (hardware outcomes of the compiled program \
           must stay within the RC11-allowed set), or rank the lock suite by \
           fencing sensitivity under one-step memory-order weakenings")
-    Term.(
-      const run $ engine_arg $ action_arg $ tests_arg $ schemes_arg $ limit_arg
-      $ jobs_arg $ no_cache_arg $ cache_dir_arg $ telemetry_arg $ retries_arg
-      $ resume_arg)
+    Term.(const run $ action_arg $ tests_arg $ schemes_arg $ limit_arg $ batch_term)
 
 (* ------------------------------------------------------------------ *)
 (* cache                                                               *)
@@ -1363,12 +1127,6 @@ let query_cmd =
       value & opt int 16
       & info [ "infer-limit" ] ~docv:"N" ~doc:"Inference-layer cap (conform)")
   in
-  let engine_s_arg =
-    Arg.(
-      value & opt string "auto"
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:"Exploration engine: pruned, graph, reference, or auto (conform)")
-  in
   let retries_arg =
     Arg.(
       value & opt int 3
@@ -1405,13 +1163,8 @@ let query_cmd =
       & info [ "scheme" ] ~docv:"SCHEME" ~doc:"Compilation scheme (repeatable; lang)")
   in
   let run socket op stdin_mode tests file model random iterations arch_s cost
-      max_edges limit infer_limit engine_s action schemes retries retry_seed
-      deadline_ms =
+      max_edges limit infer_limit action schemes retries retry_seed deadline_ms =
     if retries < 0 then die "--retries must be non-negative";
-    if Wmm_model.Enumerate.engine_of_string engine_s = None then
-      die "unknown engine %S; valid engines: %s" engine_s
-        (String.concat " "
-           (List.map Wmm_model.Enumerate.engine_name Wmm_model.Enumerate.all_engines));
     Option.iter
       (fun m ->
         if Wmm_registry.Registry.model_of_string m = None then
@@ -1458,7 +1211,6 @@ let query_cmd =
                 ("max_edges", of_int max_edges);
                 ("limit", of_int limit);
                 ("infer_limit", of_int infer_limit);
-                ("engine", Str engine_s);
               ]
           | "lang" ->
               [ ("action", Str action) ]
@@ -1520,7 +1272,7 @@ let query_cmd =
     Term.(
       const run $ socket_arg $ op_arg $ stdin_arg $ tests_arg $ file_arg $ model_arg
       $ random_arg $ iterations_arg $ arch_s_arg $ cost_arg $ max_edges_arg
-      $ limit_arg $ infer_limit_arg $ engine_s_arg $ action_arg $ schemes_arg
+      $ limit_arg $ infer_limit_arg $ action_arg $ schemes_arg
       $ retries_arg $ retry_seed_arg $ deadline_arg)
 
 (* ------------------------------------------------------------------ *)

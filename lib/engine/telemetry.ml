@@ -12,12 +12,9 @@ type record = {
 type exploration = {
   explored : int;
   pruned : int;
-  well_formed : int;
   consistent : int;
-  graph_executions : int;
   revisits : int;
   symmetry_skips : int;
-  cutover_small : int;
   explore_wall_s : float;
 }
 
@@ -157,16 +154,9 @@ let render_summary s =
   | Some e ->
       Buffer.add_string b
         (Printf.sprintf
-           "\nexploration: %d candidates (%d pruned subtrees, %d well-formed, %d consistent) in %.2fs"
-           e.explored e.pruned e.well_formed e.consistent e.explore_wall_s);
-      if
-        e.graph_executions > 0 || e.revisits > 0 || e.symmetry_skips > 0
-        || e.cutover_small > 0
-      then
-        Buffer.add_string b
-          (Printf.sprintf
-             "\nexploration engines: %d graph executions, %d revisits, %d symmetry skips, %d cutover-to-pruned"
-             e.graph_executions e.revisits e.symmetry_skips e.cutover_small));
+           "\nexploration: %d executions (%d consistent, %d pruned subtrees, %d revisits, \
+            %d symmetry skips) in %.2fs"
+           e.explored e.consistent e.pruned e.revisits e.symmetry_skips e.explore_wall_s));
   (match s.server with
   | None -> ()
   | Some sv ->
@@ -226,9 +216,11 @@ let outcome_json = function
    "server" object (served-daemon request counters); v5 the failure-
    containment counters (cache "verify_failures", server
    "deadline_exceeded" / "executor_recycles" / "client_retries");
-   v6 the per-engine exploration counters ("graph_executions",
-   "revisits", "symmetry_skips", "cutover_small"). *)
-let schema_version = 6
+   v6 the per-engine exploration counters ("revisits" and
+   "symmetry_skips" among them); v7 keeps only the counters of the one
+   remaining engine ("explored", "pruned", "consistent", "revisits",
+   "symmetry_skips"). *)
+let schema_version = 7
 
 let to_json s rs =
   let b = Buffer.create 4096 in
@@ -256,9 +248,9 @@ let to_json s rs =
   | Some e ->
       Buffer.add_string b
         (Printf.sprintf
-           "  \"exploration\": {\"explored\": %d, \"pruned\": %d, \"well_formed\": %d, \"consistent\": %d, \"graph_executions\": %d, \"revisits\": %d, \"symmetry_skips\": %d, \"cutover_small\": %d, \"wall_s\": %s},\n"
-           e.explored e.pruned e.well_formed e.consistent e.graph_executions e.revisits
-           e.symmetry_skips e.cutover_small (json_float e.explore_wall_s)));
+           "  \"exploration\": {\"explored\": %d, \"pruned\": %d, \"consistent\": %d, \"revisits\": %d, \"symmetry_skips\": %d, \"wall_s\": %s},\n"
+           e.explored e.pruned e.consistent e.revisits e.symmetry_skips
+           (json_float e.explore_wall_s)));
   (match s.server with
   | None -> Buffer.add_string b "  \"server\": null,\n"
   | Some sv ->

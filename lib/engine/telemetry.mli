@@ -24,14 +24,11 @@ type record = {
 }
 
 type exploration = {
-  explored : int;  (** Complete candidate executions generated. *)
+  explored : int;  (** Complete executions the search reached. *)
   pruned : int;  (** Search subtrees cut by the viability screen. *)
-  well_formed : int;
-  consistent : int;  (** Candidates the model allowed. *)
-  graph_executions : int;  (** Graph-engine leaves (each consistent). *)
-  revisits : int;  (** Graph-engine rf promises to future writes. *)
-  symmetry_skips : int;  (** Insertion points cut by symmetry. *)
-  cutover_small : int;  (** Programs Auto routed to the pruned engine. *)
+  consistent : int;  (** Executions the model allowed. *)
+  revisits : int;  (** rf promises to future writes. *)
+  symmetry_skips : int;  (** Combos and insertion points cut by symmetry. *)
   explore_wall_s : float;  (** Wall-clock spent inside exploration. *)
 }
 (** Counters from the candidate-execution search

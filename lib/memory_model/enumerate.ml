@@ -425,63 +425,15 @@ let co_relation chains =
     Relation.empty chains
 
 (* ------------------------------------------------------------------ *)
-(* Exploration engines.                                                *)
-(* ------------------------------------------------------------------ *)
-
-type engine_kind = Pruned | Graph | Reference | Auto
-
-let all_engines = [ Pruned; Graph; Reference; Auto ]
-
-let engine_name = function
-  | Pruned -> "pruned"
-  | Graph -> "graph"
-  | Reference -> "reference"
-  | Auto -> "auto"
-
-let engine_of_string = function
-  | "pruned" -> Some Pruned
-  | "graph" -> Some Graph
-  | "reference" -> Some Reference
-  | "auto" -> Some Auto
-  | _ -> None
-
-(* Ambient engine selection: CLIs set this once before spawning worker
-   domains, so every downstream consumer (Check, Conform, Infer, the
-   served ops) inherits the choice without threading a parameter
-   through each layer.  Per-call [?engine] arguments override it. *)
-let default_engine = ref Auto
-
-let set_default_engine e = default_engine := e
-
-let current_default_engine () = !default_engine
-
-(* Auto cutover: route programs whose estimated candidate count falls
-   below this threshold to the pruned engine - on tiny tests the graph
-   engine's per-step full consistency checks cost more than the
-   handful of wasted leaves they avoid.  The estimate is
-   sum over run combos of (prod over reads of #rf-candidates
-   x prod over locations of #non-init-writes!), i.e. the size of the
-   unpruned candidate space, which both engines shrink from. *)
-let default_cutover = 2048.
-
-let cutover_threshold () =
-  match Sys.getenv_opt "WMM_GRAPH_CUTOVER" with
-  | Some s -> ( try float_of_string (String.trim s) with _ -> default_cutover)
-  | None -> default_cutover
-
-(* ------------------------------------------------------------------ *)
 (* Exploration statistics.                                             *)
 (* ------------------------------------------------------------------ *)
 
 type stats = {
   generated : int;
   pruned : int;
-  well_formed : int;
   consistent : int;
-  graph_executions : int;
   revisits : int;
   symmetry_skips : int;
-  cutover_small : int;
   wall_s : float;
 }
 
@@ -489,48 +441,36 @@ let zero_stats =
   {
     generated = 0;
     pruned = 0;
-    well_formed = 0;
     consistent = 0;
-    graph_executions = 0;
     revisits = 0;
     symmetry_skips = 0;
-    cutover_small = 0;
     wall_s = 0.;
   }
 
 type counters = {
   mutable c_generated : int;
   mutable c_pruned : int;
-  mutable c_well_formed : int;
   mutable c_consistent : int;
-  mutable c_graph_executions : int;
   mutable c_revisits : int;
   mutable c_symmetry_skips : int;
-  mutable c_cutover_small : int;
 }
 
 let fresh_counters () =
   {
     c_generated = 0;
     c_pruned = 0;
-    c_well_formed = 0;
     c_consistent = 0;
-    c_graph_executions = 0;
     c_revisits = 0;
     c_symmetry_skips = 0;
-    c_cutover_small = 0;
   }
 
 let stats_of_counters c ~wall_s =
   {
     generated = c.c_generated;
     pruned = c.c_pruned;
-    well_formed = c.c_well_formed;
     consistent = c.c_consistent;
-    graph_executions = c.c_graph_executions;
     revisits = c.c_revisits;
     symmetry_skips = c.c_symmetry_skips;
-    cutover_small = c.c_cutover_small;
     wall_s;
   }
 
@@ -548,12 +488,9 @@ let record_global s =
     {
       generated = g.generated + s.generated;
       pruned = g.pruned + s.pruned;
-      well_formed = g.well_formed + s.well_formed;
       consistent = g.consistent + s.consistent;
-      graph_executions = g.graph_executions + s.graph_executions;
       revisits = g.revisits + s.revisits;
       symmetry_skips = g.symmetry_skips + s.symmetry_skips;
-      cutover_small = g.cutover_small + s.cutover_small;
       wall_s = g.wall_s +. s.wall_s;
     };
   Mutex.unlock global_lock
@@ -683,26 +620,19 @@ let static_for model skel =
       st
 
 (* ------------------------------------------------------------------ *)
-(* Pruned backtracking rf/co search.
+(* Candidate generator for certificate witnesses.
 
-   Candidates are built incrementally: first every read is assigned
-   its rf source (fewest-candidates-first, so contradictions surface
-   early), then each location's coherence order is grown one write at
-   a time (the chain prefix is co-before the appended write).  Both
-   kinds of step only ever add edges, so [Axiomatic.prune_viable] -
-   checked after every step when a model context is supplied - can
-   soundly cut the whole subtree on the first cycle or atomicity
-   violation.  Leaves are complete candidates, well-formed by
-   construction (rf is value/location-matched and unique per read, co
-   is a per-location total order with init first).                     *)
+   Every well-formed candidate of one skeleton, model-blind: first
+   every read is assigned its rf source (fewest candidates first),
+   then each location's coherence order is grown one write at a time.
+   Candidates are well-formed by construction (rf is
+   value/location-matched and unique per read, co is a per-location
+   total order with init first).  The order is part of the contract:
+   an allowed certificate's witness is the first match in it.          *)
 (* ------------------------------------------------------------------ *)
 
-let search ?static skel ~counters ~(emit : rf_pairs:(int * int) list ->
-                                           chains:(Instr.loc * int list) list ->
-                                           consistent:bool -> unit) =
-  let ev = skel.all_events in
-  let n = Array.length ev in
-  let rf = Bitrel.create n and co = Bitrel.create n in
+let search skel
+    ~(emit : rf_pairs:(int * int) list -> chains:(Instr.loc * int list) list -> unit) =
   let reads = Array.of_list skel.sk_reads in
   let nreads = Array.length reads in
   let rf_cands = Array.map (fun r -> rf_candidates skel r) reads in
@@ -710,18 +640,12 @@ let search ?static skel ~counters ~(emit : rf_pairs:(int * int) list ->
   Array.sort
     (fun i j -> compare (List.length rf_cands.(i)) (List.length rf_cands.(j)))
     order;
-  let viable =
-    match static with
-    | Some st when Axiomatic.prune_possible st ->
-        fun () -> Axiomatic.prune_viable st ~rf ~co
-    | Some _ | None -> fun () -> true
-  in
   let locs = co_locations skel in
   let rf_edges = ref [] in
-  (* Cooperative cancellation: the search can run for minutes on
-     adversarial candidates, so poll the ambient token on a masked
-     tick — cheap enough to disappear in the noise, frequent enough
-     that a deadline lands within milliseconds. *)
+  (* Cooperative cancellation: the candidate space can take minutes to
+     walk, so poll the ambient token on a masked tick — cheap enough
+     to disappear in the noise, frequent enough that a deadline lands
+     within milliseconds. *)
   let tick = ref 0 in
   let poll () =
     incr tick;
@@ -736,17 +660,14 @@ let search ?static skel ~counters ~(emit : rf_pairs:(int * int) list ->
         let r = reads.(order.(i)) in
         List.iter
           (fun w ->
-            Bitrel.add rf w r;
             rf_edges := (w, r) :: !rf_edges;
-            if viable () then assign_read (i + 1)
-            else counters.c_pruned <- counters.c_pruned + 1;
-            rf_edges := List.tl !rf_edges;
-            Bitrel.remove rf w r)
+            assign_read (i + 1);
+            rf_edges := List.tl !rf_edges)
           rf_cands.(order.(i))
       end
     and assign_locs remaining_locs done_chains =
       match remaining_locs with
-      | [] -> leaf done_chains
+      | [] -> emit ~rf_pairs:!rf_edges ~chains:done_chains
       | (l, init_id, others) :: rest -> extend l [ init_id ] others rest done_chains
     and extend l placed remaining rest done_chains =
       match remaining with
@@ -756,24 +677,8 @@ let search ?static skel ~counters ~(emit : rf_pairs:(int * int) list ->
           List.iter
             (fun w ->
               let others = List.filter (fun o -> o <> w) remaining in
-              List.iter (fun prior -> Bitrel.add co prior w) placed;
-              if viable () then extend l (w :: placed) others rest done_chains
-              else counters.c_pruned <- counters.c_pruned + 1;
-              List.iter (fun prior -> Bitrel.remove co prior w) placed)
+              extend l (w :: placed) others rest done_chains)
             remaining
-    and leaf done_chains =
-      counters.c_generated <- counters.c_generated + 1;
-      counters.c_well_formed <- counters.c_well_formed + 1;
-      (* Every edge on the path here passed [prune_viable], which on a
-         complete candidate subsumes all axioms except POWER's
-         observation/propagation - only the residual remains. *)
-      let consistent =
-        match static with
-        | None -> true
-        | Some st -> Axiomatic.residual_consistent st ~rf ~co
-      in
-      if consistent then counters.c_consistent <- counters.c_consistent + 1;
-      emit ~rf_pairs:!rf_edges ~chains:done_chains ~consistent
     in
     assign_read 0
   end
@@ -948,9 +853,7 @@ let graph_search ~static ~(sym : Symmetry.t) skel ~counters
       List.iter (fun r -> Bitrel.remove rf i r) promised
     and leaf () =
       counters.c_generated <- counters.c_generated + 1;
-      counters.c_well_formed <- counters.c_well_formed + 1;
       counters.c_consistent <- counters.c_consistent + 1;
-      counters.c_graph_executions <- counters.c_graph_executions + 1;
       let done_chains =
         List.map (fun (l, _) -> (l, Hashtbl.find chains l)) skel.init_ids
       in
@@ -973,12 +876,11 @@ let outcome_of (p : Program.t) (runs : run array) (x : Execution.t) =
 
 let candidate_executions ?(fuel = 1024) (p : Program.t) =
   let acc = ref [] in
-  let counters = fresh_counters () in
   List.iter
     (fun runs ->
       let skel = skeleton_of_runs p runs in
       let registers = registers_of_runs runs in
-      search skel ~counters ~emit:(fun ~rf_pairs ~chains ~consistent:_ ->
+      search skel ~emit:(fun ~rf_pairs ~chains ->
           let x =
             execution_of_skeleton skel ~rf:(Relation.of_list rf_pairs)
               ~co:(co_relation chains)
@@ -991,7 +893,8 @@ let candidate_executions ?(fuel = 1024) (p : Program.t) =
 (* Pre-rewrite reference path: materialize the full cartesian product
    of rf choices and per-location co permutations, filter by
    well-formedness, then by the model.  Kept as the oracle for golden
-   tests and as the baseline the perf benchmark measures against.      *)
+   tests, as the baseline the perf benchmark measures against, and as
+   the exhaustive candidate list of forbidden certificates.            *)
 (* ------------------------------------------------------------------ *)
 
 module Reference = struct
@@ -1037,94 +940,6 @@ module Reference = struct
     |> List.map snd
     |> List.sort_uniq compare_outcome
 end
-
-(* ------------------------------------------------------------------ *)
-(* Engine dispatch.                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let float_fact n =
-  let r = ref 1. in
-  for k = 2 to n do
-    r := !r *. float_of_int k
-  done;
-  !r
-
-(* Size of the unpruned candidate space, the quantity the cutover
-   heuristic thresholds on.  Computed straight off the run combos
-   (same arithmetic as [rf_candidates] x per-location coherence
-   permutations) so dispatch needs no skeletons: the graph engine
-   skips skeleton construction for non-representative combos, and
-   building them here just to size the space would give that saving
-   back. *)
-let estimated_candidates ?(limit = infinity) p combos =
-  let bump tbl k =
-    Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k))
-  in
-  let count tbl k = Option.value ~default:0 (Hashtbl.find_opt tbl k) in
-  let rec go acc = function
-    | [] -> acc
-    | _ when acc >= limit -> acc
-    | (runs : run array) :: rest ->
-        let wcount = Hashtbl.create 16 (* (loc, value) -> writes *) in
-        let lcount = Hashtbl.create 8 (* loc -> non-init writes *) in
-        let reads = ref [] in
-        List.iter
-          (fun l ->
-            bump wcount (l, Program.initial_value p l);
-            if not (Hashtbl.mem lcount l) then Hashtbl.replace lcount l 0)
-          (Program.locations p);
-        Array.iter
-          (fun run ->
-            List.iter
-              (fun e ->
-                match e.l_action with
-                | Event.Read { loc; value; _ } -> reads := (loc, value) :: !reads
-                | Event.Write { loc; value; _ } ->
-                    if not (Hashtbl.mem lcount loc) then begin
-                      Hashtbl.replace lcount loc 0;
-                      bump wcount (loc, Program.initial_value p loc)
-                    end;
-                    bump lcount loc;
-                    bump wcount (loc, value)
-                | Event.Fence _ -> ())
-              run.events)
-            runs;
-        (* Locations only ever read still contribute an init write as
-           the sole rf candidate (factor 1): only [wcount] needs them,
-           and a missing entry would under-count a read of the initial
-           value, so patch those in before multiplying. *)
-        List.iter
-          (fun (l, v) ->
-            if not (Hashtbl.mem lcount l) then begin
-              Hashtbl.replace lcount l 0;
-              bump wcount (l, Program.initial_value p l)
-            end;
-            ignore v)
-          !reads;
-        let rf_est =
-          List.fold_left
-            (fun pr lv -> pr *. float_of_int (count wcount lv))
-            1. !reads
-        in
-        let co_est =
-          Hashtbl.fold (fun _ k pr -> pr *. float_fact k) lcount 1.
-        in
-        go (acc +. (rf_est *. co_est)) rest
-  in
-  go 0. combos
-
-(* Resolve [Auto] for one program: below the cutover the pruned
-   engine's cheaper per-node screen wins; above it the graph engine's
-   zero-waste enumeration does. *)
-let resolve_engine ~counters engine est =
-  match engine with
-  | Pruned | Graph | Reference -> engine
-  | Auto ->
-      if Lazy.force est < cutover_threshold () then begin
-        counters.c_cutover_small <- counters.c_cutover_small + 1;
-        Pruned
-      end
-      else Graph
 
 (* The vector of values a combo's loads observe, in a fixed event
    order: the signature the symmetry group acts on.  Permutations fix
@@ -1411,171 +1226,71 @@ let expand_symmetric (sym : Symmetry.t) outcomes =
           end
         end
 
-let rec fact n = if n <= 1 then 1 else n * fact (n - 1)
+(* Run the graph engine over every canonical run combo of [p] (the
+   combos [sym] does not fold onto another), passing each canonical
+   outcome to [emit]; callers expand or match them through [sym]. *)
+let explore_canonical ~counters ~(sym : Symmetry.t) model (p : Program.t) combos emit =
+  let tables = combo_canon_tables sym in
+  List.iter
+    (fun runs ->
+      let reads = combo_reads runs in
+      if not (canonical_combo sym tables reads) then
+        counters.c_symmetry_skips <- counters.c_symmetry_skips + 1
+      else begin
+        let skel = skeleton_of_runs p runs in
+        let static = static_for model skel in
+        let registers = registers_of_runs runs in
+        let rsym = Symmetry.refine p sym ~reads:(Array.to_list reads) in
+        graph_search ~static ~sym:rsym skel ~counters ~emit:(fun ~chains ->
+            emit { registers; memory = memory_of_chains skel chains })
+      end)
+    combos
 
-(* Candidate count of one run combo, for the reference engine's
-   [generated] accounting (cheap: reference is only ever pointed at
-   small tests). *)
-let reference_generated skel =
-  let rf_n =
-    List.fold_left (fun acc r -> acc * List.length (rf_candidates skel r)) 1 skel.sk_reads
-  in
-  let co_n =
-    List.fold_left
-      (fun acc (_, _, others) -> acc * fact (List.length others))
-      1 (co_locations skel)
-  in
-  rf_n * co_n
-
-let allowed_outcomes_stats ?(fuel = 1024) ?engine model (p : Program.t) =
+let allowed_outcomes_stats ?(fuel = 1024) model (p : Program.t) =
   let t0 = Unix.gettimeofday () in
   let counters = fresh_counters () in
   let combos = run_combos ~fuel p in
-  let engine =
-    resolve_engine ~counters
-      (match engine with Some e -> e | None -> !default_engine)
-      (lazy (estimated_candidates ~limit:(cutover_threshold ()) p combos))
-  in
-  let outcomes =
-    match engine with
-    | Auto -> assert false
-    | Pruned ->
-        let acc = ref [] in
-        List.iter
-          (fun runs ->
-            let skel = skeleton_of_runs p runs in
-            let static = static_for model skel in
-            let registers = registers_of_runs runs in
-            search ~static skel ~counters ~emit:(fun ~rf_pairs:_ ~chains ~consistent ->
-                if consistent then
-                  acc := { registers; memory = memory_of_chains skel chains } :: !acc))
-          combos;
-        List.sort_uniq compare_outcome !acc
-    | Graph ->
-        let sym = Symmetry.detect p in
-        let tables = combo_canon_tables sym in
-        let acc = ref [] in
-        List.iter
-          (fun runs ->
-            let reads = combo_reads runs in
-            if not (canonical_combo sym tables reads) then
-              counters.c_symmetry_skips <- counters.c_symmetry_skips + 1
-            else begin
-              let skel = skeleton_of_runs p runs in
-              let static = static_for model skel in
-              let registers = registers_of_runs runs in
-              let rsym = Symmetry.refine p sym ~reads:(Array.to_list reads) in
-              graph_search ~static ~sym:rsym skel ~counters ~emit:(fun ~chains ->
-                  acc := { registers; memory = memory_of_chains skel chains } :: !acc)
-            end)
-          combos;
-        expand_symmetric sym !acc
-    | Reference ->
-        let acc = ref [] in
-        List.iter
-          (fun runs ->
-            let skel = skeleton_of_runs p runs in
-            counters.c_generated <- counters.c_generated + reference_generated skel;
-            let xs = Reference.executions_of_runs p runs in
-            counters.c_well_formed <- counters.c_well_formed + List.length xs;
-            List.iter
-              (fun x ->
-                if Axiomatic.consistent model x then begin
-                  counters.c_consistent <- counters.c_consistent + 1;
-                  acc := outcome_of p runs x :: !acc
-                end)
-              xs)
-          combos;
-        List.sort_uniq compare_outcome !acc
-  in
+  let sym = Symmetry.detect p in
+  let acc = ref [] in
+  explore_canonical ~counters ~sym model p combos (fun o -> acc := o :: !acc);
+  let outcomes = expand_symmetric sym !acc in
   let stats = stats_of_counters counters ~wall_s:(Unix.gettimeofday () -. t0) in
   record_global stats;
   (outcomes, stats)
 
-let allowed_outcomes ?engine model p = fst (allowed_outcomes_stats ?engine model p)
+let allowed_outcomes model p = fst (allowed_outcomes_stats model p)
 
 exception Found
 
-let exists_outcome ?(fuel = 1024) ?engine model (p : Program.t) pred =
+let exists_outcome ?(fuel = 1024) model (p : Program.t) pred =
   let t0 = Unix.gettimeofday () in
   let counters = fresh_counters () in
-  let skels =
-    run_combos ~fuel p
-  in
-  let engine =
-    resolve_engine ~counters
-      (match engine with Some e -> e | None -> !default_engine)
-      (lazy (estimated_candidates ~limit:(cutover_threshold ()) p skels))
+  let combos = run_combos ~fuel p in
+  let sym = Symmetry.detect p in
+  (* A canonical outcome stands for its whole orbit. *)
+  let hit =
+    if Symmetry.trivial sym then pred
+    else fun o ->
+      List.exists
+        (fun perm ->
+          pred
+            {
+              registers = Symmetry.map_registers perm o.registers;
+              memory = Symmetry.map_memory perm o.memory;
+            })
+        sym.Symmetry.s_perms
   in
   let found =
-    try
-      (match engine with
-      | Auto -> assert false
-      | Pruned ->
-          List.iter
-            (fun runs ->
-              let skel = skeleton_of_runs p runs in
-              let static = static_for model skel in
-              let registers = registers_of_runs runs in
-              search ~static skel ~counters
-                ~emit:(fun ~rf_pairs:_ ~chains ~consistent ->
-                  if
-                    consistent
-                    && pred { registers; memory = memory_of_chains skel chains }
-                  then raise Found))
-            skels
-      | Graph ->
-          let sym = Symmetry.detect p in
-          let tables = combo_canon_tables sym in
-          List.iter
-            (fun runs ->
-              let reads = combo_reads runs in
-              if not (canonical_combo sym tables reads) then
-                counters.c_symmetry_skips <- counters.c_symmetry_skips + 1
-              else begin
-                let skel = skeleton_of_runs p runs in
-                let static = static_for model skel in
-                let registers = registers_of_runs runs in
-                let rsym = Symmetry.refine p sym ~reads:(Array.to_list reads) in
-                graph_search ~static ~sym:rsym skel ~counters ~emit:(fun ~chains ->
-                    let o = { registers; memory = memory_of_chains skel chains } in
-                    let hit =
-                      if Symmetry.trivial sym then pred o
-                      else
-                        List.exists
-                          (fun perm ->
-                            pred
-                              {
-                                registers = Symmetry.map_registers perm o.registers;
-                                memory = Symmetry.map_memory perm o.memory;
-                              })
-                          sym.Symmetry.s_perms
-                    in
-                    if hit then raise Found)
-              end)
-            skels
-      | Reference ->
-          List.iter
-            (fun runs ->
-              let skel = skeleton_of_runs p runs in
-              counters.c_generated <- counters.c_generated + reference_generated skel;
-              let xs = Reference.executions_of_runs p runs in
-              counters.c_well_formed <- counters.c_well_formed + List.length xs;
-              List.iter
-                (fun x ->
-                  if Axiomatic.consistent model x then begin
-                    counters.c_consistent <- counters.c_consistent + 1;
-                    if pred (outcome_of p runs x) then raise Found
-                  end)
-                xs)
-            skels);
-      false
-    with Found -> true
+    match
+      explore_canonical ~counters ~sym model p combos (fun o -> if hit o then raise Found)
+    with
+    | () -> false
+    | exception Found -> true
   in
   record_global (stats_of_counters counters ~wall_s:(Unix.gettimeofday () -. t0));
   found
 
-let outcome_allowed ?engine model p query =
+let outcome_allowed model p query =
   let matches (full : outcome) =
     List.for_all
       (fun (key, v) ->
@@ -1586,4 +1301,4 @@ let outcome_allowed ?engine model p query =
            match List.assoc_opt l full.memory with Some v' -> v = v' | None -> false)
          query.memory
   in
-  exists_outcome ?engine model p matches
+  exists_outcome model p matches

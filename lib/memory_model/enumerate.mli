@@ -10,27 +10,15 @@ open Wmm_isa
     combination of per-load value choices, the thread event
     sequences with their address / data / control dependencies, then
     explores the space of reads-from assignments and coherence orders
-    with one of three engines:
-
-    - [Pruned]: backtracking construction - rf edges assigned read by
-      read (fewest candidates first), then each location's coherence
-      order grown one write at a time - with every step screened by
-      {!Axiomatic.prune_viable} and a full consistency check at the
-      leaves.
-    - [Graph]: incremental execution-graph enumeration - events are
-      added in program order, reads extend the graph with rf choices
-      (future writes via promised "revisit" edges), writes pick
-      coherence insertion points - with the model's complete monotone
-      consistency check at every step, so each maximal consistent
-      execution is reached exactly once and no leaf is wasted.
-      Structurally identical threads are quotiented by symmetry
-      ({!Symmetry}) and the outcome set re-expanded.
-    - [Reference]: the pre-rewrite generate-and-filter oracle.
-
-    [Auto] (the default) routes tiny tests to the pruned engine -
-    below the cutover its cheaper per-node screen beats the graph
-    engine's per-step full checks - and everything else to the graph
-    engine. *)
+    by incremental execution-graph enumeration: events are added in
+    program order, reads extend the graph with rf choices (future
+    writes via promised "revisit" edges), writes pick coherence
+    insertion points, and the model's complete monotone consistency
+    check screens every step, so each maximal consistent execution is
+    reached exactly once and no leaf is wasted.  Structurally
+    identical threads are quotiented by symmetry ({!Symmetry}) and the
+    outcome set re-expanded.  {!Reference}, the pre-rewrite
+    generate-and-filter path, is kept as the test oracle. *)
 
 type outcome = {
   registers : ((int * Instr.reg) * Instr.value) list;
@@ -45,51 +33,16 @@ val pp_outcome : Program.t -> Format.formatter -> outcome -> unit
 
 val outcome_to_string : Program.t -> outcome -> string
 
-(** {2 Engine selection} *)
-
-type engine_kind =
-  | Pruned  (** backtracking rf/co search with monotone-core pruning *)
-  | Graph  (** incremental execution-graph enumeration (optimal) *)
-  | Reference  (** generate-and-filter oracle *)
-  | Auto  (** cutover: pruned below a candidate-count threshold, graph above *)
-
-val all_engines : engine_kind list
-
-val engine_name : engine_kind -> string
-
-val engine_of_string : string -> engine_kind option
-
-val set_default_engine : engine_kind -> unit
-(** Set the ambient engine used when a call site passes no [?engine].
-    CLIs call this once, before spawning worker domains, so every
-    downstream consumer (Check, Conform, Infer, served ops) inherits
-    the choice.  Defaults to [Auto]. *)
-
-val current_default_engine : unit -> engine_kind
-
-val cutover_threshold : unit -> float
-(** The [Auto] cutover on the estimated unpruned candidate count
-    (sum over run combos of rf-choice x coherence-permutation
-    products).  Default 2048; override with [WMM_GRAPH_CUTOVER]. *)
-
 type stats = {
-  generated : int;  (** Complete candidates the search reached. *)
+  generated : int;  (** Complete executions the search reached. *)
   pruned : int;  (** Subtrees cut by the per-step screens. *)
-  well_formed : int;
-      (** Complete candidates that are well-formed (equal to
-          [generated] on the search paths, which are well-formed by
-          construction; distinct on the reference path). *)
-  consistent : int;  (** Candidates the model allows. *)
-  graph_executions : int;
-      (** Leaves of the graph engine; every one is consistent, so
-          this equals [consistent] on graph-engine calls. *)
-  revisits : int;
-      (** Graph engine: rf promises to writes not yet in the graph. *)
+  consistent : int;
+      (** Executions the model allows; every leaf is consistent, so
+          this equals [generated]. *)
+  revisits : int;  (** rf promises to writes not yet in the graph. *)
   symmetry_skips : int;
-      (** Graph engine: coherence insertion points skipped by the
+      (** Run combos and coherence insertion points skipped by the
           symmetry canonicity constraint. *)
-  cutover_small : int;
-      (** Programs [Auto] routed to the pruned engine. *)
   wall_s : float;  (** Wall-clock seconds spent exploring. *)
 }
 
@@ -97,39 +50,29 @@ val zero_stats : stats
 
 val candidate_executions :
   ?fuel:int -> Program.t -> (Execution.t * outcome) list
-(** All well-formed candidate executions with their final states.
+(** All well-formed candidate executions with their final states, in
+    a fixed order (rf assigned fewest-candidates-first, then coherence
+    per location); certificate witnesses are the first match in it.
     [fuel] caps interpreted steps per thread (default 1024) so
     accidentally looping programs fail fast: exceeding it raises
     [Failure]. *)
 
-val allowed_outcomes :
-  ?engine:engine_kind -> Axiomatic.model -> Program.t -> outcome list
+val allowed_outcomes : Axiomatic.model -> Program.t -> outcome list
 (** Deduplicated, sorted final states of the model-consistent
-    candidates.  [engine] overrides the ambient default; every engine
-    returns the same set (CI-asserted against {!Reference}). *)
+    executions (CI-asserted equal to {!Reference}). *)
 
 val allowed_outcomes_stats :
-  ?fuel:int ->
-  ?engine:engine_kind ->
-  Axiomatic.model ->
-  Program.t ->
-  outcome list * stats
+  ?fuel:int -> Axiomatic.model -> Program.t -> outcome list * stats
 (** [allowed_outcomes] plus the exploration counters for this call. *)
 
 val exists_outcome :
-  ?fuel:int ->
-  ?engine:engine_kind ->
-  Axiomatic.model ->
-  Program.t ->
-  (outcome -> bool) ->
-  bool
+  ?fuel:int -> Axiomatic.model -> Program.t -> (outcome -> bool) -> bool
 (** Whether any model-consistent candidate's final state satisfies
     the predicate.  Stops at the first witness, so forbidden-outcome
     checks on permissive models return as soon as the outcome is
     found rather than enumerating the full space. *)
 
-val outcome_allowed :
-  ?engine:engine_kind -> Axiomatic.model -> Program.t -> outcome -> bool
+val outcome_allowed : Axiomatic.model -> Program.t -> outcome -> bool
 (** Membership test used by the litmus checker.  Register values not
     mentioned in [outcome.registers] are ignored (partial match);
     same for memory.  Early-exits via {!exists_outcome}. *)
@@ -144,8 +87,9 @@ val reset_global_stats : unit -> unit
 (** The pre-rewrite generate-and-filter path: materialize the full
     cartesian product of rf choices and per-location co permutations,
     filter by well-formedness, then filter by the model.  Kept as the
-    oracle for golden tests and as the baseline the perf benchmark
-    measures the search against. *)
+    oracle for golden tests, as the baseline the perf benchmark
+    measures the search against, and as the exhaustive candidate list
+    of forbidden certificates. *)
 module Reference : sig
   val permutations : 'a list -> 'a list list
   (** All permutations; duplicate elements are kept positionally

@@ -155,7 +155,7 @@ let run_analyze ~engine ~tests ~arch ~cost =
 (* ------------------------------------------------------------------ *)
 (* conform *)
 
-let run_conform ~engine ~arch ~max_edges ~limit ~infer_limit ~explorer =
+let run_conform ~engine ~arch ~max_edges ~limit ~infer_limit =
   let family = Wmm_synth.Synth.generate ~max_edges arch in
   let tests =
     List.filteri
@@ -164,7 +164,7 @@ let run_conform ~engine ~arch ~max_edges ~limit ~infer_limit ~explorer =
   in
   let report =
     Wmm_synth.Conform.run
-      ~config:{ Wmm_synth.Conform.default_config with infer_limit; explorer }
+      ~config:{ Wmm_synth.Conform.default_config with infer_limit }
       ~engine ~arch tests
   in
   let open Wmm_synth.Conform in
@@ -325,8 +325,8 @@ let compute ~engine = function
   | Protocol.Litmus { tests; program; model; mode; certify } ->
       run_litmus ~engine ~tests ~program ~model ~mode ~certify
   | Protocol.Analyze { tests; arch; cost } -> run_analyze ~engine ~tests ~arch ~cost
-  | Protocol.Conform { arch; max_edges; limit; infer_limit; engine = explorer } ->
-      run_conform ~engine ~arch ~max_edges ~limit ~infer_limit ~explorer
+  | Protocol.Conform { arch; max_edges; limit; infer_limit } ->
+      run_conform ~engine ~arch ~max_edges ~limit ~infer_limit
   | Protocol.Lang { action; tests; schemes; limit } ->
       run_lang ~engine ~action ~tests ~schemes ~limit
   | req -> invalid_arg ("Ops.compute: non-cacheable op " ^ Protocol.op_name req)

@@ -7,8 +7,10 @@ open Wmm_isa
    results from different exploration engines cannot alias); v4 the
    litmus "certify" flag and the per-verdict "certificate" response
    field carrying a proof-carrying certificate for the axiomatic
-   verdict. *)
-let schema_version = 4
+   verdict; v5 dropped the conform "engine" field with the second
+   and third exploration engines (a request still carrying it has it
+   ignored like any unknown key). *)
+let schema_version = 5
 
 type litmus_mode = Exhaustive | Random of int
 
@@ -28,7 +30,6 @@ type request =
       max_edges : int;
       limit : int;
       infer_limit : int;
-      engine : Enumerate.engine_kind;
     }
   | Lang of {
       action : lang_action;
@@ -124,17 +125,9 @@ let parse_conform v =
   let* max_edges = int_field v "max_edges" 2 in
   let* limit = int_field v "limit" 64 in
   let* infer_limit = int_field v "infer_limit" 16 in
-  let* engine =
-    match Json.str_member "engine" v with
-    | None -> Ok Enumerate.Auto
-    | Some s -> (
-        match Enumerate.engine_of_string s with
-        | Some e -> Ok e
-        | None -> Error (Printf.sprintf "unknown engine %S" s))
-  in
   if max_edges < 1 then Error "field \"max_edges\" must be >= 1"
   else if limit < 1 then Error "field \"limit\" must be >= 1"
-  else Ok (Conform { arch; max_edges; limit; infer_limit; engine })
+  else Ok (Conform { arch; max_edges; limit; infer_limit })
 
 let lang_action_name = function
   | L_explore -> "explore"
@@ -231,11 +224,9 @@ let canonical_key req =
   | Analyze { tests; arch; cost } ->
       Printf.sprintf "served/v%d|analyze|tests=%s|arch=%s|cost=%b" schema_version
         (String.concat "," tests) (Arch.name arch) cost
-  | Conform { arch; max_edges; limit; infer_limit; engine } ->
-      Printf.sprintf
-        "served/v%d|conform|arch=%s|max_edges=%d|limit=%d|infer=%d|engine=%s"
+  | Conform { arch; max_edges; limit; infer_limit } ->
+      Printf.sprintf "served/v%d|conform|arch=%s|max_edges=%d|limit=%d|infer=%d"
         schema_version (Arch.name arch) max_edges limit infer_limit
-        (Enumerate.engine_name engine)
   | Lang { action; tests; schemes; limit } ->
       Printf.sprintf "served/v%d|lang|action=%s|tests=%s|schemes=%s|limit=%d"
         schema_version (lang_action_name action) (String.concat "," tests)

@@ -39,9 +39,6 @@ type request =
       max_edges : int;
       limit : int;
       infer_limit : int;
-      engine : Enumerate.engine_kind;
-          (** Exploration engine for the explore layer; part of the
-              canonical key. *)
     }
   | Lang of {
       action : lang_action;

@@ -49,7 +49,6 @@ type config = {
   oracle : oracle;
   machine : bool;
   infer_limit : int;
-  explorer : Enumerate.engine_kind;
   certificates : bool;
 }
 
@@ -59,7 +58,6 @@ let default_config =
     oracle = reference_oracle;
     machine = true;
     infer_limit = 48;
-    explorer = Enumerate.Auto;
     certificates = true;
   }
 
@@ -89,19 +87,17 @@ let outcome_set_diff p a b =
   in
   String.concat "; " (only_in "search" a b @ only_in "oracle" b a)
 
-let explore_task oracle explorer model (t : Test.t) =
-  (* v2: the key names the exploration engine, so cached verdicts
-     from different engines can never alias. *)
+let explore_task oracle model (t : Test.t) =
+  (* v3: one exploration engine, so the key no longer names one. *)
   let key =
-    Printf.sprintf "conform/explore/v2|%s|%s|%s|%s" oracle.oracle_id
-      (Enumerate.engine_name explorer) (Axiomatic.model_name model)
-      (Verify.test_digest t)
+    Printf.sprintf "conform/explore/v3|%s|%s|%s" oracle.oracle_id
+      (Axiomatic.model_name model) (Verify.test_digest t)
   in
   let label = Printf.sprintf "xcheck %s %s" (Axiomatic.model_name model) t.Test.name in
   Task.pure ~key ~label (fun () ->
       let p = t.Test.program in
       match
-        ( sorted_outcomes (Enumerate.allowed_outcomes ~engine:explorer model p),
+        ( sorted_outcomes (Enumerate.allowed_outcomes model p),
           sorted_outcomes (oracle.outcomes model p) )
       with
       | exception Failure msg -> C_skip msg
@@ -281,7 +277,7 @@ let run ?(config = default_config) ~engine ~arch tests =
       (fun t ->
         List.map
           (fun m ->
-            (t, m, Engine.Batch.add batch (explore_task config.oracle config.explorer m t)))
+            (t, m, Engine.Batch.add batch (explore_task config.oracle m t)))
           models)
       tests
   in
@@ -312,7 +308,7 @@ let run ?(config = default_config) ~engine ~arch tests =
   List.iter
     (fun (t, m, get) ->
       let still_fails t' =
-        match check_of_task (explore_task config.oracle config.explorer m t') with
+        match check_of_task (explore_task config.oracle m t') with
         | C_fail _ -> true
         | C_ok | C_skip _ -> false
         | exception _ -> false

@@ -8,7 +8,7 @@ open Wmm_litmus
 
     Three layers are compared:
 
-    - {b explore}: the pruned backtracking search
+    - {b explore}: the graph engine
       ({!Enumerate.allowed_outcomes}) against an independent outcome
       oracle, by default the generate-and-filter
       {!Enumerate.Reference} path, for every model under check.  The
@@ -93,16 +93,12 @@ type config = {
       (** Inference-layer battery cap (it is the expensive layer);
           the first [infer_limit] tests are analysed.  [0] disables
           the layer. *)
-  explorer : Enumerate.engine_kind;
-      (** Exploration engine for the explore layer's fast side; part
-          of the task key, so verdicts from different engines never
-          alias in the cache. *)
   certificates : bool;  (** Run the certificate layer. *)
 }
 
 val default_config : config
 (** Reference oracle, default models, machine and certificate layers
-    on, [infer_limit = 48], [explorer = Auto]. *)
+    on, [infer_limit = 48]. *)
 
 val run :
   ?config:config -> engine:Wmm_engine.Engine.t -> arch:Arch.t -> Test.t list -> report

@@ -119,19 +119,16 @@ let test_task_rng_deterministic () =
     <> List.init 8 (fun _ -> Wmm_util.Rng.int64 c))
 
 let test_telemetry_json () =
-  Alcotest.(check int) "telemetry schema version" 6 Telemetry.schema_version;
+  Alcotest.(check int) "telemetry schema version" 7 Telemetry.schema_version;
   let engine = Engine.create ~jobs:1 () in
   ignore (Engine.run_all engine [| Task.pure ~key:"t" (fun () -> ()) |]);
   Engine.set_exploration engine
     {
       Telemetry.explored = 42;
       pruned = 7;
-      well_formed = 42;
       consistent = 17;
-      graph_executions = 9;
       revisits = 3;
       symmetry_skips = 2;
-      cutover_small = 1;
       explore_wall_s = 0.5;
     };
   let path = Filename.temp_file "wmm_telemetry" ".json" in
@@ -157,9 +154,8 @@ let test_telemetry_json () =
           "\"tasks_ran\": 1";
           "\"cache\"";
           "\"outcome\": \"ran\"";
-          "\"exploration\": {\"explored\": 42, \"pruned\": 7, \"well_formed\": 42, \
-           \"consistent\": 17, \"graph_executions\": 9, \"revisits\": 3, \
-           \"symmetry_skips\": 2, \"cutover_small\": 1,";
+          "\"exploration\": {\"explored\": 42, \"pruned\": 7, \"consistent\": 17, \
+           \"revisits\": 3, \"symmetry_skips\": 2,";
         ])
 
 (* ------------------------------------------------------------------ *)

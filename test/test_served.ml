@@ -117,6 +117,15 @@ let test_canonical_key_field_order_and_id () =
   | _ -> Alcotest.fail "non-cacheable op should have no key"
   | exception Invalid_argument _ -> ()
 
+(* Protocol v5 dropped the conform "engine" field: an old client that
+   still sends it has it ignored like any unknown key, and gets the
+   answer (and cache entry) of a request without it. *)
+let test_conform_engine_field_ignored () =
+  let key s = Protocol.canonical_key (parse_request_ok s).Protocol.request in
+  Alcotest.(check string) "engine field does not change the key"
+    (key {|{"op": "conform", "arch": "arm", "max_edges": 3}|})
+    (key {|{"op": "conform", "arch": "arm", "max_edges": 3, "engine": "pruned"}|})
+
 (* ------------------------------------------------------------------ *)
 (* A real server over a real socket.                                  *)
 (* ------------------------------------------------------------------ *)
@@ -468,6 +477,8 @@ let suite =
     Alcotest.test_case "protocol request validation" `Quick test_protocol_requests;
     Alcotest.test_case "canonical key is content-addressed" `Quick
       test_canonical_key_field_order_and_id;
+    Alcotest.test_case "conform engine field is ignored" `Quick
+      test_conform_engine_field_ignored;
     Alcotest.test_case "server verdicts match one-shot" `Quick
       test_server_verdicts_match_one_shot;
     Alcotest.test_case "server dedups identical queries" `Quick
