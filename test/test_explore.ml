@@ -2,10 +2,10 @@ open Wmm_isa
 open Wmm_model
 open Wmm_litmus
 
-(* The exploration core: the graph engine must be outcome-identical
-   to the pre-rewrite generate-and-filter path (kept as
-   [Enumerate.Reference]), and its pruning/consistency counters must
-   behave sanely. *)
+(* The exploration core: the graph engine and the certificate
+   candidate search must be outcome-identical to the pre-rewrite
+   generate-and-filter path (kept as [Enumerate.Reference]), and the
+   engine's pruning/consistency counters must behave sanely. *)
 
 (* --- permutations: duplicate elements are kept ------------------- *)
 
@@ -79,6 +79,35 @@ let reference_outcomes =
         Hashtbl.add memo key o;
         o
 
+(* --- golden: search equals reference ----------------------------- *)
+
+(* [Enumerate.candidate_executions] is the rf/co search that certificate
+   witnesses are drawn from.  Filtered by the model, it must keep as
+   many executions as the reference enumerator does and reach the
+   same outcome set. *)
+let consistent_under model cands =
+  List.filter (fun ((x : Execution.t), _) -> Axiomatic.consistent model x) cands
+
+let outcome_set cands = List.sort_uniq Enumerate.compare_outcome (List.map snd cands)
+
+let check_search_golden model (p : Program.t) =
+  let label = Printf.sprintf "%s/%s" p.Program.name (Axiomatic.model_name model) in
+  let fast = consistent_under model (Enumerate.candidate_executions p) in
+  let slow = consistent_under model (Enumerate.Reference.candidate_executions p) in
+  Alcotest.(check int) (label ^ " consistent executions") (List.length slow) (List.length fast);
+  let fast_outs = outcome_set fast and slow_outs = outcome_set slow in
+  if not (outcomes_equal fast_outs slow_outs) then
+    Alcotest.failf "%s: search %d outcomes, reference %d" label (List.length fast_outs)
+      (List.length slow_outs)
+
+let test_golden_library model () =
+  List.iter (fun (t : Test.t) -> check_search_golden model t.Test.program) Library.all
+
+let test_golden_synthetic () =
+  List.iter
+    (fun (p, model) -> check_search_golden model p)
+    [ (iriw3, Axiomatic.Arm); (co_storm, Axiomatic.Tso) ]
+
 (* --- graph engine: golden vs reference, all five models ---------- *)
 
 let test_graph_golden_library model () =
@@ -137,10 +166,7 @@ let test_graph_golden_synth_sample () =
 (* Executions the reference enumerator finds consistent: what a
    search without symmetry reduction reaches. *)
 let reference_consistent model p =
-  List.length
-    (List.filter
-       (fun (x, _) -> Axiomatic.consistent model x)
-       (Enumerate.Reference.candidate_executions p))
+  List.length (consistent_under model (Enumerate.Reference.candidate_executions p))
 
 let test_symmetry_quotient () =
   (* Identical tier: three byte-identical writers - one canonical
@@ -300,6 +326,11 @@ let test_exists_outcome_symmetric () =
 let suite =
   [
     Alcotest.test_case "permutations with duplicates" `Quick test_permutations_duplicates;
+    Alcotest.test_case "golden library SC" `Quick (test_golden_library Axiomatic.Sc);
+    Alcotest.test_case "golden library TSO" `Quick (test_golden_library Axiomatic.Tso);
+    Alcotest.test_case "golden library ARMv8" `Quick (test_golden_library Axiomatic.Arm);
+    Alcotest.test_case "golden library POWER" `Quick (test_golden_library Axiomatic.Power);
+    Alcotest.test_case "golden synthetic worst cases" `Slow test_golden_synthetic;
     Alcotest.test_case "graph golden library SC" `Quick (test_graph_golden_library Axiomatic.Sc);
     Alcotest.test_case "graph golden library TSO" `Quick (test_graph_golden_library Axiomatic.Tso);
     Alcotest.test_case "graph golden library ARMv8" `Quick (test_graph_golden_library Axiomatic.Arm);
