@@ -6,7 +6,7 @@
      asm         - show a litmus test or cost function as assembly
      micro       - microbenchmark fence instruction sequences
      sensitivity - fit a benchmark's sensitivity to a code path
-     figure      - regenerate one of the paper's figures/tables
+     figure      - regenerate the paper's figures/tables (the ids given, or all)
      analyze     - infer, verify and cost-rank fence placements
      conform     - differential conformance over a synthesized battery
      serve       - long-running exploration daemon on a Unix socket
@@ -57,6 +57,12 @@ let arch_arg =
   Arg.(value & opt arch_conv Wmm_isa.Arch.Armv8 & info [ "arch" ] ~doc:"arm or power")
 
 let mode_tag () = if Sys.getenv_opt "WMM_FAST" <> None then "fast" else "full"
+
+(* A litmus-library test by name. *)
+let library_test name =
+  match Wmm_litmus.Library.by_name name with
+  | Some t -> t
+  | None -> die "unknown litmus test %S (see `wmm_bench list`)" name
 
 (* The --arch value of analyze and conform: one architecture, or both. *)
 let archs_of_string = function
@@ -272,12 +278,9 @@ let litmus_cmd =
       | _, Some path -> (
           match Parse.parse_file path with
           | Ok p -> [ p.Parse.test ]
-          | Error e -> failwith (Printf.sprintf "%s: %s" path e))
+          | Error e -> die "%s: %s" path e)
       | None, None -> Library.all
-      | Some name, None -> (
-          match Library.by_name name with
-          | Some t -> [ t ]
-          | None -> failwith (Printf.sprintf "unknown litmus test %S" name))
+      | Some name, None -> [ library_test name ]
     in
     let failures = ref 0 in
     List.iter
@@ -295,13 +298,7 @@ let litmus_cmd =
             match selected with
             | false -> ()
             | true ->
-                let config =
-                  match model with
-                  | Axiomatic.Sc -> Wmm_machine.Relaxed.sc_config
-                  | Axiomatic.Tso -> Wmm_machine.Relaxed.tso_config
-                  | Axiomatic.Arm | Axiomatic.Power -> Wmm_machine.Relaxed.relaxed_config
-                  | Axiomatic.Rc11 -> Wmm_machine.Relaxed.sc_config
-                in
+                let config = Check.machine_config model in
                 let v =
                   if exhaustive then Check.run_exhaustive model config test
                   else Check.run_random ~iterations model config test
@@ -391,11 +388,7 @@ let asm_cmd =
       let cf = Wmm_costfn.Cost_function.make arch 1024 in
       List.iter print_endline (Wmm_costfn.Cost_function.assembly cf)
     end
-    else begin
-      match Wmm_litmus.Library.by_name name with
-      | Some t -> print_string (Wmm_isa.Asm.program arch t.Wmm_litmus.Test.program)
-      | None -> failwith (Printf.sprintf "unknown litmus test %S" name)
-    end
+    else print_string (Wmm_isa.Asm.program arch (library_test name).Wmm_litmus.Test.program)
   in
   Cmd.v (Cmd.info "asm" ~doc:"Print a litmus test or the cost function as assembly")
     Term.(const run $ arch_arg $ name_arg)
@@ -457,24 +450,55 @@ let sensitivity_cmd =
   let run arch bench path samples =
     let open Wmm_experiments in
     let open Wmm_core in
+    let open Wmm_workload in
+    let open Wmm_platform in
     let light = Exp_common.light_for arch in
-    let jvm_profile = Wmm_workload.Dacapo.by_name bench in
-    let kernel_profile = Wmm_workload.Kernelbench.by_name bench in
+    let names profiles =
+      String.concat " " (List.map (fun (p : Profile.t) -> p.Profile.name) profiles)
+    in
+    (* A kernel-macro path selects a kernel benchmark; any other path
+       is an elemental barrier (or all of them) of a JVM benchmark. *)
     let sweep =
-      match (jvm_profile, Wmm_platform.Kernel.macro_of_name path) with
-      | Some profile, None ->
+      match Kernel.macro_of_name path with
+      | Some macro ->
+          let profile =
+            match Kernelbench.by_name bench with
+            | Some p -> p
+            | None ->
+                die "unknown kernel benchmark %S; valid kernel benchmarks: %s" bench
+                  (names (Kernelbench.all @ Kernelbench.lmbench_parts))
+          in
+          Experiment.sweep ~samples ~code_path:path
+            ~base:
+              (Exp_common.kernel_platform
+                 ~inject:[ (macro, [ Exp_common.nop_uop arch ~light:false ]) ]
+                 arch)
+            ~inject:(fun cf ->
+              Exp_common.kernel_platform
+                ~inject:[ (macro, [ Wmm_costfn.Cost_function.uop cf ]) ]
+                arch)
+            profile
+      | None ->
+          let profile =
+            match Dacapo.by_name bench with
+            | Some p -> p
+            | None ->
+                die
+                  "unknown JVM benchmark %S; valid JVM benchmarks: %s (a kernel \
+                   benchmark needs a kernel-macro --path)"
+                  bench (names Dacapo.all)
+          in
           let elementals =
-            if path = "all" then Wmm_platform.Barrier.all_elementals
+            if path = "all" then Barrier.all_elementals
             else
-              [
-                (match
-                   List.find_opt
-                     (fun e -> Wmm_platform.Barrier.elemental_name e = path)
-                     Wmm_platform.Barrier.all_elementals
-                 with
-                | Some e -> e
-                | None -> failwith (Printf.sprintf "unknown code path %S" path));
-              ]
+              match
+                List.find_opt (fun e -> Barrier.elemental_name e = path) Barrier.all_elementals
+              with
+              | Some e -> [ e ]
+              | None ->
+                  die "unknown code path %S; valid paths: all %s (JVM) or %s (kernel)" path
+                    (String.concat " " (List.map Barrier.elemental_name Barrier.all_elementals))
+                    (String.concat " " (List.map Kernel.macro_name Kernel.all_macros))
           in
           let inject uops = List.map (fun e -> (e, uops)) elementals in
           Experiment.sweep ~samples ~light ~code_path:path
@@ -487,23 +511,6 @@ let sensitivity_cmd =
                 ~inject:(inject [ Wmm_costfn.Cost_function.uop cf ])
                 arch)
             profile
-      | None, Some macro -> (
-          match kernel_profile with
-          | Some profile ->
-              Experiment.sweep ~samples ~code_path:path
-                ~base:
-                  (Exp_common.kernel_platform
-                     ~inject:[ (macro, [ Exp_common.nop_uop arch ~light:false ]) ]
-                     arch)
-                ~inject:(fun cf ->
-                  Exp_common.kernel_platform
-                    ~inject:[ (macro, [ Wmm_costfn.Cost_function.uop cf ]) ]
-                    arch)
-                profile
-          | None -> failwith (Printf.sprintf "unknown kernel benchmark %S" bench))
-      | Some _, Some _ | None, None ->
-          failwith
-            (Printf.sprintf "cannot resolve benchmark %S with code path %S" bench path)
     in
     Printf.printf "%s / %s / %s:\n" bench (Wmm_isa.Arch.name arch) path;
     List.iter
@@ -524,8 +531,11 @@ let sensitivity_cmd =
 (* ------------------------------------------------------------------ *)
 
 let figure_cmd =
-  let id_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"ID" ~doc:"Experiment id")
+  let ids_arg =
+    Arg.(
+      value & pos_all string []
+      & info [] ~docv:"ID"
+          ~doc:"Experiment id; with none, every experiment runs, in `list` order")
   in
   let faults_arg =
     Arg.(
@@ -544,7 +554,7 @@ let figure_cmd =
             "Robust estimation: MAD outlier rejection on raw samples and \
              Huber-weighted sensitivity fits")
   in
-  let run id batch faults_spec robust =
+  let run ids batch faults_spec robust =
     let open Wmm_experiments in
     let faults =
       match faults_spec with
@@ -552,13 +562,14 @@ let figure_cmd =
       | Some spec -> (
           match Wmm_engine.Fault.parse spec with
           | Ok f -> f
-          | Error msg -> failwith ("--inject-faults: " ^ msg))
+          | Error msg -> die "--inject-faults: %s" msg)
     in
     (* Installed before any sample request is built: the experiment
        layer captures the ambient plan into each task's closure and
        cache key, and the engine takes it as its fault plan. *)
     Wmm_engine.Fault.set_ambient faults;
-    let report =
+    let ids = if ids = [] then experiment_ids else ids in
+    let report id =
       match id with
       | "fig1" -> fun _engine -> Fig1.report ()
       | "fig2_3" | "fig2" | "fig3" -> fun _engine -> Fig2_3.report ()
@@ -574,14 +585,19 @@ let figure_cmd =
       | other ->
           die "unknown experiment %S; valid ids: %s" other (String.concat " " experiment_ids)
     in
-    with_batch_engine batch ~tag:("figure-" ^ id)
+    let reports = List.map report ids in
+    with_batch_engine batch
+      ~tag:("figure-" ^ String.concat "-" ids)
       ~parts:
-        [ id; mode_tag (); Wmm_engine.Fault.fingerprint faults; string_of_bool robust ]
-      (fun engine -> print_endline (report engine))
+        (ids @ [ mode_tag (); Wmm_engine.Fault.fingerprint faults; string_of_bool robust ])
+      (fun engine -> List.iter (fun report -> print_endline (report engine)) reports)
   in
   Cmd.v
-    (Cmd.info "figure" ~doc:"Regenerate one of the paper's figures or tables")
-    Term.(const run $ id_arg $ batch_term $ faults_arg $ robust_arg)
+    (Cmd.info "figure"
+       ~doc:
+         "Regenerate the paper's figures and tables, one report per experiment id, \
+          on one engine")
+    Term.(const run $ ids_arg $ batch_term $ faults_arg $ robust_arg)
 
 (* ------------------------------------------------------------------ *)
 (* analyze                                                             *)
@@ -631,13 +647,7 @@ let analyze_cmd =
     let archs = archs_of_string arch_s in
     let tests =
       if all || names = [] then Wmm_litmus.Library.all
-      else
-        List.map
-          (fun n ->
-            match Wmm_litmus.Library.by_name n with
-            | Some t -> t
-            | None -> die "unknown litmus test %S (see `wmm_bench list`)" n)
-          names
+      else List.map library_test names
     in
     with_batch_engine batch ~tag:"analyze"
       ~parts:
@@ -841,8 +851,6 @@ let lang_cmd =
   in
   let run action test_names scheme_names limit batch =
     let open Wmm_lang in
-    if not (List.mem action [ "explore"; "conform"; "rank" ]) then
-      die "unknown lang action %S; valid actions: explore conform rank" action;
     let schemes ~default =
       match scheme_names with
       | [] -> default
@@ -877,68 +885,75 @@ let lang_cmd =
             names
     in
     let cap tests = List.filteri (fun i _ -> limit = 0 || i < limit) tests in
+    (* Every name is resolved here, before the engine and its journal
+       exist, so a usage error opens no run. *)
+    let job =
+      match action with
+      | "explore" ->
+          let battery =
+            cap (resolve_tests ~default:(fun () -> List.map Locks.test_of Locks.all))
+          in
+          fun _engine ->
+            List.iter
+              (fun (t : Wmm_litmus.Test.t) ->
+                let outcomes =
+                  Wmm_model.Enumerate.allowed_outcomes Wmm_model.Axiomatic.Rc11
+                    t.Wmm_litmus.Test.program
+                in
+                let witness =
+                  Wmm_model.Enumerate.outcome_allowed Wmm_model.Axiomatic.Rc11
+                    t.Wmm_litmus.Test.program
+                    {
+                      Wmm_model.Enumerate.registers = t.Wmm_litmus.Test.condition;
+                      memory = t.Wmm_litmus.Test.mem_condition;
+                    }
+                in
+                Printf.printf "explore|%s|outcomes=%d|witness=%s\n" t.Wmm_litmus.Test.name
+                  (List.length outcomes)
+                  (if witness then "allow" else "forbid"))
+              battery;
+            false
+      | "conform" ->
+          let battery =
+            cap
+              (resolve_tests ~default:(fun () ->
+                   List.map C11.lift_test Wmm_litmus.Library.all
+                   @ List.map Locks.test_of Locks.all))
+          in
+          let schemes = schemes ~default:Compile.all_schemes in
+          fun engine ->
+            let report = Contain.run ~schemes ~engine battery in
+            print_string (Contain.render report);
+            report.Contain.disagreements <> []
+      | "rank" ->
+          let locks =
+            match test_names with
+            | [] -> Locks.all
+            | names ->
+                List.map
+                  (fun name ->
+                    match Locks.by_name name with
+                    | Some l -> l
+                    | None ->
+                        die "unknown lock %S; valid locks: %s" name
+                          (String.concat " "
+                             (List.map (fun (l : Locks.t) -> l.Locks.name) Locks.all)))
+                  names
+          in
+          let schemes = schemes ~default:Rank.default_schemes in
+          fun engine ->
+            let rows = Rank.run ~schemes ~locks ~engine () in
+            print_string (Rank.render ~schemes rows);
+            List.iter (fun r -> print_endline (Rank.row_line r)) rows;
+            false
+      | other -> die "unknown lang action %S; valid actions: explore conform rank" other
+    in
     let failed =
       with_batch_engine batch ~tag:"lang"
         ~parts:
           ([ action; string_of_int limit ]
           @ List.sort compare test_names @ List.sort compare scheme_names)
-        (fun engine ->
-          match action with
-          | "explore" ->
-              let battery =
-                cap (resolve_tests ~default:(fun () -> List.map Locks.test_of Locks.all))
-              in
-              List.iter
-                (fun (t : Wmm_litmus.Test.t) ->
-                  let outcomes =
-                    Wmm_model.Enumerate.allowed_outcomes Wmm_model.Axiomatic.Rc11
-                      t.Wmm_litmus.Test.program
-                  in
-                  let witness =
-                    Wmm_model.Enumerate.outcome_allowed Wmm_model.Axiomatic.Rc11
-                      t.Wmm_litmus.Test.program
-                      {
-                        Wmm_model.Enumerate.registers = t.Wmm_litmus.Test.condition;
-                        memory = t.Wmm_litmus.Test.mem_condition;
-                      }
-                  in
-                  Printf.printf "explore|%s|outcomes=%d|witness=%s\n"
-                    t.Wmm_litmus.Test.name (List.length outcomes)
-                    (if witness then "allow" else "forbid"))
-                battery;
-              false
-          | "conform" ->
-              let battery =
-                cap
-                  (resolve_tests ~default:(fun () ->
-                       List.map C11.lift_test Wmm_litmus.Library.all
-                       @ List.map Locks.test_of Locks.all))
-              in
-              let report =
-                Contain.run ~schemes:(schemes ~default:Compile.all_schemes) ~engine battery
-              in
-              print_string (Contain.render report);
-              report.Contain.disagreements <> []
-          | _rank ->
-              let locks =
-                match test_names with
-                | [] -> Locks.all
-                | names ->
-                    List.map
-                      (fun name ->
-                        match Locks.by_name name with
-                        | Some l -> l
-                        | None ->
-                            die "unknown lock %S; valid locks: %s" name
-                              (String.concat " "
-                                 (List.map (fun (l : Locks.t) -> l.Locks.name) Locks.all)))
-                      names
-              in
-              let schemes = schemes ~default:Rank.default_schemes in
-              let rows = Rank.run ~schemes ~locks ~engine () in
-              print_string (Rank.render ~schemes rows);
-              List.iter (fun r -> print_endline (Rank.row_line r)) rows;
-              false)
+        job
     in
     if failed then exit 1
   in

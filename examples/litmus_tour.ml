@@ -5,7 +5,6 @@
 
 open Wmm_isa
 open Wmm_model
-open Wmm_machine
 open Wmm_litmus
 
 let show_test name =
@@ -15,14 +14,7 @@ let show_test name =
   (* What does each model say, and does the operational machine agree? *)
   List.iter
     (fun model ->
-      let config =
-        match model with
-        | Axiomatic.Sc -> Relaxed.sc_config
-        | Axiomatic.Tso -> Relaxed.tso_config
-        | Axiomatic.Arm | Axiomatic.Power -> Relaxed.relaxed_config
-        | Axiomatic.Rc11 -> Relaxed.sc_config
-      in
-      let v = Check.run_random ~iterations:1000 model config test in
+      let v = Check.run_random ~iterations:1000 model (Check.machine_config model) test in
       Printf.printf "  %-6s %-9s observed %4d/%d times\n"
         (Axiomatic.model_name model)
         (if v.Check.axiomatic_allowed then "allowed" else "forbidden")
@@ -48,14 +40,7 @@ let () =
       List.iter
         (fun model ->
           if Test.expected_under test model <> None then begin
-            let config =
-              match model with
-              | Axiomatic.Sc -> Relaxed.sc_config
-              | Axiomatic.Tso -> Relaxed.tso_config
-              | Axiomatic.Arm | Axiomatic.Power -> Relaxed.relaxed_config
-              | Axiomatic.Rc11 -> Relaxed.sc_config
-            in
-            let v = Check.run_exhaustive model config test in
+            let v = Check.run_exhaustive model (Check.machine_config model) test in
             incr total;
             if Check.sound v then incr sound else print_endline (Check.describe v)
           end)

@@ -19,7 +19,7 @@ let create ?(jobs = 1) ?pool ?(cache = Cache.disabled) ?(seed = 0) ?soft_deadlin
   let jobs =
     match pool with
     | Some wq -> Workqueue.jobs wq
-    | None -> if jobs <= 0 then Pool.default_jobs () else jobs
+    | None -> if jobs <= 0 then Domain.recommended_domain_count () else jobs
   in
   let faults = match faults with Some f -> f | None -> Fault.ambient () in
   {
@@ -158,15 +158,15 @@ let run_all t tasks =
   in
   (* Submission strategy only: [exec] is identical either way, and
      results land by index, so a batch through a shared warm pool is
-     bit-identical to a one-shot Pool.run of the same tasks.  With a
+     bit-identical to a one-shot Workqueue.run of the same tasks.  With a
      pool, even single-task batches go through it: worker domains run
      one task at a time, which is what makes the per-domain ambient
      cancellation token sound when many submitter threads share the
      pool (running inline would stack ambient tokens from concurrent
      threads onto the submitter's one domain). *)
   (match t.pool with
-  | Some wq when n >= 1 -> Pool.raise_failures (Workqueue.run_indexed wq n exec)
-  | Some _ | None -> Pool.run ~jobs:t.jobs n exec);
+  | Some wq when n >= 1 -> Workqueue.run_indexed wq n exec
+  | Some _ | None -> Workqueue.run ~jobs:t.jobs n exec);
   Telemetry.add_batch_wall t.telemetry (Unix.gettimeofday () -. batch_start);
   results
 

@@ -112,16 +112,35 @@ let await h =
   | Done v -> v
   | Raised (e, bt) -> Printexc.raise_with_backtrace e bt
 
+exception Multiple_failures of string
+
+let () =
+  Printexc.register_printer (function
+    | Multiple_failures msg -> Some ("Workqueue.Multiple_failures: " ^ msg)
+    | _ -> None)
+
+(* The batch raise policy: one failure re-raises the original
+   exception (original backtrace), several aggregate so no cause is
+   silently swallowed. *)
 let run_indexed t n f =
   let handles = Array.init n (fun i -> submit t (fun () -> f i)) in
   let failures = ref [] in
-  Array.iteri
-    (fun i h ->
+  Array.iter
+    (fun h ->
       match await h with
       | () -> ()
-      | exception e -> failures := (i, e, Printexc.get_raw_backtrace ()) :: !failures)
+      | exception e -> failures := (e, Printexc.get_raw_backtrace ()) :: !failures)
     handles;
-  List.rev !failures
+  match List.rev !failures with
+  | [] -> ()
+  | [ (e, bt) ] -> Printexc.raise_with_backtrace e bt
+  | (e, bt) :: rest ->
+      let msg =
+        Printf.sprintf "%d tasks failed; first: %s; also: %s"
+          (List.length rest + 1) (Printexc.to_string e)
+          (String.concat "; " (List.map (fun (e, _) -> Printexc.to_string e) rest))
+      in
+      Printexc.raise_with_backtrace (Multiple_failures msg) bt
 
 let shutdown t =
   Mutex.lock t.lock;
@@ -130,3 +149,14 @@ let shutdown t =
   Condition.broadcast t.nonempty;
   Mutex.unlock t.lock;
   if not was_stopped then Array.iter Domain.join t.workers
+
+let run ~jobs n f =
+  if jobs <= 1 || n <= 1 then
+    for i = 0 to n - 1 do
+      f i
+    done
+  else begin
+    (* Never more workers than tasks. *)
+    let wq = create ~jobs:(min jobs n) () in
+    Fun.protect ~finally:(fun () -> shutdown wq) (fun () -> run_indexed wq n f)
+  end

@@ -1,13 +1,13 @@
 (** A persistent, resubmittable domain pool.
 
-    Where {!Pool.run} builds a task list and drains it (spawning and
-    joining its workers every batch), a workqueue decouples task
-    submission from worker lifetime: [jobs] worker domains are
-    spawned once at {!create} and block on a shared queue until
-    {!shutdown}.  Any thread - including several concurrently - may
-    {!submit} work and {!await} its handle, so a long-running process
-    (the [wmm_served] daemon) pays domain startup once and then feeds
-    the same warm pool from every client request.
+    A workqueue decouples task submission from worker lifetime: [jobs]
+    worker domains are spawned once at {!create} and block on a shared
+    queue until {!shutdown}.  Any thread - including several
+    concurrently - may {!submit} work and {!await} its handle, so a
+    long-running process (the [wmm_served] daemon) pays domain startup
+    once and then feeds the same warm pool from every client request.
+    One-shot batches use {!run}, which creates a queue for the batch
+    and shuts it down after.
 
     Ordering is FIFO per queue but completion order is unspecified;
     callers that need deterministic output index results themselves
@@ -43,12 +43,28 @@ val await : 'a handle -> 'a
     its exception with the original backtrace.  Safe to call from any
     thread, any number of times. *)
 
-val run_indexed : t -> int -> (int -> unit) -> (int * exn * Printexc.raw_backtrace) list
+exception Multiple_failures of string
+(** Raised by {!run_indexed} and {!run} when more than one task
+    raised: the message carries the count, the first exception, and
+    the others in index order, so no failure is silently swallowed. *)
+
+val run_indexed : t -> int -> (int -> unit) -> unit
 (** [run_indexed t n f] submits [f 0 .. f (n-1)] and awaits them all;
-    the calling thread blocks but performs no work itself.  Returns
-    the failures in index order ([] when every task succeeded) so the
-    caller owns the raise policy - see {!Pool.run}. *)
+    the calling thread blocks but performs no work itself.  When tasks
+    raise, every task still runs; then exactly one failure re-raises
+    the original exception (original backtrace) and several raise
+    {!Multiple_failures}. *)
 
 val shutdown : t -> unit
 (** Drain: workers finish the tasks already queued, then exit and are
     joined.  Idempotent.  Submitting after shutdown is an error. *)
+
+val run : jobs:int -> int -> (int -> unit) -> unit
+(** [run ~jobs n f] is the one-shot batch the CLIs use: it applies [f]
+    to every index in [0, n) across at most [jobs] worker domains of a
+    queue created for the batch and shut down after it.  With
+    [jobs <= 1] or [n <= 1] no domains are spawned and the body runs
+    in a plain sequential loop - the scheduling strategy can never
+    change results, only their arrival order.  [f] is expected not to
+    raise; stray exceptions follow {!run_indexed}'s policy (the
+    sequential loop stops at the first). *)

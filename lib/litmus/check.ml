@@ -24,6 +24,14 @@ let axiomatic_allowed model (test : Test.t) =
   Enumerate.exists_outcome model test.Test.program (fun (o : Enumerate.outcome) ->
       outcome_satisfies test ~registers:o.Enumerate.registers ~memory:o.Enumerate.memory)
 
+let machine_config = function
+  | Axiomatic.Sc -> Relaxed.sc_config
+  | Axiomatic.Tso -> Relaxed.tso_config
+  | Axiomatic.Arm | Axiomatic.Power -> Relaxed.relaxed_config
+  (* No machine implements the language tier; the SC machine's
+     outcomes are a sound subset of the RC11-allowed set. *)
+  | Axiomatic.Rc11 -> Relaxed.sc_config
+
 let relaxed_satisfies test (o : Relaxed.outcome) =
   outcome_satisfies test ~registers:o.Relaxed.registers ~memory:o.Relaxed.memory
 

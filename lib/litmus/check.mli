@@ -18,6 +18,12 @@ type verdict = {
 
 val axiomatic_allowed : Axiomatic.model -> Test.t -> bool
 
+val machine_config : Axiomatic.model -> Relaxed.config
+(** The operational machine that checks a model's verdicts: SC and TSO
+    have their own, ARMv8 and POWER share the relaxed one.  No machine
+    implements the language tier; the SC machine's outcomes are a
+    sound subset of the RC11-allowed set, so RC11 goes to it. *)
+
 val run_random :
   ?iterations:int -> ?seed:int -> Axiomatic.model -> Relaxed.config -> Test.t -> verdict
 (** Randomly scheduled executions (default 2000). *)

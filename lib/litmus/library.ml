@@ -574,5 +574,3 @@ let name_index =
      tbl)
 
 let by_name name = Hashtbl.find_opt (Lazy.force name_index) name
-
-let machine_config_for (_ : Test.t) = Wmm_machine.Relaxed.relaxed_config

@@ -32,7 +32,3 @@ val for_model : Axiomatic.model -> Test.t list
 (** The tests carrying an expectation for the given model. *)
 
 val by_name : string -> Test.t option
-
-val machine_config_for : Test.t -> Wmm_machine.Relaxed.config
-(** The operational machine configuration appropriate for a test
-    (the relaxed machine; exposed for the runner). *)

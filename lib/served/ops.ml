@@ -8,14 +8,6 @@ let obj fields = Json.to_string (Json.Obj fields)
 (* ------------------------------------------------------------------ *)
 (* litmus *)
 
-let machine_config_for_model = function
-  | Axiomatic.Sc -> Wmm_machine.Relaxed.sc_config
-  | Axiomatic.Tso -> Wmm_machine.Relaxed.tso_config
-  | Axiomatic.Arm | Axiomatic.Power -> Wmm_machine.Relaxed.relaxed_config
-  (* No machine implements the language tier; the SC machine's
-     outcomes are a sound subset of the RC11-allowed set. *)
-  | Axiomatic.Rc11 -> Wmm_machine.Relaxed.sc_config
-
 let resolve_litmus_tests ~tests ~program =
   match program with
   | Some text -> (
@@ -99,7 +91,7 @@ let run_litmus ~engine ~tests ~program ~model ~mode ~certify =
         (Protocol.model_wire_name m) mode_key certify
     in
     Task.pure ~key ~label:("litmus " ^ test.Test.name) (fun () ->
-        let config = machine_config_for_model m in
+        let config = Check.machine_config m in
         let v =
           match mode with
           | Protocol.Exhaustive -> Check.run_exhaustive m config test

@@ -511,13 +511,13 @@ let test_cache_prune_and_clear () =
 
 let test_pool_aggregates_failures () =
   (* A single failing task re-raises the original exception... *)
-  (match Pool.run ~jobs:2 4 (fun i -> if i = 2 then failwith "only me") with
+  (match Workqueue.run ~jobs:2 4 (fun i -> if i = 2 then failwith "only me") with
   | () -> Alcotest.fail "single failure should raise"
   | exception Failure m -> Alcotest.(check string) "original exception" "only me" m);
   (* ...while several are aggregated so none is silently swallowed. *)
-  match Pool.run ~jobs:2 4 (fun i -> failwith (Printf.sprintf "task %d" i)) with
+  match Workqueue.run ~jobs:2 4 (fun i -> failwith (Printf.sprintf "task %d" i)) with
   | () -> Alcotest.fail "multiple failures should raise"
-  | exception Pool.Multiple_failures msg ->
+  | exception Workqueue.Multiple_failures msg ->
       check_contains "aggregate message" msg "4 tasks failed";
       check_contains "aggregate message" msg "task "
 

@@ -57,8 +57,8 @@ let suite =
   ]
 
 (* The heavyweight figure reports (5-10 and the tables) are exercised
-   by `dune exec bench/main.exe`; here we only smoke-test them under
-   WMM_FAST when explicitly requested. *)
+   by `wmm_bench figure`; here we only smoke-test them under WMM_FAST
+   when explicitly requested. *)
 let slow_suite =
   [
     Alcotest.test_case "fig5 report (fast)" `Slow

@@ -2,13 +2,6 @@ open Wmm_model
 open Wmm_machine
 open Wmm_litmus
 
-let config_for model =
-  match model with
-  | Axiomatic.Sc -> Relaxed.sc_config
-  | Axiomatic.Tso -> Relaxed.tso_config
-  | Axiomatic.Arm | Axiomatic.Power -> Relaxed.relaxed_config
-  | Axiomatic.Rc11 -> Relaxed.sc_config
-
 let test_library_programs_valid () =
   List.iter
     (fun (t : Test.t) ->
@@ -47,7 +40,7 @@ let test_random_runs_sound () =
       List.iter
         (fun model ->
           if Test.expected_under t model <> None then begin
-            let v = Check.run_random ~iterations:300 model (config_for model) t in
+            let v = Check.run_random ~iterations:300 model (Check.machine_config model) t in
             if not (Check.sound v) then Alcotest.failf "unsound: %s" (Check.describe v)
           end)
         Axiomatic.all_models)
@@ -62,7 +55,7 @@ let test_exhaustive_battery_sound () =
       List.iter
         (fun model ->
           if Test.expected_under t model <> None then begin
-            let v = Check.run_exhaustive model (config_for model) t in
+            let v = Check.run_exhaustive model (Check.machine_config model) t in
             if not (Check.sound v) then Alcotest.failf "unsound: %s" (Check.describe v)
           end)
         Axiomatic.all_models)

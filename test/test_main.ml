@@ -32,6 +32,7 @@ let () =
       ("synth", Test_synth.suite);
       ("conform", Test_conform.suite);
       ("cert", Test_cert.suite);
+      ("cli", Test_cli.suite);
       ("optimizer+counters", Test_optimizer.suite);
       ("rmw", Test_rmw.suite);
       ("lang", Test_lang.suite);
