@@ -37,15 +37,37 @@ let derived_run_id ~tag parts =
 (* hex-encoded so every line stays printable single-line text.        *)
 (* ------------------------------------------------------------------ *)
 
+let hex_digits = "0123456789abcdef"
+
 let hex_encode s =
-  let b = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents b
+  let n = String.length s in
+  let b = Bytes.create (2 * n) in
+  for i = 0 to n - 1 do
+    let c = Char.code (String.unsafe_get s i) in
+    Bytes.unsafe_set b (2 * i) hex_digits.[c lsr 4];
+    Bytes.unsafe_set b ((2 * i) + 1) hex_digits.[c land 15]
+  done;
+  Bytes.unsafe_to_string b
+
+(* The value of each hex digit, either case; -1 for any other byte. *)
+let hex_values =
+  Array.init 256 (fun c ->
+      match Char.chr c with
+      | '0' .. '9' -> c - Char.code '0'
+      | 'a' .. 'f' -> c - Char.code 'a' + 10
+      | 'A' .. 'F' -> c - Char.code 'A' + 10
+      | _ -> -1)
 
 let hex_decode s =
   let n = String.length s in
   if n mod 2 <> 0 then failwith "Journal: odd hex length";
-  String.init (n / 2) (fun i -> Char.chr (int_of_string ("0x" ^ String.sub s (2 * i) 2)))
+  let b = Bytes.create (n / 2) in
+  for i = 0 to (n / 2) - 1 do
+    let hi = hex_values.(Char.code s.[2 * i]) and lo = hex_values.(Char.code s.[(2 * i) + 1]) in
+    if hi < 0 || lo < 0 then failwith "Journal: bad hex digit";
+    Bytes.unsafe_set b i (Char.unsafe_chr ((hi lsl 4) lor lo))
+  done;
+  Bytes.unsafe_to_string b
 
 (* Ok lines carry an MD5 of the raw marshalled value: a bit flipped
    inside the hex payload after the line was written still parses as

@@ -34,6 +34,13 @@
 
 type t
 
+val hex_encode : string -> string
+(** Lowercase hex, two digits per byte: the value field's encoding. *)
+
+val hex_decode : string -> string
+(** Inverse of {!hex_encode}; accepts either case.  Raises [Failure]
+    on an odd length or a byte that is not a hex digit. *)
+
 val default_dir : string
 (** [_wmm_cache/journal]. *)
 

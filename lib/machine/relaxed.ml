@@ -130,18 +130,23 @@ let fetch config (program : Program.thread) t =
 (* Retire executed entries from the window head, substituting their
    results into later operands and the register bindings. *)
 let retire t =
-  let substitute eid value t =
+  (* Only [r], the retiring entry's output, can still be bound to it. *)
+  let substitute eid r value t =
+    let reads_it = List.exists (function From i -> i = eid | Val _ -> false) in
     let window =
       List.map
         (fun e ->
-          {
-            e with
-            sources = List.map (function From i when i = eid -> Val value | s -> s) e.sources;
-          })
+          if reads_it e.sources then
+            {
+              e with
+              sources = List.map (function From i when i = eid -> Val value | s -> s) e.sources;
+            }
+          else e)
         t.window
     in
     let bindings =
-      IM.map (function Producer i when i = eid -> Value value | b -> b) t.bindings
+      IM.update r (function Some (Producer i) when i = eid -> Some (Value value) | b -> b)
+        t.bindings
     in
     { t with window; bindings }
   in
@@ -151,7 +156,7 @@ let retire t =
         let t = { t with window = rest } in
         let t =
           match Instr.output_reg e.instr with
-          | Some r -> substitute e.eid e.result { t with written = IM.add r () t.written }
+          | Some r -> substitute e.eid r e.result { t with written = IM.add r () t.written }
           | None -> t
         in
         go t
@@ -180,48 +185,49 @@ let sources_ready window e = List.for_all (fun s -> source_value window s <> Non
 
 let source_values window e = List.map (fun s -> Option.get (source_value window s)) e.sources
 
-let older_entries window eid = List.filter (fun e -> e.eid < eid) window
+(* The ordering roles of an instruction, as a bit set.  A barrier
+   can hold several: [lwsync] is a load barrier and a store marker. *)
+let role_load = 1
+let role_store = 2
+let role_acquire = 4  (* an acquire (or stronger) load *)
+let role_release = 8  (* a release (or stronger) store *)
+let role_full = 16  (* dmb ish / sync / fence sc *)
+let role_load_barrier = 32
+let role_store_marker = 64
+let role_pipeline = 128  (* isb / isync *)
 
-let is_full_barrier = function
-  | Instr.Barrier (Instr.Dmb_ish | Instr.Sync | Instr.Fence_sc) -> true
-  | _ -> false
+let roles = function
+  | Instr.Load { order; _ } | Instr.Load_exclusive { order; _ } -> (
+      match order with
+      | Instr.Acquire | Instr.Acq_rel | Instr.Sc -> role_load lor role_acquire
+      | Instr.Plain | Instr.Release -> role_load)
+  | Instr.Store { order; _ } | Instr.Store_exclusive { order; _ } -> (
+      match order with
+      | Instr.Release | Instr.Acq_rel | Instr.Sc -> role_store lor role_release
+      | Instr.Plain | Instr.Acquire -> role_store)
+  | Instr.Barrier (Instr.Dmb_ish | Instr.Sync | Instr.Fence_sc) -> role_full
+  | Instr.Barrier (Instr.Dmb_ishld | Instr.Fence_acq) -> role_load_barrier
+  | Instr.Barrier (Instr.Lwsync | Instr.Fence_acq_rel) -> role_load_barrier lor role_store_marker
+  | Instr.Barrier (Instr.Dmb_ishst | Instr.Eieio | Instr.Fence_rel) -> role_store_marker
+  | Instr.Barrier (Instr.Isb | Instr.Isync) -> role_pipeline
+  | Instr.Nop | Instr.Mov _ | Instr.Op _ | Instr.Cbnz _ | Instr.Cbz _ -> 0
 
-let is_load_barrier = function
-  | Instr.Barrier (Instr.Dmb_ishld | Instr.Lwsync | Instr.Fence_acq | Instr.Fence_acq_rel)
-    ->
-      true
-  | _ -> false
+let is_load e = roles e.instr land role_load <> 0
+let is_store e = roles e.instr land role_store <> 0
 
-let is_store_marker_barrier = function
-  | Instr.Barrier
-      (Instr.Dmb_ishst | Instr.Lwsync | Instr.Eieio | Instr.Fence_rel | Instr.Fence_acq_rel)
-    ->
-      true
-  | _ -> false
+(* The roles still owed by the unexecuted entries of a window prefix;
+   [role_unexecuted] marks that there is at least one. *)
+let role_unexecuted = 256
 
-let is_pipeline_barrier = function
-  | Instr.Barrier (Instr.Isb | Instr.Isync) -> true
-  | _ -> false
+let owed pending o = if o.executed then pending else pending lor roles o.instr lor role_unexecuted
 
-let is_load e =
-  match e.instr with Instr.Load _ | Instr.Load_exclusive _ -> true | _ -> false
-
-let is_store e =
-  match e.instr with Instr.Store _ | Instr.Store_exclusive _ -> true | _ -> false
-
-let is_acquire_load e =
-  match e.instr with
-  | Instr.Load { order = Instr.Acquire | Instr.Acq_rel | Instr.Sc; _ }
-  | Instr.Load_exclusive { order = Instr.Acquire | Instr.Acq_rel | Instr.Sc; _ } ->
-      true
-  | _ -> false
-
-let is_release_store e =
-  match e.instr with
-  | Instr.Store { order = Instr.Release | Instr.Acq_rel | Instr.Sc; _ }
-  | Instr.Store_exclusive { order = Instr.Release | Instr.Acq_rel | Instr.Sc; _ } ->
-      true
-  | _ -> false
+(* [f] holds for every unexecuted entry older than [e]. *)
+let older_all window e f =
+  let rec go = function
+    | o :: rest when o.eid < e.eid -> (o.executed || f o) && go rest
+    | _ -> true
+  in
+  go window
 
 (* The address a not-yet-executed memory entry will access, when its
    address operand is already resolvable. *)
@@ -257,44 +263,32 @@ let rec normalise_buffer = function Bmarker :: rest -> normalise_buffer rest | b
 let buffer_has_release buffer =
   List.exists (function Bstore { release = true; _ } -> true | _ -> false) buffer
 
-let can_execute config t buffer e =
-  let older = older_entries t.window e.eid in
-  let older_all_done = List.for_all (fun o -> o.executed) older in
-  let older_loads_done = List.for_all (fun o -> (not (is_load o)) || o.executed) older in
-  let older_stores_done = List.for_all (fun o -> (not (is_store o)) || o.executed) older in
-  let blocking_acquire = List.exists (fun o -> is_acquire_load o && not o.executed) older in
-  let blocking_pipeline =
-    List.exists (fun o -> is_pipeline_barrier o.instr && not o.executed) older
-  in
+(* Whether entry [e] may execute now.  [pending] is the fold of
+   {!owed} over the entries older than [e]. *)
+let can_execute config t buffer ~pending e =
+  let owes r = pending land r <> 0 in
   if not (sources_ready t.window e) then false
-  else if blocking_pipeline then false
-  else if blocking_acquire && not (is_pipeline_barrier e.instr) then false
+  else if owes role_pipeline then false
+  else if owes role_acquire && roles e.instr <> role_pipeline then false
   else
     match e.instr with
     | Instr.Nop | Instr.Mov _ | Instr.Op _ -> true
     | Instr.Cbnz _ | Instr.Cbz _ -> true
-    | Instr.Barrier (Instr.Dmb_ish | Instr.Sync | Instr.Fence_sc) ->
-        older_all_done && buffer = []
-    | Instr.Barrier (Instr.Dmb_ishld | Instr.Fence_acq) -> older_loads_done
+    | Instr.Barrier (Instr.Dmb_ish | Instr.Sync | Instr.Fence_sc) -> pending = 0 && buffer = []
+    | Instr.Barrier (Instr.Dmb_ishld | Instr.Fence_acq) -> not (owes role_load)
     | Instr.Barrier (Instr.Lwsync | Instr.Fence_rel | Instr.Fence_acq_rel) ->
-        older_loads_done && older_stores_done
-    | Instr.Barrier (Instr.Dmb_ishst | Instr.Eieio) -> older_stores_done
-    | Instr.Barrier (Instr.Isb | Instr.Isync) -> older_all_done
+        not (owes (role_load lor role_store))
+    | Instr.Barrier (Instr.Dmb_ishst | Instr.Eieio) -> not (owes role_store)
+    | Instr.Barrier (Instr.Isb | Instr.Isync) -> pending = 0
     | Instr.Store { order; _ } | Instr.Store_exclusive { order; _ } ->
         (* Stores enter the buffer in program order and never pass
-           barriers that order stores. *)
-        older_stores_done
-        && (config.reorder_loads || older_loads_done)
-        && List.for_all
-             (fun o ->
-               (not
-                  (is_full_barrier o.instr || is_store_marker_barrier o.instr
-                  || is_pipeline_barrier o.instr))
-               || o.executed)
-             older
+           barriers that order stores: a load barrier orders its
+           older loads before every younger access, stores included. *)
+        (not (owes role_store))
+        && (config.reorder_loads || not (owes role_load))
+        && (not (owes (role_full lor role_store_marker lor role_pipeline lor role_load_barrier)))
         && (match order with
-           | Instr.Release | Instr.Acq_rel | Instr.Sc ->
-               older_loads_done && older_all_done
+           | Instr.Release | Instr.Acq_rel | Instr.Sc -> pending = 0
            | Instr.Plain | Instr.Acquire -> true)
         &&
         (* A store-exclusive writes through: it may not overtake an
@@ -310,54 +304,43 @@ let can_execute config t buffer e =
                      buffer))
         | _ -> true)
     | Instr.Load { order; _ } | Instr.Load_exclusive { order; _ } -> (
-        let barrier_clear =
-          List.for_all
-            (fun o ->
-              (not (is_full_barrier o.instr || is_load_barrier o.instr)) || o.executed)
-            older
-        in
+        let this_addr = pending_address t.window e in
         let load_order_ok =
           if config.reorder_loads then
             (* Even relaxed machines keep same-location loads in
                order (coherence, CoRR); a load with an unresolved
                address blocks younger loads conservatively. *)
-            let this_addr = pending_address t.window e in
-            List.for_all
-              (fun o ->
-                if is_load o && not o.executed then
-                  match (pending_address t.window o, this_addr) with
-                  | Some l', Some l -> l' <> l
-                  | _ -> false
-                else true)
-              older
-          else List.for_all (fun o -> (not (is_load o)) || o.executed) older
+            older_all t.window e (fun o ->
+                (not (is_load o))
+                ||
+                match (pending_address t.window o, this_addr) with
+                | Some l', Some l -> l' <> l
+                | _ -> false)
+          else not (owes role_load)
         in
         (* A load may not bypass an older store whose address is
            unknown, nor an older unexecuted store to the same
            location (it will forward from it once executed). *)
-        let this_addr = pending_address t.window e in
         let store_hazard_clear =
           match this_addr with
           | None -> false
           | Some l ->
-              List.for_all
-                (fun o ->
-                  if is_store o && not o.executed then
-                    match pending_address t.window o with
-                    | None -> false
-                    | Some l' -> l' <> l
-                  else true)
-                older
+              older_all t.window e (fun o ->
+                  (not (is_store o))
+                  ||
+                  match pending_address t.window o with
+                  | None -> false
+                  | Some l' -> l' <> l)
         in
-        barrier_clear && load_order_ok && store_hazard_clear
+        (not (owes (role_full lor role_load_barrier)))
+        && load_order_ok && store_hazard_clear
         &&
         match order with
         | Instr.Acquire | Instr.Acq_rel | Instr.Sc ->
             (* RCsc: a load-acquire is ordered after every older
                store-release, whether still in the window or in the
                buffer. *)
-            (not (buffer_has_release buffer))
-            && List.for_all (fun o -> (not (is_release_store o)) || o.executed) older
+            (not (buffer_has_release buffer)) && not (owes role_release)
         | Instr.Plain | Instr.Release -> true)
 
 (* ------------------------------------------------------------------ *)
@@ -545,13 +528,16 @@ let blocked_by_older_load window entry_eid entry_loc =
       | Some l -> l = entry_loc)
     window
 
-let drainable_indices config window buffer =
+(* The buffer indices that may drain now, each with the location it
+   writes. *)
+let drainable config window buffer =
   let buffer = normalise_buffer buffer in
   match buffer with
   | [] -> []
   | _ when config.fifo_buffer -> (
       match buffer with
-      | Bstore { eid; loc; _ } :: _ when not (blocked_by_older_load window eid loc) -> [ 0 ]
+      | Bstore { eid; loc; _ } :: _ when not (blocked_by_older_load window eid loc) ->
+          [ (0, loc) ]
       | _ -> [])
   | _ ->
       (* Any store before the first marker may drain, except when an
@@ -564,14 +550,14 @@ let drainable_indices config window buffer =
         | Bstore { release = true; loc; eid; _ } :: _ ->
             (* A release store may drain only if it is first. *)
             let acc =
-              if idx = 0 && not (blocked_by_older_load window eid loc) then idx :: acc
+              if idx = 0 && not (blocked_by_older_load window eid loc) then (idx, loc) :: acc
               else acc
             in
             List.rev acc
         | Bstore { loc; eid; _ } :: rest ->
             let acc =
               if List.mem loc seen_locs || blocked_by_older_load window eid loc then acc
-              else idx :: acc
+              else (idx, loc) :: acc
             in
             candidates (idx + 1) (loc :: seen_locs) acc rest
       in
@@ -605,20 +591,46 @@ let drain_at config state tid idx =
 (* Scheduling.                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let enabled_actions config state =
-  let actions = ref [] in
+(* An enabled action with its footprint: its thread, and the location
+   it reads or writes, or -1 when it touches only its own thread's
+   window, bindings and buffer. *)
+type move = { act : action; tid : int; loc : int; writes : bool }
+
+let address window e =
+  match pending_address window e with
+  | Some l -> l
+  | None -> failwith "Relaxed: enabled access with an unresolved address"
+
+(* A load reads its location; a store-exclusive (successful or not)
+   and a synchronous store write theirs.  A buffered store, like every
+   other instruction, is thread-local until its drain. *)
+let execute_move config tid window e =
+  let loc, writes =
+    match e.instr with
+    | Instr.Load _ | Instr.Load_exclusive _ -> (address window e, false)
+    | Instr.Store_exclusive _ -> (address window e, true)
+    | Instr.Store _ when config.synchronous_stores -> (address window e, true)
+    | _ -> (-1, false)
+  in
+  { act = Execute (tid, e.eid); tid; loc; writes }
+
+let enabled_moves config state =
+  let moves = ref [] in
   Array.iteri
     (fun tid t ->
+      let buffer = state.buffers.(tid) in
+      ignore
+        (List.fold_left
+           (fun pending e ->
+             if (not e.executed) && can_execute config t buffer ~pending e then
+               moves := execute_move config tid t.window e :: !moves;
+             owed pending e)
+           0 t.window);
       List.iter
-        (fun e ->
-          if (not e.executed) && can_execute config t state.buffers.(tid) e then
-            actions := Execute (tid, e.eid) :: !actions)
-        t.window;
-      List.iter
-        (fun idx -> actions := Drain (tid, idx) :: !actions)
-        (drainable_indices config t.window state.buffers.(tid)))
+        (fun (idx, loc) -> moves := { act = Drain (tid, idx); tid; loc; writes = true } :: !moves)
+        (drainable config t.window buffer))
     state.threads;
-  List.rev !actions
+  List.rev !moves
 
 let apply_action ?emit config (program : Program.t) state = function
   | Execute (tid, eid) ->
@@ -676,13 +688,13 @@ let run_internal ?emit config ~seed (program : Program.t) =
   let rng = Rng.create seed in
   let rec go state steps =
     if steps > 100_000 then failwith "Relaxed.run: step limit exceeded";
-    match enabled_actions config state with
+    match enabled_moves config state with
     | [] ->
         if finished state then outcome_of_state program state
         else failwith "Relaxed.run: machine deadlocked"
-    | actions ->
-        let action = Rng.choose rng (Array.of_list actions) in
-        go (apply_action ?emit config program state action) (steps + 1)
+    | moves ->
+        let m = Rng.choose rng (Array.of_list moves) in
+        go (apply_action ?emit config program state m.act) (steps + 1)
   in
   go (initial_state program config) 0
 
@@ -711,33 +723,141 @@ let collect config ~seed ~iterations program =
   Hashtbl.fold (fun o n acc -> (o, n) :: acc) table []
   |> List.sort (fun (a, _) (b, _) -> compare_outcome a b)
 
+(* ------------------------------------------------------------------ *)
+(* Exhaustive exploration: a sleep-set search over compact state keys. *)
+(* ------------------------------------------------------------------ *)
+
+(* Zigzag varint: small magnitudes of either sign take one byte. *)
+let rec add_varint buf z =
+  if z land lnot 0x7f = 0 then Buffer.add_char buf (Char.unsafe_chr z)
+  else begin
+    Buffer.add_char buf (Char.unsafe_chr (z land 0x7f lor 0x80));
+    add_varint buf (z lsr 7)
+  end
+
+let add_int buf n = add_varint buf ((n lsl 1) lxor (n asr (Sys.int_size - 1)))
+
+let add_tagged buf tag v =
+  Buffer.add_char buf tag;
+  add_int buf v
+
+let rec add_all buf add = function
+  | [] -> ()
+  | x :: rest ->
+      add buf x;
+      add_all buf add rest
+
+let add_list buf add l =
+  add_int buf (List.length l);
+  add_all buf add l
+
+let add_source buf = function Val v -> add_tagged buf '\000' v | From i -> add_tagged buf '\001' i
+
+(* An unexecuted entry's [result], [store_value] and [resolved_loc]
+   still hold their fetch-time values, so only an executed one writes
+   them. *)
+let add_entry buf e =
+  add_int buf e.eid;
+  add_int buf e.at_pc;
+  if e.executed then begin
+    Buffer.add_char buf '\001';
+    add_int buf e.result;
+    add_int buf e.store_value;
+    add_int buf e.resolved_loc
+  end
+  else Buffer.add_char buf '\000';
+  add_list buf add_source e.sources
+
+let add_binding buf r b =
+  add_int buf r;
+  match b with Value v -> add_tagged buf '\000' v | Producer i -> add_tagged buf '\001' i
+
+let add_buffered buf = function
+  | Bstore { loc; value; release; eid } ->
+      add_tagged buf (if release then '\001' else '\000') loc;
+      add_int buf value;
+      add_int buf eid
+  | Bmarker -> Buffer.add_char buf '\002'
+
+(* The key of a state: per thread its pc, every window entry but its
+   [instr] (which [at_pc] determines) and its bindings; then buffers,
+   memory and monitors.  Lists and maps are length-prefixed, so equal
+   keys mean equal states up to [instr], [next_eid] and [written]. *)
+let state_key buf state =
+  Buffer.clear buf;
+  Array.iter
+    (fun t ->
+      add_int buf t.pc;
+      add_list buf add_entry t.window;
+      add_int buf (IM.cardinal t.bindings);
+      IM.iter (add_binding buf) t.bindings)
+    state.threads;
+  Array.iter (fun b -> add_list buf add_buffered b) state.buffers;
+  add_int buf (IM.cardinal state.memory);
+  IM.iter
+    (fun l v ->
+      add_int buf l;
+      add_int buf v)
+    state.memory;
+  Array.iter
+    (function None -> Buffer.add_char buf '\000' | Some l -> add_tagged buf '\001' l)
+    state.monitors;
+  Buffer.contents buf
+
+let same_act a b =
+  match (a, b) with
+  | Execute (t, e), Execute (t', e') | Drain (t, e), Drain (t', e') -> t = t' && e = e'
+  | Execute _, Drain _ | Drain _, Execute _ -> false
+
+let asleep sleep m = List.exists (fun s -> same_act s.act m.act) sleep
+
+(* Actions of different threads commute unless they touch the same
+   location and one of them writes. *)
+let independent a b =
+  a.tid <> b.tid && (a.loc < 0 || a.loc <> b.loc || not (a.writes || b.writes))
+
+(* Sleep sets with state caching (Godefroid 1996).  Enabledness is
+   thread-local, so an action put to sleep stays enabled until an
+   action it depends on wakes it.  Each visited state keeps the actions
+   no visit has explored from it yet; a revisit explores those the
+   current path has woken, and keeps the intersection.  A state whose
+   enabled actions are all asleep is not final: only one with no
+   enabled action is. *)
 let enumerate ?(max_states = 500_000) config (program : Program.t) =
   (match Program.validate program with Ok () -> () | Error m -> invalid_arg m);
-  let seen = Hashtbl.create 4096 in
+  let seen : (string, move list ref) Hashtbl.t = Hashtbl.create 256 in
   let outcomes = Hashtbl.create 64 in
   let visited = ref 0 in
-  let key state =
-    Marshal.to_string
-      ( Array.map (fun t -> (t.pc, t.window, IM.bindings t.bindings)) state.threads,
-        state.buffers,
-        IM.bindings state.memory,
-        state.monitors )
-      []
+  let buf = Buffer.create 256 in
+  let rec explore state sleep =
+    let key = state_key buf state in
+    match Hashtbl.find_opt seen key with
+    | Some unexplored ->
+        let woken = List.filter (fun m -> not (asleep sleep m)) !unexplored in
+        if woken <> [] then begin
+          let sleep = List.filter (asleep sleep) !unexplored in
+          unexplored := sleep;
+          branch state sleep woken
+        end
+    | None -> (
+        incr visited;
+        if !visited land 1023 = 0 then Cancel.check_ambient ();
+        if !visited > max_states then failwith "Relaxed.enumerate: state limit exceeded";
+        Hashtbl.add seen key (ref sleep);
+        match enabled_moves config state with
+        | [] ->
+            if finished state then Hashtbl.replace outcomes (outcome_of_state program state) ()
+            else failwith "Relaxed.enumerate: machine deadlocked"
+        | moves -> branch state sleep (List.filter (fun m -> not (asleep sleep m)) moves))
+  (* Explore [todo] from [state] in order; each action then sleeps in
+     the subtrees of its later siblings that it is independent of. *)
+  and branch state sleep todo =
+    ignore
+      (List.fold_left
+         (fun sleep m ->
+           explore (apply_action config program state m.act) (List.filter (independent m) sleep);
+           m :: sleep)
+         sleep todo)
   in
-  let rec explore state =
-    let k = key state in
-    if not (Hashtbl.mem seen k) then begin
-      Hashtbl.replace seen k ();
-      incr visited;
-      if !visited land 1023 = 0 then Cancel.check_ambient ();
-      if !visited > max_states then failwith "Relaxed.enumerate: state limit exceeded";
-      match enabled_actions config state with
-      | [] ->
-          if finished state then Hashtbl.replace outcomes (outcome_of_state program state) ()
-          else failwith "Relaxed.enumerate: machine deadlocked"
-      | actions ->
-          List.iter (fun a -> explore (apply_action config program state a)) actions
-    end
-  in
-  explore (initial_state program config);
+  explore (initial_state program config) [];
   Hashtbl.fold (fun o () acc -> o :: acc) outcomes [] |> List.sort compare_outcome

@@ -63,6 +63,9 @@ val collect : config -> seed:int -> iterations:int -> Program.t -> (outcome * in
     outcome. *)
 
 val enumerate : ?max_states:int -> config -> Program.t -> outcome list
-(** All reachable final states by exhaustive depth-first exploration
-    with state memoisation.  Raises [Failure] if the state count
-    exceeds [max_states] (default 500_000). *)
+(** All reachable final states, by a depth-first search over memoised
+    states that uses sleep sets to skip interleavings of independent
+    actions (actions of different threads that touch different
+    locations, or only read the same one).  Raises [Failure] if the
+    number of distinct states visited exceeds [max_states] (default
+    500_000). *)

@@ -518,7 +518,14 @@ let reset_global_stats () =
    combos, across the five models, and across engine worker domains,
    so both layers are memoized process-globally behind a lock.
    Prepared contexts are immutable after construction, which makes
-   sharing them across domains safe.                                   *)
+   sharing them across domains safe.
+
+   Each table is reset when it reaches [memo_cap] entries.  The cap
+   bounds the heap of a long run over distinct tests (a synthesized
+   battery), whose resident size would otherwise grow with the number
+   of tests it has seen; one round of the library needs 44 base and
+   220 static entries, well under it, so repeated rounds keep every
+   hit.                                                                *)
 (* ------------------------------------------------------------------ *)
 
 let memo_lock = Mutex.create ()
@@ -527,7 +534,7 @@ let base_memo : (string, Axiomatic.base) Hashtbl.t = Hashtbl.create 64
 
 let static_memo : (string, Axiomatic.static) Hashtbl.t = Hashtbl.create 64
 
-let memo_cap = 4096
+let memo_cap = 512
 
 let memo_find tbl key =
   Mutex.lock memo_lock;

@@ -264,6 +264,11 @@ let close_client client =
 (* Request execution (runs on executor threads).                      *)
 (* ------------------------------------------------------------------ *)
 
+(* The items of a completed request on file in the journal's
+   in-memory replay table. *)
+let journal_lookup t ~key : string list option =
+  Option.bind t.journal (fun j -> Journal.replay j ~key)
+
 (* Resolve a cacheable request to its items, sharing every layer:
    concurrent identical requests join one in-flight computation keyed
    on the content digest; completed ones replay from the journal or
@@ -273,7 +278,7 @@ let resolve t ~token req =
   let digest = Digest.to_hex (Digest.string key) in
   let (origin, items), joined =
     Inflight.run t.inflight ~key:digest (fun () ->
-        match Option.bind t.journal (fun j -> Journal.replay j ~key) with
+        match journal_lookup t ~key with
         | Some items -> ("journal", items)
         | None -> (
             match Cache.find t.cache ~key with
@@ -313,6 +318,27 @@ let stream_items t client ~id ~op ~served_from ~wall_us items =
           enqueue_out t client line)
         items
 
+(* Count one answered request by provenance and stream its items. *)
+let deliver t client ~id ~op ~served_from ~t0 items =
+  let wall = Unix.gettimeofday () -. t0 in
+  with_metrics t.metrics (fun m ->
+      m.ok <- m.ok + 1;
+      match served_from with
+      | "computed" ->
+          m.computed <- m.computed + 1;
+          m.compute_wall_total_s <- m.compute_wall_total_s +. wall;
+          if wall > m.compute_wall_max_s then m.compute_wall_max_s <- wall
+      | origin ->
+          (match origin with
+          | "cache" -> m.cache_hits <- m.cache_hits + 1
+          | "journal" -> m.journal_hits <- m.journal_hits + 1
+          | _ -> m.dedup_joined <- m.dedup_joined + 1);
+          m.hit_wall_total_s <- m.hit_wall_total_s +. wall;
+          if wall > m.hit_wall_max_s then m.hit_wall_max_s <- wall);
+  log t "client %d: %s served from %s in %.1f ms (%d items)" client.c_id op served_from
+    (wall *. 1e3) (List.length items);
+  stream_items t client ~id ~op ~served_from ~wall_us:(wall *. 1e6) items
+
 let deadline_frame work =
   let elapsed_ms =
     int_of_float (1e3 *. (Unix.gettimeofday () -. work.w_admitted))
@@ -345,26 +371,7 @@ let execute t running =
   in
   match resolve t ~token req with
   | served_from, items ->
-      if claim_answer () then begin
-        let wall = Unix.gettimeofday () -. t0 in
-        with_metrics t.metrics (fun m ->
-            m.ok <- m.ok + 1;
-            (match served_from with
-            | "computed" ->
-                m.computed <- m.computed + 1;
-                m.compute_wall_total_s <- m.compute_wall_total_s +. wall;
-                if wall > m.compute_wall_max_s then m.compute_wall_max_s <- wall
-            | origin ->
-                (match origin with
-                | "cache" -> m.cache_hits <- m.cache_hits + 1
-                | "journal" -> m.journal_hits <- m.journal_hits + 1
-                | _ -> m.dedup_joined <- m.dedup_joined + 1);
-                m.hit_wall_total_s <- m.hit_wall_total_s +. wall;
-                if wall > m.hit_wall_max_s then m.hit_wall_max_s <- wall));
-        log t "client %d: %s served from %s in %.1f ms (%d items)" client.c_id op
-          served_from (wall *. 1e3) (List.length items);
-        stream_items t client ~id ~op ~served_from ~wall_us:(wall *. 1e6) items
-      end
+      if claim_answer () then deliver t client ~id ~op ~served_from ~t0 items
   | exception e ->
       if claim_answer () then
         (* A task that died because its own deadline token fired is a
@@ -614,6 +621,44 @@ let suggested_retry_after_ms t =
   in
   int_of_float (Float.max 25. (Float.min 10_000. est))
 
+let is_stopping t =
+  Mutex.lock t.s_lock;
+  let s = t.stopping in
+  Mutex.unlock t.s_lock;
+  s
+
+(* Admit a request for an executor, or shed it when the queue is full
+   or the daemon is stopping. *)
+let admit t client ~id ~op request ~deadline_ms =
+  Mutex.lock t.s_lock;
+  if t.stopping || t.pending >= t.cfg.queue_bound then begin
+    let retry_after_ms = suggested_retry_after_ms t in
+    Mutex.unlock t.s_lock;
+    with_metrics t.metrics (fun m -> m.overloaded <- m.overloaded + 1);
+    log t "client %d: %s shed (queue full, retry in %dms)" client.c_id op retry_after_ms;
+    enqueue_out t client (Protocol.overloaded_response ~id ~op ~retry_after_ms)
+  end
+  else begin
+    t.pending <- t.pending + 1;
+    with_metrics t.metrics (fun m ->
+        if t.pending > m.max_pending then m.max_pending <- t.pending);
+    let now = Unix.gettimeofday () in
+    let work =
+      {
+        w_id = id;
+        w_req = request;
+        w_admitted = now;
+        w_deadline_ms = deadline_ms;
+        w_deadline = Option.map (fun ms -> now +. (float_of_int ms /. 1e3)) deadline_ms;
+      }
+    in
+    let was_empty = Queue.is_empty client.c_inbox in
+    Queue.push work client.c_inbox;
+    if was_empty then Queue.push client t.rr;
+    Condition.signal t.s_ready;
+    Mutex.unlock t.s_lock
+  end
+
 (* One parsed request from a client's reader thread. *)
 let handle_request t client envelope =
   let { Protocol.req_id = id; request; deadline_ms; retry } = envelope in
@@ -632,37 +677,18 @@ let handle_request t client envelope =
   | Protocol.Shutdown ->
       reply [ ("stopping", Json.Bool true) ];
       request_shutdown t
-  | Protocol.Litmus _ | Protocol.Analyze _ | Protocol.Conform _ | Protocol.Lang _ ->
-      Mutex.lock t.s_lock;
-      if t.stopping || t.pending >= t.cfg.queue_bound then begin
-        let retry_after_ms = suggested_retry_after_ms t in
-        Mutex.unlock t.s_lock;
-        with_metrics t.metrics (fun m -> m.overloaded <- m.overloaded + 1);
-        log t "client %d: %s shed (queue full, retry in %dms)" client.c_id op
-          retry_after_ms;
-        enqueue_out t client (Protocol.overloaded_response ~id ~op ~retry_after_ms)
-      end
-      else begin
-        t.pending <- t.pending + 1;
-        with_metrics t.metrics (fun m ->
-            if t.pending > m.max_pending then m.max_pending <- t.pending);
-        let now = Unix.gettimeofday () in
-        let work =
-          {
-            w_id = id;
-            w_req = request;
-            w_admitted = now;
-            w_deadline_ms = deadline_ms;
-            w_deadline =
-              Option.map (fun ms -> now +. (float_of_int ms /. 1e3)) deadline_ms;
-          }
-        in
-        let was_empty = Queue.is_empty client.c_inbox in
-        Queue.push work client.c_inbox;
-        if was_empty then Queue.push client t.rr;
-        Condition.signal t.s_ready;
-        Mutex.unlock t.s_lock
-      end
+  | Protocol.Litmus _ | Protocol.Analyze _ | Protocol.Conform _ | Protocol.Lang _ -> (
+      let t0 = Unix.gettimeofday () in
+      (* A request the journal already answered is served right here:
+         no admission, no queue slot, no executor hand-off.  Misses,
+         cache-only hits (disk I/O stays off this thread), joins of
+         in-flight work and a stopping daemon take the executor path. *)
+      match
+        if is_stopping t then None
+        else journal_lookup t ~key:(Protocol.canonical_key request)
+      with
+      | Some items -> deliver t client ~id ~op ~served_from:"journal" ~t0 items
+      | None -> admit t client ~id ~op request ~deadline_ms)
 
 let handle_line t client line =
   if String.trim line <> "" then
@@ -731,17 +757,11 @@ let spawn_client t fd =
   ignore (Thread.create (fun () -> reader_thread t client) ())
 
 let accept_loop t =
-  let stopping () =
-    Mutex.lock t.s_lock;
-    let s = t.stopping in
-    Mutex.unlock t.s_lock;
-    s
-  in
-  while not (stopping ()) do
+  while not (is_stopping t) do
     match Unix.select [ t.listen_fd; t.stop_r ] [] [] (-1.) with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | ready, _, _ ->
-        if List.mem t.listen_fd ready && not (stopping ()) then (
+        if List.mem t.listen_fd ready && not (is_stopping t) then (
           match Unix.accept t.listen_fd with
           | fd, _ -> spawn_client t fd
           | exception Unix.Unix_error _ -> ())

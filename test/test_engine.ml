@@ -320,6 +320,25 @@ let test_journal_skips_failed_and_torn_entries () =
       Alcotest.(check (option int)) "failed entry never replays" None
         (Journal.replay reopened ~key:"bad"))
 
+let test_journal_hex_codec () =
+  (* Every byte value encodes exactly as "%02x" did, and decodes back,
+     in either case. *)
+  let all = String.init 256 Char.chr in
+  let printf_hex =
+    String.concat "" (List.init 256 (fun c -> Printf.sprintf "%02x" c))
+  in
+  Alcotest.(check string) "encoding matches %02x" printf_hex (Journal.hex_encode all);
+  Alcotest.(check string) "lowercase decodes" all (Journal.hex_decode printf_hex);
+  Alcotest.(check string) "uppercase decodes" all
+    (Journal.hex_decode (String.uppercase_ascii printf_hex));
+  Alcotest.(check string) "empty" "" (Journal.hex_decode (Journal.hex_encode ""));
+  List.iter
+    (fun bad ->
+      match Journal.hex_decode bad with
+      | _ -> Alcotest.failf "malformed hex %S accepted" bad
+      | exception Failure _ -> ())
+    [ "0"; "abc"; "0g"; "g0"; "zz"; " 1"; "_f"; "0x"; "-1"; "ff\n" ]
+
 let test_journal_append_two_concurrent_writers () =
   with_temp_dir (fun dir ->
       (* Two long-lived writers (the served daemon's shape: one
@@ -768,6 +787,7 @@ let suite =
       test_journal_resume_recomputes_only_missing;
     Alcotest.test_case "journal skips failed and torn entries" `Quick
       test_journal_skips_failed_and_torn_entries;
+    Alcotest.test_case "journal hex codec" `Quick test_journal_hex_codec;
     Alcotest.test_case "journal append: two concurrent writers" `Quick
       test_journal_append_two_concurrent_writers;
     Alcotest.test_case "journal fsck compacts damage" `Quick

@@ -146,6 +146,94 @@ let prop_random_runs_within_enumerated =
       let o = Relaxed.run Relaxed.relaxed_config ~seed p in
       List.exists (fun o' -> Relaxed.compare_outcome o o' = 0) enumerated)
 
+(* A store must wait for an older load barrier ([dmb ishld],
+   [Fence_acq]) to execute.  A machine that let the store pass reached
+   the ARMv8-forbidden outcome of these bound-6 LB shapes. *)
+let test_store_waits_for_load_barrier () =
+  let family = Wmm_synth.Synth.generate Arch.Armv8 in
+  List.iter
+    (fun name ->
+      match
+        List.find_opt
+          (fun (g : Wmm_synth.Synth.generated) -> g.Wmm_synth.Synth.g_test.Test.name = name)
+          family
+      with
+      | None -> Alcotest.failf "%s is not in the bound-6 ARMv8 family" name
+      | Some g ->
+          let model = Axiomatic.Arm in
+          let t = g.Wmm_synth.Synth.g_test in
+          let v = Check.run_exhaustive model (Check.machine_config model) t in
+          Alcotest.(check bool) (name ^ ": ARMv8 forbids the condition") false
+            v.Check.axiomatic_allowed;
+          Alcotest.(check bool) (name ^ ": the machine never reaches it") false
+            v.Check.observed)
+    [ "LB+dmb.ld+data"; "LB+dmb+dmb.ld"; "3.LB+dmb+addr+dmb.ld" ]
+
+(* The outcome golden (test/data/machine_golden.txt), regenerated by
+   `dune exec test/gen_machine_golden.exe > test/data/machine_golden.txt`
+   after a deliberate change to the machine's semantics. *)
+let golden_lines () =
+  (* `dune runtest` runs in test/; `dune exec test/test_main.exe` in
+     the project root. *)
+  let path =
+    if Sys.file_exists "data/machine_golden.txt" then "data/machine_golden.txt"
+    else "test/data/machine_golden.txt"
+  in
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "")
+
+let check_golden what ~golden ~got =
+  let rec first_diff i = function
+    | g :: gs, e :: es -> if g = e then first_diff (i + 1) (gs, es) else Some (i, g, e)
+    | g :: _, [] -> Some (i, g, "<end of golden lines>")
+    | [], e :: _ -> Some (i, "<end of generated lines>", e)
+    | [], [] -> None
+  in
+  match first_diff 1 (got, golden) with
+  | None -> ()
+  | Some (i, g, e) ->
+      Alcotest.failf "%s: machine golden differs at line %d:\n  generated: %s\n  golden:    %s"
+        what i g e
+
+let is_bound6 l = String.starts_with ~prefix:"bound6/" l
+
+let test_golden_library_bound4 () =
+  check_golden "library and bound-4"
+    ~golden:(List.filter (fun l -> not (is_bound6 l)) (golden_lines ()))
+    ~got:(Machine_golden.library_lines () @ Machine_golden.bound4_lines ())
+
+let reaches (t : Test.t) (o : Relaxed.outcome) =
+  Test.condition_matches t.Test.condition o.Relaxed.registers
+  && List.for_all
+       (fun (l, v) -> Option.value (List.assoc_opt l o.Relaxed.memory) ~default:0 = v)
+       t.Test.mem_condition
+
+(* Soundness at the full synthesized bound: on both bound-6 families,
+   under every verdict model, the machine never reaches a condition
+   the model forbids, and its outcome sets match the golden. *)
+let test_bound6_sound_and_golden () =
+  let golden = golden_lines () in
+  List.iter
+    (fun arch ->
+      let triples = Machine_golden.family arch in
+      let unsound =
+        List.filter_map
+          (fun ((t : Test.t), model, outs) ->
+            if List.exists (reaches t) outs && not (Check.axiomatic_allowed model t) then
+              Some (Printf.sprintf "%s under %s" t.Test.name (Axiomatic.model_name model))
+            else None)
+          triples
+      in
+      if unsound <> [] then
+        Alcotest.failf "%s: %d unsound verdicts, e.g. %s" (Arch.name arch)
+          (List.length unsound) (List.hd unsound);
+      let prefix = Printf.sprintf "bound6/%s|" (Arch.name arch) in
+      check_golden prefix
+        ~golden:(List.filter (String.starts_with ~prefix) golden)
+        ~got:(Machine_golden.bound6_lines arch triples))
+    Machine_golden.archs
+
 let suite =
   [
     Alcotest.test_case "determinism" `Quick test_determinism;
@@ -158,4 +246,10 @@ let suite =
     Alcotest.test_case "collect histogram" `Quick test_collect_histogram;
     Alcotest.test_case "full fence forbids SB" `Quick test_full_fence_drains;
     QCheck_alcotest.to_alcotest prop_random_runs_within_enumerated;
+    Alcotest.test_case "store waits for a load barrier" `Quick
+      test_store_waits_for_load_barrier;
+    Alcotest.test_case "machine golden: library and bound-4" `Quick
+      test_golden_library_bound4;
+    Alcotest.test_case "bound-6 soundness and machine golden" `Slow
+      test_bound6_sound_and_golden;
   ]

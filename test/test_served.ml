@@ -443,6 +443,36 @@ let test_resilient_client_retries_through_shed () =
                 (int_stat stats "client_retries" >= 1);
               Client.close sc))
 
+let test_journal_hit_overtakes_a_miss () =
+  with_temp_dir (fun dir ->
+      let socket = Filename.concat dir "s.sock" in
+      (* One executor, busy with a slow miss: a request the journal
+         already answered must not wait behind it. *)
+      let cfg = { (quiet_cfg dir socket) with Server.executors = 1 } in
+      with_server cfg (fun _ ->
+          let c = connect cfg in
+          let hit = {|{"op": "litmus", "tests": ["SB"], "id": "hit"}|} in
+          Alcotest.(check (list string)) "first ask computes" [ "computed" ]
+            (served_from (roundtrip_ok c hit));
+          match
+            Client.run_batch c
+              [
+                {|{"op": "litmus", "tests": ["SB"], "mode": "random", "iterations": 50000000, "deadline_ms": 1000, "id": "miss"}|};
+                hit;
+              ]
+          with
+          | Error e -> Alcotest.failf "batch: %s" e
+          | Ok lines ->
+              let finals = List.filter Client.is_final lines |> List.map parse_ok in
+              Alcotest.(check (list (option string))) "the hit's final frame arrives first"
+                [ Some "hit"; Some "miss" ]
+                (List.map (fun v -> Json.str_member "id" v) finals);
+              Alcotest.(check (list string)) "the hit is served from the journal"
+                [ "journal" ] (served_from [ List.hd finals ]);
+              let stats = roundtrip_ok c {|{"op": "stats"}|} in
+              Alcotest.(check int) "journal hit counted" 1 (int_stat stats "journal_hits");
+              Client.close c))
+
 let test_server_restart_resumes_from_journal () =
   with_temp_dir (fun dir ->
       let socket = Filename.concat dir "s.sock" in
@@ -489,6 +519,8 @@ let suite =
       test_server_deadline_exceeded;
     Alcotest.test_case "resilient client retries through shedding" `Quick
       test_resilient_client_retries_through_shed;
+    Alcotest.test_case "journal hit overtakes a slow miss" `Quick
+      test_journal_hit_overtakes_a_miss;
     Alcotest.test_case "server restart resumes from journal" `Quick
       test_server_restart_resumes_from_journal;
   ]
