@@ -287,41 +287,29 @@ let litmus_cmd =
       (fun test ->
         List.iter
           (fun model ->
-            let selected =
-              if file <> None then
-                (* File tests carry no annotations: check them under
-                   every model (or the hinted architecture's). *)
-                Test.expected_under test model <> None
-                || model = Axiomatic.Arm || model = Axiomatic.Power
-              else Test.expected_under test model <> None
+            let config = Check.machine_config model in
+            let v =
+              if exhaustive then Check.run_exhaustive model config test
+              else Check.run_random ~iterations model config test
             in
-            match selected with
-            | false -> ()
-            | true ->
-                let config = Check.machine_config model in
-                let v =
-                  if exhaustive then Check.run_exhaustive model config test
-                  else Check.run_random ~iterations model config test
-                in
-                (* File-loaded tests have a placeholder annotation:
-                   only forbidden-observed counts as unsound there. *)
-                let unsound =
-                  if file <> None then v.Check.observed && not v.Check.axiomatic_allowed
-                  else not (Check.sound v)
-                in
-                if unsound then incr failures;
-                print_endline (Check.describe v);
-                if certify then begin
-                  match Wmm_certify.Emit.litmus model test with
-                  | Ok cert ->
-                      let path =
-                        write_cert cert_dir test.Test.name (Axiomatic.model_name model)
-                          cert
-                      in
-                      Printf.printf "  certificate: %s\n" path
-                  | Error msg -> Printf.printf "  certificate: skipped (%s)\n" msg
-                end)
-          Axiomatic.all_models)
+            (* File-loaded tests have a placeholder annotation:
+               only forbidden-observed counts as unsound there. *)
+            let unsound =
+              if file <> None then v.Check.observed && not v.Check.axiomatic_allowed
+              else not (Check.sound v)
+            in
+            if unsound then incr failures;
+            print_endline (Check.describe v);
+            if certify then begin
+              match Wmm_certify.Emit.litmus model test with
+              | Ok cert ->
+                  let path =
+                    write_cert cert_dir test.Test.name (Axiomatic.model_name model) cert
+                  in
+                  Printf.printf "  certificate: %s\n" path
+              | Error msg -> Printf.printf "  certificate: skipped (%s)\n" msg
+            end)
+          (Check.models_for ~parsed:(file <> None) test))
       tests;
     if !failures > 0 then begin
       Printf.printf "%d unsound verdicts\n" !failures;
@@ -452,13 +440,12 @@ let sensitivity_cmd =
     let open Wmm_core in
     let open Wmm_workload in
     let open Wmm_platform in
-    let light = Exp_common.light_for arch in
     let names profiles =
       String.concat " " (List.map (fun (p : Profile.t) -> p.Profile.name) profiles)
     in
     (* A kernel-macro path selects a kernel benchmark; any other path
        is an elemental barrier (or all of them) of a JVM benchmark. *)
-    let sweep =
+    let profile, light, base, inject =
       match Kernel.macro_of_name path with
       | Some macro ->
           let profile =
@@ -468,16 +455,15 @@ let sensitivity_cmd =
                 die "unknown kernel benchmark %S; valid kernel benchmarks: %s" bench
                   (names (Kernelbench.all @ Kernelbench.lmbench_parts))
           in
-          Experiment.sweep ~samples ~code_path:path
-            ~base:
-              (Exp_common.kernel_platform
-                 ~inject:[ (macro, [ Exp_common.nop_uop arch ~light:false ]) ]
-                 arch)
-            ~inject:(fun cf ->
+          ( profile,
+            false,
+            Exp_common.kernel_platform
+              ~inject:[ (macro, [ Exp_common.nop_uop arch ~light:false ]) ]
+              arch,
+            fun cf ->
               Exp_common.kernel_platform
                 ~inject:[ (macro, [ Wmm_costfn.Cost_function.uop cf ]) ]
-                arch)
-            profile
+                arch )
       | None ->
           let profile =
             match Dacapo.by_name bench with
@@ -500,17 +486,20 @@ let sensitivity_cmd =
                     (String.concat " " (List.map Barrier.elemental_name Barrier.all_elementals))
                     (String.concat " " (List.map Kernel.macro_name Kernel.all_macros))
           in
+          let light = Exp_common.light_for arch in
           let inject uops = List.map (fun e -> (e, uops)) elementals in
-          Experiment.sweep ~samples ~light ~code_path:path
-            ~base:
-              (Exp_common.jvm_platform
-                 ~inject:(inject [ Exp_common.nop_uop arch ~light ])
-                 arch)
-            ~inject:(fun cf ->
+          ( profile,
+            light,
+            Exp_common.jvm_platform ~inject:(inject [ Exp_common.nop_uop arch ~light ]) arch,
+            fun cf ->
               Exp_common.jvm_platform
                 ~inject:(inject [ Wmm_costfn.Cost_function.uop cf ])
-                arch)
-            profile
+                arch )
+    in
+    let sweep =
+      Experiment.run (fun batch ->
+          Experiment.sweep_deferred batch ~samples ~light ~code_path:path ~base ~inject
+            profile)
     in
     Printf.printf "%s / %s / %s:\n" bench (Wmm_isa.Arch.name arch) path;
     List.iter
@@ -576,12 +565,13 @@ let figure_cmd =
       | "fig4" -> fun _engine -> Fig4.report ()
       | "fig5" -> fun engine -> Fig5.report ~engine ~robust ()
       | "fig6" -> fun engine -> Fig6.report ~engine ~robust ()
-      | "jvm_tables" | "t1" | "t2" | "t3" | "t4" -> fun _engine -> Jvm_tables.report ()
+      | "jvm_tables" | "t1" | "t2" | "t3" | "t4" ->
+          fun engine -> Jvm_tables.report ~engine ~robust ()
       | "rankings" | "fig7" | "fig8" | "t5" ->
           fun engine -> Rankings.report ~engine ~robust ()
       | "rbd" | "fig9" | "fig10" | "t6" -> fun engine -> Rbd.report ~engine ~robust ()
       | "counters" -> fun _engine -> Counters.report ()
-      | "optimizer" -> fun _engine -> Optimizer_exp.report ()
+      | "optimizer" -> fun engine -> Optimizer_exp.report ~engine ~robust ()
       | other ->
           die "unknown experiment %S; valid ids: %s" other (String.concat " " experiment_ids)
     in
@@ -789,12 +779,7 @@ let conform_cmd =
         (fun engine ->
           List.fold_left
             (fun n arch ->
-              let family = Wmm_synth.Synth.generate ~max_edges arch in
-              let tests =
-                List.filteri
-                  (fun i _ -> limit = 0 || i < limit)
-                  (List.map (fun g -> g.Wmm_synth.Synth.g_test) family)
-              in
+              let tests = Wmm_synth.Synth.battery ~max_edges ~limit arch in
               let report =
                 Wmm_synth.Conform.run
                   ~config:{ Wmm_synth.Conform.default_config with infer_limit }
@@ -865,61 +850,28 @@ let lang_cmd =
             names
     in
     let resolve_tests ~default =
-      match test_names with
-      | [] -> default ()
-      | names ->
-          List.map
-            (fun name ->
-              let base =
-                if Filename.check_suffix name "+c11" then Filename.chop_suffix name "+c11"
-                else name
-              in
-              match Locks.by_name name with
-              | Some l -> Locks.test_of l
-              | None -> (
-                  match Wmm_litmus.Library.by_name base with
-                  | Some t -> C11.lift_test t
-                  | None ->
-                      die "unknown lang test %S (a lock name or a litmus-library name)"
-                        name))
-            names
+      match Catalog.select ~limit ~default test_names with
+      | Ok tests -> tests
+      | Error name ->
+          die "unknown lang test %S (a lock name or a litmus-library name)" name
     in
-    let cap tests = List.filteri (fun i _ -> limit = 0 || i < limit) tests in
     (* Every name is resolved here, before the engine and its journal
        exist, so a usage error opens no run. *)
     let job =
       match action with
       | "explore" ->
-          let battery =
-            cap (resolve_tests ~default:(fun () -> List.map Locks.test_of Locks.all))
-          in
+          let battery = resolve_tests ~default:Catalog.locks in
           fun _engine ->
             List.iter
               (fun (t : Wmm_litmus.Test.t) ->
-                let outcomes =
-                  Wmm_model.Enumerate.allowed_outcomes Wmm_model.Axiomatic.Rc11
-                    t.Wmm_litmus.Test.program
-                in
-                let witness =
-                  Wmm_model.Enumerate.outcome_allowed Wmm_model.Axiomatic.Rc11
-                    t.Wmm_litmus.Test.program
-                    {
-                      Wmm_model.Enumerate.registers = t.Wmm_litmus.Test.condition;
-                      memory = t.Wmm_litmus.Test.mem_condition;
-                    }
-                in
+                let outcomes, witness = Catalog.explore t in
                 Printf.printf "explore|%s|outcomes=%d|witness=%s\n" t.Wmm_litmus.Test.name
-                  (List.length outcomes)
+                  outcomes
                   (if witness then "allow" else "forbid"))
               battery;
             false
       | "conform" ->
-          let battery =
-            cap
-              (resolve_tests ~default:(fun () ->
-                   List.map C11.lift_test Wmm_litmus.Library.all
-                   @ List.map Locks.test_of Locks.all))
-          in
+          let battery = resolve_tests ~default:Catalog.conform_default in
           let schemes = schemes ~default:Compile.all_schemes in
           fun engine ->
             let report = Contain.run ~schemes ~engine battery in

@@ -17,16 +17,34 @@ open Wmm_platform
 open Wmm_workload
 open Wmm_core
 
-let sweep_storestore arch profile =
+(* The StoreStore swap on one benchmark, and the benchmark's
+   sensitivity to that code path, sampled in one batch. *)
+let swap_and_sweep arch profile =
   let light = arch = Arch.Armv8 in
   let inject uops =
     Generate.Jvm_platform (Jvm.with_injection (Jvm.default arch) Barrier.Store_store uops)
   in
   let cf1 = Wmm_costfn.Cost_function.make ~light arch 1 in
-  Experiment.sweep ~samples:4 ~light ~code_path:"StoreStore"
-    ~base:(inject [ Wmm_costfn.Cost_function.nop_padding arch cf1 ])
-    ~inject:(fun c -> inject [ Wmm_costfn.Cost_function.uop c ])
-    profile
+  let swapped =
+    Generate.Jvm_platform
+      {
+        (Jvm.default arch) with
+        Jvm.elemental_override = [ (Barrier.Store_store, Uop.Fence_full) ];
+      }
+  in
+  Experiment.run (fun batch ->
+      let rel =
+        Experiment.relative_deferred batch ~samples:4 ~label:"swap" profile
+          ~base:(Generate.Jvm_platform (Jvm.default arch))
+          ~test:swapped
+      in
+      let sweep =
+        Experiment.sweep_deferred batch ~samples:4 ~light ~code_path:"StoreStore"
+          ~base:(inject [ Wmm_costfn.Cost_function.nop_padding arch cf1 ])
+          ~inject:(fun c -> inject [ Wmm_costfn.Cost_function.uop c ])
+          profile
+      in
+      fun () -> (Result.get_ok (rel ()), sweep ()))
 
 let () =
   List.iter
@@ -48,16 +66,8 @@ let () =
       (* In vivo, on spark and a couple of other benchmarks. *)
       List.iter
         (fun (profile : Profile.t) ->
-          let base = Generate.Jvm_platform (Jvm.default arch) in
-          let test =
-            Generate.Jvm_platform
-              {
-                (Jvm.default arch) with
-                Jvm.elemental_override = [ (Barrier.Store_store, Uop.Fence_full) ];
-              }
-          in
-          let rel = Experiment.relative_performance ~samples:4 profile ~base ~test in
-          let fit = (sweep_storestore arch profile).Experiment.fit in
+          let rel, sweep = swap_and_sweep arch profile in
+          let fit = sweep.Experiment.fit in
           let inferred = Experiment.inferred_cost_ns fit rel in
           Printf.printf "  %-10s %+5.1f%%  k=%.5f  inferred delta %.1f ns  %s\n"
             profile.Profile.name

@@ -23,16 +23,13 @@ let () =
      (The paper's Fig. 9.) *)
   let profile = Kernelbench.netperf_udp in
   let cf1 = Wmm_costfn.Cost_function.make arch 1 in
+  let rbd uop = platform ~inject:[ (Kernel.Read_barrier_depends, [ uop ]) ] () in
   let sweep =
-    Experiment.sweep ~samples:4 ~code_path:"read_barrier_depends"
-      ~base:
-        (platform
-           ~inject:
-             [ (Kernel.Read_barrier_depends, [ Wmm_costfn.Cost_function.nop_padding arch cf1 ]) ]
-           ())
-      ~inject:(fun c ->
-        platform ~inject:[ (Kernel.Read_barrier_depends, [ Wmm_costfn.Cost_function.uop c ]) ] ())
-      profile
+    Experiment.run (fun batch ->
+        Experiment.sweep_deferred batch ~samples:4 ~code_path:"read_barrier_depends"
+          ~base:(rbd (Wmm_costfn.Cost_function.nop_padding arch cf1))
+          ~inject:(fun c -> rbd (Wmm_costfn.Cost_function.uop c))
+          profile)
   in
   Printf.printf "netperf_udp sensitivity to read_barrier_depends: k=%.5f +-%.1f%%\n\n"
     sweep.Experiment.fit.Sensitivity.k sweep.Experiment.fit.Sensitivity.k_error_percent;
@@ -44,8 +41,11 @@ let () =
     (fun strategy ->
       if strategy <> Kernel.Rbd_none then begin
         let rel =
-          Experiment.relative_performance ~samples:4 profile ~base:(platform ())
-            ~test:(platform ~rbd:strategy ())
+          Experiment.run (fun batch ->
+              Experiment.relative_deferred batch ~samples:4
+                ~label:(Kernel.rbd_name strategy) profile ~base:(platform ())
+                ~test:(platform ~rbd:strategy ()))
+          |> Result.get_ok
         in
         Printf.printf "%-10s %+6.1f%%   inferred cost %5.1f ns/invocation\n"
           (Kernel.rbd_name strategy)

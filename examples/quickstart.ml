@@ -24,16 +24,19 @@ let () =
 
   (* 3. Fit the paper's sensitivity model (eq. 1): inject spin-loop
      cost functions of growing size into the StoreStore barrier code
-     path and watch relative performance fall. *)
+     path and watch relative performance fall.  Every sample is a task:
+     [Experiment.run] collects them into one batch, runs it on an
+     engine (sequential by default) and then assembles the sweep. *)
   let inject uops =
     Generate.Jvm_platform (Jvm.with_injection (Jvm.default arch) Barrier.Store_store uops)
   in
   let cf n = Wmm_costfn.Cost_function.make ~light:true arch n in
   let sweep =
-    Experiment.sweep ~samples:4 ~light:true ~code_path:"StoreStore"
-      ~base:(inject [ Wmm_costfn.Cost_function.nop_padding arch (cf 1) ])
-      ~inject:(fun c -> inject [ Wmm_costfn.Cost_function.uop c ])
-      profile
+    Experiment.run (fun batch ->
+        Experiment.sweep_deferred batch ~samples:4 ~light:true ~code_path:"StoreStore"
+          ~base:(inject [ Wmm_costfn.Cost_function.nop_padding arch (cf 1) ])
+          ~inject:(fun c -> inject [ Wmm_costfn.Cost_function.uop c ])
+          profile)
   in
   List.iter
     (fun (pt : Experiment.sweep_point) ->
@@ -54,7 +57,12 @@ let () =
         Jvm.elemental_override = [ (Barrier.Store_store, Uop.Fence_full) ];
       }
   in
-  let rel = Experiment.relative_performance ~samples:4 profile ~base ~test:swapped in
+  let rel =
+    Experiment.run (fun batch ->
+        Experiment.relative_deferred batch ~samples:4 ~label:"swap" profile ~base
+          ~test:swapped)
+    |> Result.get_ok
+  in
   Printf.printf "dmb ishst -> dmb ish: %+.1f%% -> inferred cost %+.1f ns per barrier\n"
     ((rel.Wmm_util.Stats.gmean -. 1.) *. 100.)
     (Experiment.inferred_cost_ns fit rel)

@@ -22,10 +22,11 @@ let sweep arch elementals label =
          (Jvm.default arch) elementals)
   in
   let s =
-    Experiment.sweep ~samples:4 ~light ~code_path:label
-      ~base:(with_uops [ Wmm_costfn.Cost_function.nop_padding arch cf1 ])
-      ~inject:(fun c -> with_uops [ Wmm_costfn.Cost_function.uop c ])
-      Dacapo.spark
+    Experiment.run (fun batch ->
+        Experiment.sweep_deferred batch ~samples:4 ~light ~code_path:label
+          ~base:(with_uops [ Wmm_costfn.Cost_function.nop_padding arch cf1 ])
+          ~inject:(fun c -> with_uops [ Wmm_costfn.Cost_function.uop c ])
+          Dacapo.spark)
   in
   Printf.printf "  %-12s k=%.5f +-%4.1f%%  %s\n" label s.Experiment.fit.Sensitivity.k
     s.Experiment.fit.Sensitivity.k_error_percent

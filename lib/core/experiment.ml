@@ -16,23 +16,16 @@ let value_of measure (r : Bench_runner.result) =
   | Response_mean -> 1. /. r.Bench_runner.response_mean_ns
   | Response_max -> 1. /. r.Bench_runner.response_max_ns
 
-let performance_values ?(samples = 6) ?(warmups = 2) ?(seed = 11) ?measure profile
-    platform =
+(* Warm-up runs are discarded, as the paper does for JIT warm-up; for
+   the simulator they only advance the seed sequence, which keeps sample
+   seeds aligned between base and test cases. *)
+let warmups = 2
+
+let performance_values ?(samples = 6) ?(seed = 11) ?measure profile platform =
   let measure = match measure with Some m -> m | None -> measure_of_profile profile in
-  (* Warm-up runs are discarded, as the paper does for JIT warm-up;
-     for the simulator they only advance the seed sequence, which
-     keeps sample seeds aligned between base and test cases. *)
   let seeds = List.init samples (fun i -> seed + ((warmups + i) * 1009)) in
   let results = Bench_runner.samples profile platform ~seeds in
   Array.of_list (List.map (value_of measure) results)
-
-let performance_summary ?samples ?warmups ?seed ?measure profile platform =
-  Stats.summarise (performance_values ?samples ?warmups ?seed ?measure profile platform)
-
-let relative_performance ?(samples = 6) ?(seed = 11) ?measure profile ~base ~test =
-  let t = performance_summary ~samples ~seed ?measure profile test in
-  let b = performance_summary ~samples ~seed ?measure profile base in
-  Stats.ratio_summary ~test:t ~base:b
 
 type sweep_point = { iterations : int; cost_ns : float; relative : Stats.summary }
 
@@ -47,41 +40,15 @@ type sweep = {
 
 let default_iteration_counts = [ 1; 2; 4; 8; 16; 32; 64; 128; 256; 512 ]
 
-let sweep ?(samples = 6) ?(seed = 11) ?(light = false) ?iteration_counts ~code_path ~base
-    ~inject profile =
-  let arch = Generate.platform_arch base in
-  let counts =
-    match iteration_counts with Some c -> c | None -> default_iteration_counts
-  in
-  let base_summary = performance_summary ~samples ~seed profile base in
-  let points =
-    List.map
-      (fun n ->
-        let cf = Cost_function.make ~light arch n in
-        let test_summary = performance_summary ~samples ~seed profile (inject cf) in
-        {
-          iterations = n;
-          cost_ns = Cost_function.standalone_ns cf;
-          relative = Stats.ratio_summary ~test:test_summary ~base:base_summary;
-        })
-      counts
-  in
-  let xs = Array.of_list (List.map (fun p -> p.cost_ns) points) in
-  let ys = Array.of_list (List.map (fun p -> p.relative.Stats.gmean) points) in
-  let fit = Sensitivity.fit_k ~xs ~ys in
-  { benchmark = profile.Profile.name; arch; code_path; points; dropped = 0; fit }
-
 (* ------------------------------------------------------------------ *)
-(* Engine-backed execution: reify performance_summary calls - the    *)
-(* atomic sample of every figure - as cacheable, parallelisable      *)
-(* tasks.                                                             *)
+(* Samples as engine tasks: every figure's atomic measurement is one  *)
+(* cacheable, parallelisable [performance_values] summary.            *)
 (* ------------------------------------------------------------------ *)
 
 type sample_request = {
   sr_profile : Profile.t;
   sr_platform : Generate.platform;
   sr_samples : int;
-  sr_warmups : int;
   sr_seed : int;
   sr_measure : measure;
   sr_robust : bool;
@@ -89,14 +56,13 @@ type sample_request = {
   sr_label : string;
 }
 
-let sample_request ?(samples = 6) ?(warmups = 2) ?(seed = 11) ?measure ?(robust = false)
-    ~label profile platform =
+let sample_request ?(samples = 6) ?(seed = 11) ?measure ?(robust = false) ~label profile
+    platform =
   let measure = match measure with Some m -> m | None -> measure_of_profile profile in
   {
     sr_profile = profile;
     sr_platform = platform;
     sr_samples = samples;
-    sr_warmups = warmups;
     sr_seed = seed;
     sr_measure = measure;
     sr_robust = robust;
@@ -115,7 +81,7 @@ let sample_key r =
      summaries never pollute (or reuse) clean cache entries. *)
   let payload =
     Marshal.to_string
-      (r.sr_profile, r.sr_platform, r.sr_samples, r.sr_warmups, r.sr_seed, r.sr_measure)
+      (r.sr_profile, r.sr_platform, r.sr_samples, warmups, r.sr_seed, r.sr_measure)
       [ Marshal.No_sharing ]
   in
   let fp = Wmm_engine.Fault.fingerprint r.sr_plan in
@@ -128,8 +94,8 @@ let sample_task r =
   let key = sample_key r in
   Wmm_engine.Task.pure ~key ~label:r.sr_label (fun () ->
       let values =
-        performance_values ~samples:r.sr_samples ~warmups:r.sr_warmups ~seed:r.sr_seed
-          ~measure:r.sr_measure r.sr_profile r.sr_platform
+        performance_values ~samples:r.sr_samples ~seed:r.sr_seed ~measure:r.sr_measure
+          r.sr_profile r.sr_platform
       in
       let values = Wmm_engine.Fault.perturb_samples r.sr_plan ~key values in
       let values = if r.sr_robust then Stats.reject_outliers values else values in
@@ -141,6 +107,15 @@ let batch () = Wmm_engine.Engine.Batch.create ()
 let run_batch engine b = Wmm_engine.Engine.Batch.run engine b
 
 let submit b r = Wmm_engine.Engine.Batch.add b (sample_task r)
+
+let run ?engine producer =
+  let engine =
+    match engine with Some e -> e | None -> Wmm_engine.Engine.sequential ()
+  in
+  let b = batch () in
+  let finish = producer b in
+  run_batch engine b;
+  finish ()
 
 let summary_deferred b r =
   let get = submit b r in
@@ -226,42 +201,6 @@ let sweep_deferred b ?(samples = 6) ?(seed = 11) ?(light = false) ?iteration_cou
             | Error _ -> None)
           point_gets
         |> assemble
-
-type cell = { benchmark : string; code_path : string; relative : Stats.summary }
-
-let ranking_matrix ?(samples = 3) ?(seed = 23) ?(spin_iterations = 1024) ~paths ~benchmarks ()
-    =
-  List.concat_map
-    (fun ((profile : Profile.t), base_builder) ->
-      let arch = Generate.platform_arch (base_builder []) in
-      let cf = Cost_function.make arch spin_iterations in
-      let base_platform = base_builder [ Cost_function.nop_padding arch cf ] in
-      let base = performance_summary ~samples ~seed profile base_platform in
-      List.map
-        (fun (path_name, path_builder) ->
-          let test_platform = path_builder [ Cost_function.uop cf ] in
-          let test = performance_summary ~samples ~seed profile test_platform in
-          {
-            benchmark = profile.Profile.name;
-            code_path = path_name;
-            relative = Stats.ratio_summary ~test ~base;
-          })
-        paths)
-    benchmarks
-
-let sum_grouped key cells =
-  let table = Hashtbl.create 16 in
-  List.iter
-    (fun cell ->
-      let k = key cell in
-      let current = try Hashtbl.find table k with Not_found -> 0. in
-      Hashtbl.replace table k (current +. cell.relative.Stats.gmean))
-    cells;
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) table []
-  |> List.sort (fun (_, a) (_, b) -> compare a b)
-
-let sum_by_code_path cells = sum_grouped (fun c -> c.code_path) cells
-let sum_by_benchmark cells = sum_grouped (fun c -> c.benchmark) cells
 
 let inferred_cost_ns (fit : Sensitivity.fit) (relative : Stats.summary) =
   Sensitivity.cost_of_change ~k:fit.Sensitivity.k ~p:relative.Stats.gmean

@@ -4,8 +4,19 @@ open Wmm_workload
 
 (** Running benchmarks across fencing strategies and extracting the
     paper's measurements: relative performance with compounded
-    errors, variable-cost sensitivity sweeps with fitted [k], and
-    fixed-cost ranking matrices. *)
+    errors and variable-cost sensitivity sweeps with fitted [k].
+
+    Every measurement reduces to one procedure, the paper's: discarded
+    warm-ups, then [samples] runs summarised by a geometric mean with
+    a Student-t interval.  Each such summary is one [wmm_engine] task.
+    Figure code first {e submits} all its samples into a shared
+    {!batch}, the batch is fanned out across worker domains (and
+    served from the result cache and journal) by {!run_batch}, and
+    only then are the finalizer closures invoked to assemble sweeps,
+    ratios and tables from the completed summaries.  Assembly depends
+    only on task results, never on completion order, so output is
+    bit-identical for any [--jobs] setting.  {!run} does all three
+    steps. *)
 
 type measure = Throughput | Response_mean | Response_max
 
@@ -14,39 +25,16 @@ val measure_of_profile : Profile.t -> measure
 
 val performance_values :
   ?samples:int ->
-  ?warmups:int ->
   ?seed:int ->
   ?measure:measure ->
   Profile.t ->
   Generate.platform ->
   float array
 (** The raw per-sample performance values ([samples] of them, default
-    6, after [warmups] discarded runs, default 2).  The seam where
-    fault-injected outlier perturbation and robust filtering apply,
-    before summarisation. *)
-
-val performance_summary :
-  ?samples:int ->
-  ?warmups:int ->
-  ?seed:int ->
-  ?measure:measure ->
-  Profile.t ->
-  Generate.platform ->
-  Stats.summary
-(** [Stats.summarise] of {!performance_values}: geometric-mean
-    performance matching the paper's methodology.  Higher is better
-    for every measure (response times are inverted). *)
-
-val relative_performance :
-  ?samples:int ->
-  ?seed:int ->
-  ?measure:measure ->
-  Profile.t ->
-  base:Generate.platform ->
-  test:Generate.platform ->
-  Stats.summary
-(** Normalised performance of [test] against [base] with the paper's
-    pessimistic error compounding. *)
+    6, after two discarded warm-up runs).  Higher is better for every
+    measure (response times are inverted).  The body of every sample
+    task, and the seam where fault-injected outlier perturbation and
+    robust filtering apply, before summarisation. *)
 
 (** {1 Variable-cost sensitivity sweeps} *)
 
@@ -68,39 +56,12 @@ type sweep = {
   fit : Sensitivity.fit;
 }
 
-val sweep :
-  ?samples:int ->
-  ?seed:int ->
-  ?light:bool ->
-  ?iteration_counts:int list ->
-  code_path:string ->
-  base:Generate.platform ->
-  inject:(Wmm_costfn.Cost_function.t -> Generate.platform) ->
-  Profile.t ->
-  sweep
-(** Run the benchmark across increasing cost-function sizes injected
-    by [inject], normalise each against the nop-padded [base], and
-    fit the sensitivity model.  Default iteration counts are powers
-    of two from 1 to 512 (covering the paper's 2^0..2^8 ns x-axis). *)
-
-(** {1 Engine-backed execution}
-
-    Every measurement above reduces to {!performance_summary} calls
-    on independent (profile, platform, samples, seed) tuples.  The
-    deferred API reifies each such call as a [wmm_engine] task:
-    figure code first {e submits} all its samples into a shared
-    {!batch}, the batch is fanned out across worker domains (and
-    served from the result cache) by {!run_batch}, and only then are
-    the per-figure finalizer closures invoked to assemble sweeps,
-    ratios and tables from the completed summaries.  Assembly depends
-    only on task results, never on completion order, so output is
-    bit-identical for any [--jobs] setting. *)
+(** {1 Batches of sample tasks} *)
 
 type sample_request
 
 val sample_request :
   ?samples:int ->
-  ?warmups:int ->
   ?seed:int ->
   ?measure:measure ->
   ?robust:bool ->
@@ -108,24 +69,25 @@ val sample_request :
   Profile.t ->
   Generate.platform ->
   sample_request
-(** Same defaults as {!performance_summary}.  [label] is only used
-    in telemetry.  With [robust] (default false) the raw samples pass
+(** One {!performance_values} summary (default 6 samples from seed
+    11, the profile's own measure).  [label] is only used in
+    telemetry.  With [robust] (default false) the raw samples pass
     through MAD-based outlier rejection before summarisation.  The
     ambient fault plan ({!Wmm_engine.Fault.ambient}) is captured into
     the request: its outlier perturbation applies to the raw samples,
-    and its fingerprint becomes part of the cache key. *)
-
-val sample_key : sample_request -> string
-(** The task's content key: profile name plus a digest of the
-    canonically marshalled request (excluding the label). *)
+    and its fingerprint becomes part of the cache key.  Requests with
+    equal content share one task in a batch. *)
 
 type batch = Stats.summary Wmm_engine.Engine.Batch.t
 
 val batch : unit -> batch
 val run_batch : Wmm_engine.Engine.t -> batch -> unit
 
-val submit :
-  batch -> sample_request -> unit -> Stats.summary Wmm_engine.Engine.outcome
+val run : ?engine:Wmm_engine.Engine.t -> (batch -> unit -> 'a) -> 'a
+(** [run ?engine submit] creates a batch, lets [submit] add its
+    samples and return a finalizer, runs the batch on [engine]
+    (default: a fresh {!Wmm_engine.Engine.sequential}) and returns the
+    finalizer's value. *)
 
 val summary_deferred :
   batch -> sample_request -> unit -> (Stats.summary, string) result
@@ -142,9 +104,9 @@ val relative_deferred :
   test:Generate.platform ->
   unit ->
   (Stats.summary, string) result
-(** Deferred {!relative_performance}: submits the base and test
-    samples, returns a finalizer.  [Error] when either sample
-    failed. *)
+(** Normalised performance of [test] against [base] with the paper's
+    pessimistic error compounding: submits the base and test samples,
+    returns a finalizer.  [Error] when either sample failed. *)
 
 val sweep_deferred :
   batch ->
@@ -159,38 +121,17 @@ val sweep_deferred :
   Profile.t ->
   unit ->
   sweep
-(** Deferred {!sweep}: submits the base sample and one sample per
-    cost size, returns a finalizer assembling the sweep.  Failed
-    points are dropped from the fit and counted in [dropped] (crash
-    isolation); a failed base - or fewer than two surviving points -
-    degrades the whole sweep to [Sensitivity.unavailable] instead of
-    raising.  With [robust] the samples are outlier-filtered and the
-    fit is Huber-weighted ({!Sensitivity.fit_k_robust}). *)
-
-(** {1 Fixed-cost rankings (paper Figs. 7 and 8)} *)
-
-type cell = { benchmark : string; code_path : string; relative : Stats.summary }
-
-val ranking_matrix :
-  ?samples:int ->
-  ?seed:int ->
-  ?spin_iterations:int ->
-  paths:(string * (Wmm_machine.Uop.t list -> Generate.platform)) list ->
-  benchmarks:(Profile.t * (Wmm_machine.Uop.t list -> Generate.platform)) list ->
-  unit ->
-  cell list
-(** For every (code path, benchmark) pair, the relative performance
-    of injecting a fixed large cost function (default 1024
-    iterations) into that path.  [paths] maps a path name to a
-    platform builder given the injected uops; [benchmarks] carries a
-    per-benchmark builder for the nop base case. *)
-
-val sum_by_code_path : cell list -> (string * float) list
-(** Paper Fig. 7: sum of relative performance per code path across
-    benchmarks, ascending (most impact first). *)
-
-val sum_by_benchmark : cell list -> (string * float) list
-(** Paper Fig. 8. *)
+(** Run the benchmark across increasing cost-function sizes injected
+    by [inject], normalise each against the nop-padded [base], and
+    fit the sensitivity model.  Default iteration counts are powers
+    of two from 1 to 512 (covering the paper's 2^0..2^8 ns x-axis).
+    Submits the base sample and one sample per cost size, returns a
+    finalizer assembling the sweep.  Failed points are dropped from
+    the fit and counted in [dropped] (crash isolation); a failed base
+    - or fewer than two surviving points - degrades the whole sweep
+    to [Sensitivity.unavailable] instead of raising.  With [robust]
+    the samples are outlier-filtered and the fit is Huber-weighted
+    ({!Sensitivity.fit_k_robust}). *)
 
 (** {1 Cost inference (eq. 2) and micro/macro divergence} *)
 

@@ -62,6 +62,12 @@ let fmt_pct_change (s : Wmm_util.Stats.summary) =
   let pct = (s.Wmm_util.Stats.gmean -. 1.) *. 100. in
   Printf.sprintf "%+.1f%%" pct
 
+let relative_cells = function
+  | Ok rel -> [ fmt_summary rel; fmt_pct_change rel ]
+  | Error msg -> [ "failed: " ^ msg; "-" ]
+
+let mean_or_nan = function [] -> nan | xs -> Wmm_util.Stats.mean (Array.of_list xs)
+
 let header title =
   let rule = String.make (String.length title + 8) '=' in
   Printf.sprintf "%s\n=== %s ===\n%s" rule title rule

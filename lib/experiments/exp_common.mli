@@ -61,5 +61,13 @@ val fmt_summary : Wmm_util.Stats.summary -> string
 val fmt_pct_change : Wmm_util.Stats.summary -> string
 (** Relative performance as a percentage change: "-1.9%". *)
 
+val relative_cells : (Wmm_util.Stats.summary, string) result -> string list
+(** The two table cells of a relative performance, {!fmt_summary} and
+    {!fmt_pct_change}; a failed sample renders as ["failed: msg"; "-"]. *)
+
+val mean_or_nan : float list -> float
+(** The arithmetic mean, or [nan] (rendered "nan": unavailable) when
+    every cell it aggregates failed. *)
+
 val header : string -> string
 (** Section banner for report output. *)

@@ -50,22 +50,17 @@ let sweep_benchmark batch ?robust arch (profile : Profile.t) =
 (* The full 8-benchmark x 2-architecture matrix is submitted as one
    engine batch, so every (benchmark, arch, cost size) sample runs as
    an independent task across the worker domains. *)
-let all_sweeps ?robust engine =
-  let batch = Experiment.batch () in
+let all_sweeps ?robust batch =
   let pending =
     List.concat_map
       (fun arch ->
         List.map (fun p -> (arch, sweep_benchmark batch ?robust arch p)) Dacapo.all)
       Arch.all
   in
-  Experiment.run_batch engine batch;
-  List.map (fun (arch, finish) -> (arch, finish ())) pending
+  fun () -> List.map (fun (arch, finish) -> (arch, finish ())) pending
 
 let report ?engine ?robust () =
-  let engine =
-    match engine with Some e -> e | None -> Wmm_engine.Engine.sequential ()
-  in
-  let sweeps = all_sweeps ?robust engine in
+  let sweeps = Experiment.run ?engine (all_sweeps ?robust) in
   let fits = Table.create [ "benchmark"; "arch"; "fitted k"; "paper k"; "stable?" ] in
   let buffer = Buffer.create 4096 in
   Buffer.add_string buffer

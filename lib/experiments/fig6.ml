@@ -41,24 +41,22 @@ let sweep_elemental batch ?robust arch elemental =
     Dacapo.spark
 
 let report ?engine ?robust () =
-  let engine =
-    match engine with Some e -> e | None -> Wmm_engine.Engine.sequential ()
+  let sweeps =
+    Experiment.run ?engine (fun batch ->
+        let pending =
+          List.concat_map
+            (fun arch ->
+              List.map
+                (fun elemental ->
+                  (arch, elemental, sweep_elemental batch ?robust arch elemental))
+                Barrier.all_elementals)
+            Arch.all
+        in
+        fun () -> List.map (fun (arch, e, finish) -> (arch, e, finish ())) pending)
   in
-  let batch = Experiment.batch () in
-  let pending =
-    List.concat_map
-      (fun arch ->
-        List.map
-          (fun elemental ->
-            (arch, elemental, sweep_elemental batch ?robust arch elemental))
-          Barrier.all_elementals)
-      Arch.all
-  in
-  Experiment.run_batch engine batch;
   let table = Table.create [ "barrier"; "arch"; "fitted k"; "paper k" ] in
   List.iter
-    (fun (arch, elemental, finish) ->
-      let sweep = finish () in
+    (fun (arch, elemental, sweep) ->
       Table.add_row table
         [
           Barrier.elemental_name elemental;
@@ -66,7 +64,7 @@ let report ?engine ?robust () =
           Exp_common.fmt_sweep_fit sweep;
           Table.float_cell ~decimals:5 (paper_k (elemental, arch));
         ])
-    pending;
+    sweeps;
   String.concat "\n"
     [
       Exp_common.header "Figure 6: spark sensitivity per elemental barrier";

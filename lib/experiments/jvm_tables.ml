@@ -25,149 +25,154 @@ open Wmm_core
 
 let samples () = Exp_common.samples ()
 
+(* Every table submits its samples into one batch, and its finalizer
+   renders it; a failed sample renders as a failed cell, and the
+   aggregates run over the cells that survive.  Equal samples (the
+   default-platform base of T1-T4, or the spark swap that T2 reports
+   twice) are one task. *)
+let relative batch ?robust ~label profile ~base ~test =
+  Experiment.relative_deferred batch ~samples:(samples ()) ?robust ~label profile ~base ~test
+
 (* ------------------------------------------------------------------ *)
 (* T1: nop insertion.                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let nop_table () =
-  let table = Table.create [ "benchmark"; "arch"; "relative perf"; "change" ] in
-  let drops =
+let nop_table ?robust batch =
+  let pending =
     List.concat_map
       (fun arch ->
-        let light = Exp_common.light_for arch in
-        let nops = Exp_common.nop_uop arch ~light in
+        let nops = Exp_common.nop_uop arch ~light:(Exp_common.light_for arch) in
         List.map
           (fun (profile : Profile.t) ->
-            let rel =
-              Experiment.relative_performance ~samples:(samples ()) profile
-                ~base:(Exp_common.jvm_platform arch)
-                ~test:(Exp_common.jvm_platform ~inject_all:[ nops ] arch)
-            in
-            Table.add_row table
-              [
-                profile.Profile.name;
-                Arch.name arch;
-                Exp_common.fmt_summary rel;
-                Exp_common.fmt_pct_change rel;
-              ];
-            (arch, rel.Stats.gmean))
+            ( arch,
+              profile,
+              relative batch ?robust
+                ~label:(Printf.sprintf "t1 nop %s/%s" profile.Profile.name (Arch.name arch))
+                profile ~base:(Exp_common.jvm_platform arch)
+                ~test:(Exp_common.jvm_platform ~inject_all:[ nops ] arch) ))
           Dacapo.all)
       Arch.all
   in
-  let mean_for arch =
-    let values =
-      List.filter_map (fun (a, v) -> if a = arch then Some v else None) drops
+  fun () ->
+    let table = Table.create [ "benchmark"; "arch"; "relative perf"; "change" ] in
+    let drops =
+      List.filter_map
+        (fun (arch, (profile : Profile.t), finish) ->
+          let rel = finish () in
+          Table.add_row table
+            (profile.Profile.name :: Arch.name arch :: Exp_common.relative_cells rel);
+          match rel with Ok r -> Some (arch, r.Stats.gmean) | Error _ -> None)
+        pending
     in
-    Stats.mean (Array.of_list values)
-  in
-  let peak = List.fold_left (fun acc (_, v) -> min acc v) 1. drops in
-  ( table,
-    Printf.sprintf
-      "mean drop: arm %.1f%% (paper 1.9%%), power %.1f%% (paper 0.7%%); peak drop %.1f%% (paper 4.5%%)"
-      ((1. -. mean_for Arch.Armv8) *. 100.)
-      ((1. -. mean_for Arch.Power7) *. 100.)
-      ((1. -. peak) *. 100.) )
+    let mean_for arch =
+      Exp_common.mean_or_nan
+        (List.filter_map (fun (a, v) -> if a = arch then Some v else None) drops)
+    in
+    let peak =
+      if drops = [] then nan else List.fold_left (fun acc (_, v) -> min acc v) 1. drops
+    in
+    ( table,
+      Printf.sprintf
+        "mean drop: arm %.1f%% (paper 1.9%%), power %.1f%% (paper 0.7%%); peak drop %.1f%% (paper 4.5%%)"
+        ((1. -. mean_for Arch.Armv8) *. 100.)
+        ((1. -. mean_for Arch.Power7) *. 100.)
+        ((1. -. peak) *. 100.) )
 
 (* ------------------------------------------------------------------ *)
 (* T2: the StoreStore swap.                                            *)
 (* ------------------------------------------------------------------ *)
 
-let storestore_fit arch =
-  (* Sensitivity of spark to the StoreStore code path, needed to
-     convert the swap's relative performance into a cost via eq. 2. *)
+(* The swap on one benchmark, and its sensitivity to the StoreStore
+   code path, needed to convert the swap's relative performance into a
+   cost via eq. 2. *)
+let swap batch ?robust arch (profile : Profile.t) =
   let light = Exp_common.light_for arch in
-  Experiment.sweep ~samples:(samples ()) ~light
-    ~iteration_counts:(Exp_common.sweep_counts ())
-    ~code_path:"StoreStore"
-    ~base:
-      (Exp_common.jvm_platform
-         ~inject:[ (Barrier.Store_store, [ Exp_common.nop_uop arch ~light ]) ]
-         arch)
-    ~inject:(fun cf ->
-      Exp_common.jvm_platform
-        ~inject:[ (Barrier.Store_store, [ Wmm_costfn.Cost_function.uop cf ]) ]
-        arch)
-    Dacapo.spark
+  let sweep =
+    Experiment.sweep_deferred batch ~samples:(samples ()) ~light
+      ~iteration_counts:(Exp_common.sweep_counts ())
+      ?robust ~code_path:"StoreStore"
+      ~base:
+        (Exp_common.jvm_platform
+           ~inject:[ (Barrier.Store_store, [ Exp_common.nop_uop arch ~light ]) ]
+           arch)
+      ~inject:(fun cf ->
+        Exp_common.jvm_platform
+          ~inject:[ (Barrier.Store_store, [ Wmm_costfn.Cost_function.uop cf ]) ]
+          arch)
+      profile
+  in
+  let rel =
+    relative batch ?robust
+      ~label:(Printf.sprintf "t2 swap %s/%s" profile.Profile.name (Arch.name arch))
+      profile ~base:(Exp_common.jvm_platform arch)
+      ~test:
+        (Exp_common.jvm_platform ~overrides:[ (Barrier.Store_store, Uop.Fence_full) ] arch)
+  in
+  fun () ->
+    let fit = (sweep ()).Experiment.fit in
+    (fit, rel ())
 
-let swap_relative arch profile =
-  Experiment.relative_performance ~samples:(samples ()) profile
-    ~base:(Exp_common.jvm_platform arch)
-    ~test:(Exp_common.jvm_platform ~overrides:[ (Barrier.Store_store, Uop.Fence_full) ] arch)
+let inferred_cost (fit, rel) = Result.map (Experiment.inferred_cost_ns fit) rel
 
-let storestore_table () =
-  let buffer = Buffer.create 1024 in
-  List.iter
-    (fun arch ->
-      let timing = Timing.for_arch arch in
-      let fit = (storestore_fit arch).Experiment.fit in
-      let rel = swap_relative arch Dacapo.spark in
-      let inferred = Experiment.inferred_cost_ns fit rel in
-      let micro_weak, micro_strong, weak_name, strong_name =
-        match arch with
-        | Arch.Armv8 ->
-            ( Perf.sequence_cost_ns timing [ Uop.Fence_store ],
-              Perf.sequence_cost_ns timing [ Uop.Fence_full ],
-              "dmb ishst",
-              "dmb ish" )
-        | Arch.Power7 ->
-            ( Perf.sequence_cost_ns timing [ Uop.Fence_lw ],
-              Perf.sequence_cost_ns timing [ Uop.Fence_full ],
-              "lwsync",
-              "sync" )
-      in
-      (* The paper also averages the inferred cost over the other
-         benchmarks (excluding the unstable xalan). *)
-      let others =
-        List.filter
-          (fun (p : Profile.t) ->
-            p.Profile.name <> "spark" && p.Profile.name <> "xalan")
-          Dacapo.all
-      in
-      let other_costs =
-        List.map
-          (fun (p : Profile.t) ->
-            let sweep =
-              Experiment.sweep ~samples:(samples ())
-                ~light:(Exp_common.light_for arch)
-                ~iteration_counts:(Exp_common.sweep_counts ())
-                ~code_path:"StoreStore"
-                ~base:
-                  (Exp_common.jvm_platform
-                     ~inject:
-                       [
-                         ( Barrier.Store_store,
-                           [ Exp_common.nop_uop arch ~light:(Exp_common.light_for arch) ] );
-                       ]
-                     arch)
-                ~inject:(fun cf ->
-                  Exp_common.jvm_platform
-                    ~inject:[ (Barrier.Store_store, [ Wmm_costfn.Cost_function.uop cf ]) ]
-                    arch)
-                p
-            in
-            Experiment.inferred_cost_ns sweep.Experiment.fit (swap_relative arch p))
-          others
-      in
-      Buffer.add_string buffer
-        (Printf.sprintf
-           "%s: %s -> %s on spark: %s (%s); sensitivity %s\n\
-           \  inferred cost change: %+.1f ns (paper: %s)\n\
-           \  microbenchmark: %s %.1f ns, %s %.1f ns (paper: %s)\n\
-           \  mean inferred over other stable benchmarks: %+.1f ns (paper: 11.8 ns on POWER)\n"
-           (Arch.name arch) weak_name strong_name
-           (Exp_common.fmt_pct_change (swap_relative arch Dacapo.spark))
-           (match arch with
-           | Arch.Armv8 -> "paper: -0.7%"
-           | Arch.Power7 -> "paper: -12.5%")
-           (Exp_common.fmt_fit fit) inferred
-           (match arch with Arch.Armv8 -> "+1.8 ns" | Arch.Power7 -> "+11.7 ns")
-           weak_name micro_weak strong_name micro_strong
-           (match arch with
-           | Arch.Armv8 -> "indistinguishable"
-           | Arch.Power7 -> "6.1 ns vs 18.9 ns")
-           (Stats.mean (Array.of_list other_costs))))
-    Arch.all;
-  Buffer.contents buffer
+let storestore_table ?robust batch =
+  (* The paper also averages the inferred cost over the other
+     benchmarks (excluding the unstable xalan). *)
+  let others =
+    List.filter
+      (fun (p : Profile.t) -> p.Profile.name <> "spark" && p.Profile.name <> "xalan")
+      Dacapo.all
+  in
+  let pending =
+    List.map
+      (fun arch ->
+        ( arch,
+          swap batch ?robust arch Dacapo.spark,
+          List.map (swap batch ?robust arch) others ))
+      Arch.all
+  in
+  fun () ->
+    let buffer = Buffer.create 1024 in
+    List.iter
+      (fun (arch, spark, others) ->
+        let timing = Timing.for_arch arch in
+        let ((fit, rel) as swap) = spark () in
+        let other_costs =
+          List.filter_map (fun finish -> Result.to_option (inferred_cost (finish ()))) others
+        in
+        let micro_weak, micro_strong, weak_name, strong_name =
+          match arch with
+          | Arch.Armv8 ->
+              ( Perf.sequence_cost_ns timing [ Uop.Fence_store ],
+                Perf.sequence_cost_ns timing [ Uop.Fence_full ],
+                "dmb ishst",
+                "dmb ish" )
+          | Arch.Power7 ->
+              ( Perf.sequence_cost_ns timing [ Uop.Fence_lw ],
+                Perf.sequence_cost_ns timing [ Uop.Fence_full ],
+                "lwsync",
+                "sync" )
+        in
+        Buffer.add_string buffer
+          (Printf.sprintf
+             "%s: %s -> %s on spark: %s (%s); sensitivity %s\n\
+             \  inferred cost change: %+.1f ns (paper: %s)\n\
+             \  microbenchmark: %s %.1f ns, %s %.1f ns (paper: %s)\n\
+             \  mean inferred over other stable benchmarks: %+.1f ns (paper: 11.8 ns on POWER)\n"
+             (Arch.name arch) weak_name strong_name
+             (match rel with Ok r -> Exp_common.fmt_pct_change r | Error _ -> "failed")
+             (match arch with
+             | Arch.Armv8 -> "paper: -0.7%"
+             | Arch.Power7 -> "paper: -12.5%")
+             (Exp_common.fmt_fit fit)
+             (Result.value (inferred_cost swap) ~default:nan)
+             (match arch with Arch.Armv8 -> "+1.8 ns" | Arch.Power7 -> "+11.7 ns")
+             weak_name micro_weak strong_name micro_strong
+             (match arch with
+             | Arch.Armv8 -> "indistinguishable"
+             | Arch.Power7 -> "6.1 ns vs 18.9 ns")
+             (Exp_common.mean_or_nan other_costs)))
+      pending;
+    Buffer.contents buffer
 
 (* ------------------------------------------------------------------ *)
 (* T3: barriers vs load-acquire/store-release on ARM.                  *)
@@ -182,50 +187,63 @@ let paper_lasr = function
   | "lusearch" | "tradebeans" | "tradesoap" -> "n.s."
   | _ -> "?"
 
-let lasr_table () =
+let lasr_table ?robust batch =
   let arch = Arch.Armv8 in
-  let table = Table.create [ "benchmark"; "la/sr vs barriers"; "change"; "paper" ] in
-  List.iter
-    (fun (profile : Profile.t) ->
-      let rel =
-        Experiment.relative_performance ~samples:(samples ()) profile
-          ~base:(Exp_common.jvm_platform ~mode:Jvm.Barriers arch)
-          ~test:(Exp_common.jvm_platform ~mode:Jvm.Acqrel arch)
-      in
-      Table.add_row table
-        [
-          profile.Profile.name;
-          Exp_common.fmt_summary rel;
-          Exp_common.fmt_pct_change rel;
-          paper_lasr profile.Profile.name;
-        ])
-    Dacapo.all;
-  table
+  let pending =
+    List.map
+      (fun (profile : Profile.t) ->
+        ( profile,
+          relative batch ?robust ~label:("t3 la/sr " ^ profile.Profile.name) profile
+            ~base:(Exp_common.jvm_platform ~mode:Jvm.Barriers arch)
+            ~test:(Exp_common.jvm_platform ~mode:Jvm.Acqrel arch) ))
+      Dacapo.all
+  in
+  fun () ->
+    let table = Table.create [ "benchmark"; "la/sr vs barriers"; "change"; "paper" ] in
+    List.iter
+      (fun ((profile : Profile.t), finish) ->
+        Table.add_row table
+          ((profile.Profile.name :: Exp_common.relative_cells (finish ()))
+          @ [ paper_lasr profile.Profile.name ]))
+      pending;
+    table
 
 (* ------------------------------------------------------------------ *)
 (* T4: the lock-path DMB elimination patch.                            *)
 (* ------------------------------------------------------------------ *)
 
-let lock_patch_table () =
+let lock_patch_table ?robust batch =
   let arch = Arch.Armv8 in
-  let table = Table.create [ "mode"; "patched vs unpatched (spark)"; "change"; "paper" ] in
-  List.iter
-    (fun (mode, name, paper) ->
-      let rel =
-        Experiment.relative_performance ~samples:(samples ()) Dacapo.spark
-          ~base:(Exp_common.jvm_platform ~mode arch)
-          ~test:(Exp_common.jvm_platform ~mode ~lock_patch:true arch)
-      in
-      Table.add_row table
-        [ name; Exp_common.fmt_summary rel; Exp_common.fmt_pct_change rel; paper ])
-    [
-      (Jvm.Acqrel, "load-acquire/store-release", "+2.9%");
-      (Jvm.Barriers, "memory barriers", "-1.0%");
-    ];
-  table
+  let pending =
+    List.map
+      (fun (mode, name, paper) ->
+        ( name,
+          paper,
+          relative batch ?robust ~label:("t4 lock patch " ^ name) Dacapo.spark
+            ~base:(Exp_common.jvm_platform ~mode arch)
+            ~test:(Exp_common.jvm_platform ~mode ~lock_patch:true arch) ))
+      [
+        (Jvm.Acqrel, "load-acquire/store-release", "+2.9%");
+        (Jvm.Barriers, "memory barriers", "-1.0%");
+      ]
+  in
+  fun () ->
+    let table = Table.create [ "mode"; "patched vs unpatched (spark)"; "change"; "paper" ] in
+    List.iter
+      (fun (name, paper, finish) ->
+        Table.add_row table ((name :: Exp_common.relative_cells (finish ())) @ [ paper ]))
+      pending;
+    table
 
-let report () =
-  let nop, nop_summary = nop_table () in
+let report ?engine ?robust () =
+  let (nop, nop_summary), storestore, lasr, lock_patch =
+    Experiment.run ?engine (fun batch ->
+        let nop = nop_table ?robust batch in
+        let storestore = storestore_table ?robust batch in
+        let lasr = lasr_table ?robust batch in
+        let lock_patch = lock_patch_table ?robust batch in
+        fun () -> (nop (), storestore (), lasr (), lock_patch ()))
+  in
   String.concat "\n"
     [
       Exp_common.header "In-text table: nop insertion into all elemental barriers (4.2)";
@@ -233,10 +251,10 @@ let report () =
       nop_summary;
       "";
       Exp_common.header "In-text table: the StoreStore swap (4.2.1)";
-      storestore_table ();
+      storestore;
       Exp_common.header "In-text table: barriers vs load-acquire/store-release, ARM (4.2.1)";
-      Table.render (lasr_table ());
+      Table.render lasr;
       "";
       Exp_common.header "In-text table: lock-path DMB elimination patch, spark/ARM (4.2.1)";
-      Table.render (lock_patch_table ());
+      Table.render lock_patch;
     ]

@@ -96,15 +96,16 @@ let optimisation_sensitivity (profile : Profile.t) =
 (* Predicted-vs-actual: use the all-barriers sensitivity to predict
    the gain of barrier coalescing, then compare with the measured
    ablation. *)
-let extrapolation (profile : Profile.t) =
+let extrapolation ?engine ?robust (profile : Profile.t) =
   let platform = Generate.Jvm_platform (Jvm.default arch) in
-  let light = true in
   let sweep =
-    Experiment.sweep ~samples:(samples ()) ~light ~code_path:"all"
-      ~iteration_counts:(Exp_common.sweep_counts ())
-      ~base:(Exp_common.jvm_nop_base arch)
-      ~inject:(fun cf -> Exp_common.jvm_platform ~inject_all:[ Wmm_costfn.Cost_function.uop cf ] arch)
-      profile
+    Experiment.run ?engine (fun batch ->
+        Experiment.sweep_deferred batch ~samples:(samples ()) ~light:true ?robust
+          ~code_path:"all" ~iteration_counts:(Exp_common.sweep_counts ())
+          ~base:(Exp_common.jvm_nop_base arch)
+          ~inject:(fun cf ->
+            Exp_common.jvm_platform ~inject_all:[ Wmm_costfn.Cost_function.uop cf ] arch)
+          profile)
   in
   let k = sweep.Experiment.fit.Sensitivity.k in
   (* The elimination removes a fraction of barrier time; predict via
@@ -121,7 +122,7 @@ let extrapolation (profile : Profile.t) =
   let implied = Sensitivity.cost_of_change ~k ~p:actual in
   (k, actual, implied, predicted)
 
-let report () =
+let report ?engine ?robust () =
   let buffer = Buffer.create 2048 in
   Buffer.add_string buffer
     (Exp_common.header "Section 6: barrier coalescing and optimisation code paths");
@@ -134,7 +135,7 @@ let report () =
       Buffer.add_string buffer
         (Printf.sprintf "  %-8s %s\n" profile.Profile.name (Exp_common.fmt_fit fit)))
     [ Dacapo.spark; Dacapo.h2 ];
-  let k, actual, implied, predicted = extrapolation Dacapo.spark in
+  let k, actual, implied, predicted = extrapolation ?engine ?robust Dacapo.spark in
   Buffer.add_string buffer
     (Printf.sprintf
        "\nModel extrapolation (spark): fitted k=%.5f; coalescing speedup measured %+.1f%%,\n\

@@ -59,18 +59,13 @@ let nop_padding_deferred ?robust batch =
     let drops =
       List.filter_map
         (fun (label, finish) ->
-          match finish () with
-          | Ok rel ->
-              Table.add_row table
-                [ label; Exp_common.fmt_summary rel; Exp_common.fmt_pct_change rel ];
-              Some rel.Stats.gmean
-          | Error msg ->
-              Table.add_row table [ label; "failed: " ^ msg; "-" ];
-              None)
+          let rel = finish () in
+          Table.add_row table (label :: Exp_common.relative_cells rel);
+          match rel with Ok r -> Some r.Stats.gmean | Error _ -> None)
         pending
     in
-    let mean = Stats.mean (Array.of_list drops) in
-    let worst = List.fold_left min 1. drops in
+    let mean = Exp_common.mean_or_nan drops in
+    let worst = if drops = [] then nan else List.fold_left min 1. drops in
     ( table,
       Printf.sprintf "mean drop %.1f%% (paper 1.9%%), worst %.1f%% (paper 6.6%%, netperf)"
         ((1. -. mean) *. 100.)
@@ -188,15 +183,12 @@ let fig8 cells =
   (table, sums)
 
 let report ?engine ?robust () =
-  let engine =
-    match engine with Some e -> e | None -> Wmm_engine.Engine.sequential ()
+  let (nop_table, nop_summary), cells =
+    Experiment.run ?engine (fun batch ->
+        let nop_finish = nop_padding_deferred ?robust batch in
+        let matrix_finish = matrix_deferred ?robust batch in
+        fun () -> (nop_finish (), matrix_finish ()))
   in
-  let batch = Experiment.batch () in
-  let nop_finish = nop_padding_deferred ?robust batch in
-  let matrix_finish = matrix_deferred ?robust batch in
-  Experiment.run_batch engine batch;
-  let nop_table, nop_summary = nop_finish () in
-  let cells = matrix_finish () in
   let fig7_table, _ = fig7 cells in
   let fig8_table, _ = fig8 cells in
   String.concat "\n"

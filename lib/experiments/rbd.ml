@@ -188,9 +188,7 @@ let t6 sweeps cells =
             (subjects ())
         in
         let other_costs = List.filter_map cost_for others in
-        let mean_others =
-          if other_costs = [] then nan else Stats.mean (Array.of_list other_costs)
-        in
+        let mean_others = Exp_common.mean_or_nan other_costs in
         let paper_lm, paper_others = paper_t6 strategy in
         Table.add_row table
           [
@@ -225,36 +223,25 @@ let lmbench_parts_deferred ?robust batch =
     let changes =
       List.filter_map
         (fun ((part : Profile.t), finish) ->
-          match finish () with
-          | Ok rel ->
-              Table.add_row table
-                [
-                  part.Profile.name; Exp_common.fmt_summary rel;
-                  Exp_common.fmt_pct_change rel;
-                ];
-              Some rel.Wmm_util.Stats.gmean
-          | Error msg ->
-              Table.add_row table [ part.Profile.name; "failed: " ^ msg; "-" ];
-              None)
+          let rel = finish () in
+          Table.add_row table (part.Profile.name :: Exp_common.relative_cells rel);
+          match rel with Ok r -> Some r.Stats.gmean | Error _ -> None)
         pending
     in
-    let mean = Wmm_util.Stats.mean (Array.of_list changes) in
+    let mean = Exp_common.mean_or_nan changes in
     Table.add_row table
       [ "arithmetic mean"; Printf.sprintf "%.4f" mean;
         Printf.sprintf "%+.1f%%" ((mean -. 1.) *. 100.) ];
     table
 
 let report ?engine ?robust () =
-  let engine =
-    match engine with Some e -> e | None -> Wmm_engine.Engine.sequential ()
+  let (fig9_table, sweeps), (fig10_table, cells), lmbench_table =
+    Experiment.run ?engine (fun batch ->
+        let fig9_finish = fig9_deferred ?robust batch in
+        let fig10_finish = fig10_deferred ?robust batch in
+        let lmbench_finish = lmbench_parts_deferred ?robust batch in
+        fun () -> (fig9_finish (), fig10_finish (), lmbench_finish ()))
   in
-  let batch = Experiment.batch () in
-  let fig9_finish = fig9_deferred ?robust batch in
-  let fig10_finish = fig10_deferred ?robust batch in
-  let lmbench_finish = lmbench_parts_deferred ?robust batch in
-  Experiment.run_batch engine batch;
-  let fig9_table, sweeps = fig9_finish () in
-  let fig10_table, cells = fig10_finish () in
   String.concat "\n"
     [
       Exp_common.header "Figure 9: sensitivity to read_barrier_depends";
@@ -269,5 +256,5 @@ let report ?engine ?robust () =
       "context-dependent behaviour (the paper highlights ctrl and dmb ishld).";
       "";
       Exp_common.header "lmbench sub-benchmarks (aggregated by arithmetic mean, as in the paper)";
-      Table.render (lmbench_finish ());
+      Table.render lmbench_table;
     ]

@@ -32,6 +32,13 @@ let machine_config = function
      outcomes are a sound subset of the RC11-allowed set. *)
   | Axiomatic.Rc11 -> Relaxed.sc_config
 
+let models_for ~parsed test =
+  List.filter
+    (fun m ->
+      Test.expected_under test m <> None
+      || (parsed && (m = Axiomatic.Arm || m = Axiomatic.Power)))
+    Axiomatic.all_models
+
 let relaxed_satisfies test (o : Relaxed.outcome) =
   outcome_satisfies test ~registers:o.Relaxed.registers ~memory:o.Relaxed.memory
 

@@ -24,6 +24,12 @@ val machine_config : Axiomatic.model -> Relaxed.config
     implements the language tier; the SC machine's outcomes are a
     sound subset of the RC11-allowed set, so RC11 goes to it. *)
 
+val models_for : parsed:bool -> Test.t -> Axiomatic.model list
+(** The models a test's verdicts are checked under, in
+    [Axiomatic.all_models] order: those the test is annotated for, plus
+    ARMv8 and POWER for a [parsed] test (from a litmus file or an
+    inline program), which carries no annotations. *)
+
 val run_random :
   ?iterations:int -> ?seed:int -> Axiomatic.model -> Relaxed.config -> Test.t -> verdict
 (** Randomly scheduled executions (default 2000). *)

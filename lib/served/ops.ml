@@ -1,4 +1,3 @@
-open Wmm_model
 open Wmm_litmus
 module Engine = Wmm_engine.Engine
 module Task = Wmm_engine.Task
@@ -24,19 +23,6 @@ let resolve_litmus_tests ~tests ~program =
               | Some t -> (t, false)
               | None -> failwith (Printf.sprintf "unknown litmus test %S" name))
             names)
-
-(* Mirrors the one-shot CLI's selection: annotated models for library
-   tests; for inline programs (no annotations) the requested model or
-   the weak-model pair. *)
-let models_for ~requested ~from_program test =
-  match requested with
-  | Some m -> [ m ]
-  | None ->
-      List.filter
-        (fun m ->
-          Test.expected_under test m <> None
-          || (from_program && (m = Axiomatic.Arm || m = Axiomatic.Power)))
-        Axiomatic.all_models
 
 let verdict_item ?certificate v =
   let open Check in
@@ -69,7 +55,9 @@ let run_litmus ~engine ~tests ~program ~model ~mode ~certify =
       (fun (test, from_program) ->
         List.map
           (fun m -> (test, m, from_program))
-          (models_for ~requested:model ~from_program test))
+          (match model with
+          | Some m -> [ m ]
+          | None -> Check.models_for ~parsed:from_program test))
       selected
   in
   let mode_key =
@@ -148,12 +136,7 @@ let run_analyze ~engine ~tests ~arch ~cost =
 (* conform *)
 
 let run_conform ~engine ~arch ~max_edges ~limit ~infer_limit =
-  let family = Wmm_synth.Synth.generate ~max_edges arch in
-  let tests =
-    List.filteri
-      (fun i _ -> limit = 0 || i < limit)
-      (List.map (fun g -> g.Wmm_synth.Synth.g_test) family)
-  in
+  let tests = Wmm_synth.Synth.battery ~max_edges ~limit arch in
   let report =
     Wmm_synth.Conform.run
       ~config:{ Wmm_synth.Conform.default_config with infer_limit }
@@ -202,68 +185,30 @@ let resolve_schemes ~default = function
           | None -> failwith (Printf.sprintf "unknown compilation scheme %S" name))
         names
 
-(* A lang test name resolves against the lock suite first, then the
-   litmus library (lifted to C11 accesses). *)
-let resolve_lang_tests ~default names =
-  match names with
-  | [] -> default ()
-  | names ->
-      List.map
-        (fun name ->
-          let base =
-            if Filename.check_suffix name "+c11" then Filename.chop_suffix name "+c11"
-            else name
-          in
-          match Wmm_lang.Locks.by_name name with
-          | Some l -> Wmm_lang.Locks.test_of l
-          | None -> (
-              match Library.by_name base with
-              | Some t -> Wmm_lang.C11.lift_test t
-              | None -> failwith (Printf.sprintf "unknown lang test %S" name)))
-        names
-
-let cap limit tests = List.filteri (fun i _ -> limit = 0 || i < limit) tests
+let resolve_lang_tests ~limit ~default names =
+  match Wmm_lang.Catalog.select ~limit ~default names with
+  | Ok tests -> tests
+  | Error name -> failwith (Printf.sprintf "unknown lang test %S" name)
 
 let run_lang ~engine ~action ~tests ~schemes ~limit =
   let open Wmm_lang in
   match action with
   | Protocol.L_explore ->
       ignore engine;
-      let battery =
-        cap limit
-          (resolve_lang_tests ~default:(fun () -> List.map Locks.test_of Locks.all)
-             tests)
-      in
       List.map
         (fun (t : Test.t) ->
-          let outcomes =
-            Wmm_model.Enumerate.allowed_outcomes Wmm_model.Axiomatic.Rc11
-              t.Test.program
-          in
+          let outcomes, witness = Catalog.explore t in
           obj
             [
               ("test", Json.Str t.Test.name);
               ("model", Json.Str "rc11");
-              ("outcomes", Json.of_int (List.length outcomes));
-              ( "witness_reachable",
-                Json.Bool
-                  (Wmm_model.Enumerate.outcome_allowed Wmm_model.Axiomatic.Rc11
-                     t.Test.program
-                     {
-                       Wmm_model.Enumerate.registers = t.Test.condition;
-                       memory = t.Test.mem_condition;
-                     }) );
+              ("outcomes", Json.of_int outcomes);
+              ("witness_reachable", Json.Bool witness);
             ])
-        battery
+        (resolve_lang_tests ~limit ~default:Catalog.locks tests)
   | Protocol.L_conform ->
       let schemes = resolve_schemes ~default:Compile.all_schemes schemes in
-      let battery =
-        cap limit
-          (resolve_lang_tests
-             ~default:(fun () ->
-               List.map C11.lift_test Library.all @ List.map Locks.test_of Locks.all)
-             tests)
-      in
+      let battery = resolve_lang_tests ~limit ~default:Catalog.conform_default tests in
       let report = Contain.run ~schemes ~engine battery in
       let summary =
         obj

@@ -372,6 +372,11 @@ let generate ?(max_edges = Cycle.default_max_edges) ?atomics arch =
   in
   uniquify (base @ cas)
 
+let battery ~max_edges ~limit arch =
+  List.filteri
+    (fun i _ -> limit = 0 || i < limit)
+    (List.map (fun g -> g.g_test) (generate ~max_edges arch))
+
 let verdict_models arch = [ Axiomatic.Sc; Axiomatic.Tso; Axiomatic.model_for_arch arch ]
 
 let with_verdicts ?models arch (t : Test.t) =

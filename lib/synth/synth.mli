@@ -43,6 +43,10 @@ val generate : ?max_edges:int -> ?atomics:bool -> Arch.t -> generated list
     ties).  [atomics] (default: true on ARMv8 only, since exclusives
     print in ARM syntax) appends {!cas_tests}. *)
 
+val battery : max_edges:int -> limit:int -> Arch.t -> Test.t list
+(** The conformance battery: the tests of {!generate} at [max_edges],
+    capped at the first [limit] (0 = the whole family). *)
+
 val verdict_models : Arch.t -> Axiomatic.model list
 (** [Sc; Tso; model_for_arch arch] — the models a generated test's
     verdicts are computed under. *)

@@ -16,24 +16,29 @@ let base = Generate.Jvm_platform (Jvm.default arch)
 
 let inject_all uops = Generate.Jvm_platform (Jvm.with_injection_all (Jvm.default arch) uops)
 
+let relative ?(samples = 3) ?seed profile ~base ~test =
+  match
+    Experiment.run (fun batch ->
+        Experiment.relative_deferred batch ~samples ?seed ~label:"test" profile ~base ~test)
+  with
+  | Ok rel -> rel.Wmm_util.Stats.gmean
+  | Error msg -> Alcotest.fail msg
+
 let test_identical_configs_relative_one () =
-  let rel = Experiment.relative_performance ~samples:3 tiny ~base ~test:base in
-  Alcotest.(check (float 1e-9)) "exactly 1" 1. rel.Wmm_util.Stats.gmean
+  Alcotest.(check (float 1e-9)) "exactly 1" 1. (relative tiny ~base ~test:base)
 
 let test_injection_slows () =
-  let rel =
-    Experiment.relative_performance ~samples:3 tiny ~base
-      ~test:(inject_all [ Uop.Spin 256 ])
-  in
-  Alcotest.(check bool) "slower" true (rel.Wmm_util.Stats.gmean < 0.9)
+  Alcotest.(check bool) "slower" true
+    (relative tiny ~base ~test:(inject_all [ Uop.Spin 256 ]) < 0.9)
 
 let test_sweep_decreasing_and_fit () =
   let sweep =
-    Experiment.sweep ~samples:3 ~light:true ~code_path:"all"
-      ~iteration_counts:[ 1; 8; 64; 512 ]
-      ~base:(inject_all [ Uop.Nops 3 ])
-      ~inject:(fun cf -> inject_all [ Wmm_costfn.Cost_function.uop cf ])
-      tiny
+    Experiment.run (fun batch ->
+        Experiment.sweep_deferred batch ~samples:3 ~light:true ~code_path:"all"
+          ~iteration_counts:[ 1; 8; 64; 512 ]
+          ~base:(inject_all [ Uop.Nops 3 ])
+          ~inject:(fun cf -> inject_all [ Wmm_costfn.Cost_function.uop cf ])
+          tiny)
   in
   let ps =
     List.map (fun (p : Experiment.sweep_point) -> p.Experiment.relative.Wmm_util.Stats.gmean)
@@ -59,7 +64,7 @@ let test_inferred_cost_roundtrip () =
   let inferred = Experiment.inferred_cost_ns fit summary in
   Alcotest.(check bool) "round trip" true (abs_float (inferred -. 25.) < 1e-9)
 
-let test_ranking_matrix () =
+let test_ranking_cells () =
   let kernel_tiny =
     Profile.make "ktiny" ~threads:2 ~units_per_thread:60 ~unit_busy_cycles:600 ~unit_loads:6
       ~unit_stores:4 ~working_set:128 ~shared_locations:16 ~share_ratio:0.2
@@ -77,30 +82,19 @@ let test_ranking_matrix () =
   let path_builder macro uops =
     Generate.Kernel_platform (Kernel.with_injection (Kernel.default arch) macro uops)
   in
-  let cells =
-    Experiment.ranking_matrix ~samples:2 ~spin_iterations:256
-      ~paths:
-        [
-          ("smp_mb", path_builder Kernel.Smp_mb);
-          ("smp_wmb", path_builder Kernel.Smp_wmb);
-        ]
-      ~benchmarks:[ (kernel_tiny, kernel_builder) ]
-      ()
-  in
-  Alcotest.(check int) "two cells" 2 (List.length cells);
-  let rel_of name =
-    (List.find (fun (c : Experiment.cell) -> c.Experiment.code_path = name) cells)
-      .Experiment.relative.Wmm_util.Stats.gmean
+  (* A fixed 256-iteration cost function in one macro, against every
+     macro padded with nops of the same size (the paper's Fig. 7 cell). *)
+  let cf = Wmm_costfn.Cost_function.make arch 256 in
+  let rel_of macro =
+    relative ~samples:2 ~seed:23 kernel_tiny
+      ~base:(kernel_builder [ Wmm_costfn.Cost_function.nop_padding arch cf ])
+      ~test:(path_builder macro [ Wmm_costfn.Cost_function.uop cf ])
   in
   (* The benchmark invokes smp_mb but never smp_wmb: injecting into
      smp_mb must hurt, into smp_wmb must not. *)
-  Alcotest.(check bool) "smp_mb impact" true (rel_of "smp_mb" < 0.95);
-  Alcotest.(check bool) "smp_wmb no impact" true (abs_float (rel_of "smp_wmb" -. 1.) < 0.05);
-  (* Aggregations. *)
-  let by_path = Experiment.sum_by_code_path cells in
-  Alcotest.(check string) "most impactful path first" "smp_mb" (fst (List.hd by_path));
-  let by_bench = Experiment.sum_by_benchmark cells in
-  Alcotest.(check int) "one benchmark row" 1 (List.length by_bench)
+  Alcotest.(check bool) "smp_mb impact" true (rel_of Kernel.Smp_mb < 0.95);
+  Alcotest.(check bool) "smp_wmb no impact" true
+    (abs_float (rel_of Kernel.Smp_wmb -. 1.) < 0.05)
 
 let test_divergence_flag () =
   Alcotest.(check bool) "divergent" true
@@ -120,7 +114,7 @@ let suite =
     Alcotest.test_case "injection slows benchmark" `Quick test_injection_slows;
     Alcotest.test_case "sweep decreasing + fit" `Quick test_sweep_decreasing_and_fit;
     Alcotest.test_case "eq2 round trip via experiment" `Quick test_inferred_cost_roundtrip;
-    Alcotest.test_case "ranking matrix" `Quick test_ranking_matrix;
+    Alcotest.test_case "ranking matrix" `Quick test_ranking_cells;
     Alcotest.test_case "divergence flag" `Quick test_divergence_flag;
     Alcotest.test_case "measure of profile" `Quick test_measure_of_profile;
   ]

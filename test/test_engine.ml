@@ -15,31 +15,54 @@ let profile =
   { Wmm_workload.Dacapo.spark with Wmm_workload.Profile.threads = 2; units_per_thread = 30 }
 
 let small_sweep engine =
-  let batch = Experiment.batch () in
-  let finish =
-    Experiment.sweep_deferred batch ~samples:2 ~light:true ~iteration_counts:[ 4; 32 ]
-      ~code_path:"engine test" ~base:(Exp_common.jvm_nop_base arch)
-      ~inject:(fun cf ->
-        Exp_common.jvm_platform ~inject_all:[ Wmm_costfn.Cost_function.uop cf ] arch)
-      profile
+  Experiment.run ~engine (fun batch ->
+      Experiment.sweep_deferred batch ~samples:2 ~light:true ~iteration_counts:[ 4; 32 ]
+        ~code_path:"engine test" ~base:(Exp_common.jvm_nop_base arch)
+        ~inject:(fun cf ->
+          Exp_common.jvm_platform ~inject_all:[ Wmm_costfn.Cost_function.uop cf ] arch)
+        profile)
+
+(* The reference procedure, written out directly: summarise each
+   platform's raw samples, normalise every point against the base, fit
+   eq. 1.  The engine path must reproduce it exactly. *)
+let direct_sweep () =
+  let summary platform =
+    Wmm_util.Stats.summarise (Experiment.performance_values ~samples:2 profile platform)
   in
-  Experiment.run_batch engine batch;
-  finish ()
+  let base = summary (Exp_common.jvm_nop_base arch) in
+  let points =
+    List.map
+      (fun n ->
+        let cf = Wmm_costfn.Cost_function.make ~light:true arch n in
+        let test =
+          summary
+            (Exp_common.jvm_platform ~inject_all:[ Wmm_costfn.Cost_function.uop cf ] arch)
+        in
+        {
+          Experiment.iterations = n;
+          cost_ns = Wmm_costfn.Cost_function.standalone_ns cf;
+          relative = Wmm_util.Stats.ratio_summary ~test ~base;
+        })
+      [ 4; 32 ]
+  in
+  let xs = Array.of_list (List.map (fun p -> p.Experiment.cost_ns) points) in
+  let ys =
+    Array.of_list (List.map (fun p -> p.Experiment.relative.Wmm_util.Stats.gmean) points)
+  in
+  {
+    Experiment.benchmark = profile.Wmm_workload.Profile.name;
+    arch;
+    code_path = "engine test";
+    points;
+    dropped = 0;
+    fit = Sensitivity.fit_k ~xs ~ys;
+  }
 
 let test_sequential_vs_parallel () =
   let seq = small_sweep (Engine.create ~jobs:1 ()) in
   let par = small_sweep (Engine.create ~jobs:4 ()) in
   Alcotest.(check bool) "jobs=4 sweep structurally equal to jobs=1" true (seq = par);
-  (* The deferred path must also agree with the original direct
-     implementation it replaces. *)
-  let direct =
-    Experiment.sweep ~samples:2 ~light:true ~iteration_counts:[ 4; 32 ]
-      ~code_path:"engine test" ~base:(Exp_common.jvm_nop_base arch)
-      ~inject:(fun cf ->
-        Exp_common.jvm_platform ~inject_all:[ Wmm_costfn.Cost_function.uop cf ] arch)
-      profile
-  in
-  Alcotest.(check bool) "deferred sweep equals direct sweep" true (seq = direct)
+  Alcotest.(check bool) "deferred sweep equals direct sweep" true (seq = direct_sweep ())
 
 let rec rm_rf path =
   if Sys.is_directory path then begin
