@@ -167,6 +167,7 @@ let with_batch_engine b ~tag ~parts f =
     Wmm_engine.Engine.create ~jobs:b.jobs ~cache ~retries:b.retries ?journal ()
   in
   let result = f engine in
+  Option.iter Wmm_engine.Journal.close journal;
   record_exploration engine;
   prerr_endline (Wmm_engine.Engine.render_summary engine);
   Option.iter
@@ -837,17 +838,11 @@ let lang_cmd =
   let run action test_names scheme_names limit batch =
     let open Wmm_lang in
     let schemes ~default =
-      match scheme_names with
-      | [] -> default
-      | names ->
-          List.map
-            (fun name ->
-              match Compile.scheme_of_string name with
-              | Some s -> s
-              | None ->
-                  die "unknown compilation scheme %S; valid schemes: %s" name
-                    (String.concat " " (List.map Compile.scheme_name Compile.all_schemes)))
-            names
+      match Catalog.select_schemes ~default scheme_names with
+      | Ok schemes -> schemes
+      | Error name ->
+          die "unknown compilation scheme %S; valid schemes: %s" name
+            (String.concat " " (List.map Compile.scheme_name Compile.all_schemes))
     in
     let resolve_tests ~default =
       match Catalog.select ~limit ~default test_names with
@@ -879,18 +874,11 @@ let lang_cmd =
             report.Contain.disagreements <> []
       | "rank" ->
           let locks =
-            match test_names with
-            | [] -> Locks.all
-            | names ->
-                List.map
-                  (fun name ->
-                    match Locks.by_name name with
-                    | Some l -> l
-                    | None ->
-                        die "unknown lock %S; valid locks: %s" name
-                          (String.concat " "
-                             (List.map (fun (l : Locks.t) -> l.Locks.name) Locks.all)))
-                  names
+            match Catalog.select_locks test_names with
+            | Ok locks -> locks
+            | Error name ->
+                die "unknown lock %S; valid locks: %s" name
+                  (String.concat " " (List.map (fun (l : Locks.t) -> l.Locks.name) Locks.all))
           in
           let schemes = schemes ~default:Rank.default_schemes in
           fun engine ->

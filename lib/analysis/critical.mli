@@ -6,10 +6,10 @@ open Wmm_model
     A mixed cycle alternates program-order edges with inter-thread
     conflict edges; it is *critical* for a model iff at least one of
     its po edges is a relaxation the model permits (a "delay").  The
-    static [preserved] predicate mirrors
-    {!Wmm_model.Axiomatic.preserved_program_order} and
-    {!Wmm_model.Axiomatic.fence_order}; it deliberately omits the
-    [addr;po] and [dep;rfi] refinements, so it can only
+    static [preserved] predicate mirrors the preserved program order
+    and barrier order of {!Wmm_model.Axiomatic}'s models; it
+    deliberately omits the [addr;po] and [dep;rfi] refinements, so it
+    can only
     over-approximate the delay set — the extra fences that produces
     are pruned again by the placement minimiser. *)
 

@@ -41,7 +41,7 @@ let satisfies (cond : Certificate.condition) (o : Enumerate.outcome) =
    store-exclusive branching deterministically); the explorer keeps it
    as a relation. *)
 let events_of (x : Execution.t) =
-  let rmw_targets = List.map snd (Relation.to_list x.Execution.rmw) in
+  let rmw_targets = List.map snd (Bitrel.to_list x.Execution.rmw) in
   Array.to_list
     (Array.map
        (fun (e : Event.t) ->
@@ -68,7 +68,7 @@ let co_chains (x : Execution.t) =
   Hashtbl.fold
     (fun l ws acc ->
       let pred_count w =
-        List.length (List.filter (fun w' -> Relation.mem w' w x.Execution.co) ws)
+        List.length (List.filter (fun w' -> Bitrel.mem x.Execution.co w' w) ws)
       in
       let chain =
         List.sort (fun a b -> compare (pred_count a) (pred_count b)) ws
@@ -80,14 +80,14 @@ let co_chains (x : Execution.t) =
 let witness_of (x : Execution.t) (o : Enumerate.outcome) =
   {
     Certificate.w_events = events_of x;
-    w_rf = Relation.to_list x.Execution.rf;
+    w_rf = Bitrel.to_list x.Execution.rf;
     w_co = co_chains x;
     w_regs = o.Enumerate.registers;
     w_mem = o.Enumerate.memory;
   }
 
 let candidate_of (x : Execution.t) =
-  { Certificate.k_rf = Relation.to_list x.Execution.rf; k_co = co_chains x }
+  { Certificate.k_rf = Bitrel.to_list x.Execution.rf; k_co = co_chains x }
 
 (* ------------------------------------------------------------------ *)
 (* Claim builders.                                                     *)

@@ -2,7 +2,6 @@ type t = {
   jobs : int;
   pool : Workqueue.t option;
   cache : Cache.t;
-  seed : int;
   soft_deadline_s : float option;
   retries : int;
   backoff_s : float;
@@ -14,7 +13,7 @@ type t = {
 
 type 'a outcome = Computed of 'a | Cached of 'a | Replayed of 'a | Failed of string
 
-let create ?(jobs = 1) ?pool ?(cache = Cache.disabled) ?(seed = 0) ?soft_deadline_s
+let create ?(jobs = 1) ?pool ?(cache = Cache.disabled) ?soft_deadline_s
     ?(retries = 2) ?(backoff_s = 0.05) ?faults ?journal () =
   let jobs =
     match pool with
@@ -26,7 +25,6 @@ let create ?(jobs = 1) ?pool ?(cache = Cache.disabled) ?(seed = 0) ?soft_deadlin
     jobs;
     pool;
     cache;
-    seed;
     soft_deadline_s;
     retries = max 0 retries;
     backoff_s = max 0. backoff_s;
@@ -69,7 +67,7 @@ let attempt_task t ~token task =
          without threading it through every signature; [Cancelled] is
          not transient, so a cancelled attempt is never retried. *)
       Wmm_util.Cancel.with_ambient token (fun () ->
-          task.Task.run (Task.rng_for ~root_seed:t.seed key))
+          task.Task.run (Task.rng_for ~root_seed:0 key))
     with
     | v -> Ok (v, attempt + 1)
     | exception e when Fault.transient_exn e && attempt + 1 < max_attempts ->

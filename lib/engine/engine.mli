@@ -29,7 +29,6 @@ val create :
   ?jobs:int ->
   ?pool:Workqueue.t ->
   ?cache:Cache.t ->
-  ?seed:int ->
   ?soft_deadline_s:float ->
   ?retries:int ->
   ?backoff_s:float ->
@@ -39,8 +38,8 @@ val create :
   t
 (** [jobs] defaults to 1 (sequential; [0] means all domains as
     reported by [Domain.recommended_domain_count]); [cache] to
-    {!Cache.disabled}; [seed] (the root of the per-task RNG streams)
-    to 0.
+    {!Cache.disabled}.  Every task's RNG stream derives from its key
+    under the root seed 0.
 
     [pool], when given, is a persistent {!Workqueue} shared with the
     caller (and possibly with other engines): batches submit to it

@@ -1,12 +1,8 @@
-type mode = Rewrite | Append
-
 type t = {
   j_path : string;
   j_run_id : string;
-  mode : mode;
   lock : Mutex.t;
-  content : Buffer.t;  (* full current file body; maintained in Rewrite mode only *)
-  mutable append_fd : Unix.file_descr option;  (* open O_APPEND fd in Append mode *)
+  mutable append_fd : Unix.file_descr option;  (* opened by the first append *)
   replay_table : (string, string) Hashtbl.t;  (* key -> marshalled value *)
   loaded_entries : int;
   loaded_dropped : int;  (* torn / digest-mismatched lines skipped on open *)
@@ -160,9 +156,8 @@ let parse_line line =
 (* Open / replay / append.                                            *)
 (* ------------------------------------------------------------------ *)
 
-let open_ ?(dir = default_dir) ?(mode = Rewrite) ~run_id () =
+let open_ ?(dir = default_dir) ~run_id () =
   let path = Filename.concat dir (sanitize run_id ^ ".jsonl") in
-  let content = Buffer.create 4096 in
   let replay_table = Hashtbl.create 64 in
   let loaded = ref 0 in
   let dropped = ref 0 in
@@ -179,27 +174,18 @@ let open_ ?(dir = default_dir) ?(mode = Rewrite) ~run_id () =
                  (* Last occurrence wins; results are deterministic, so
                     duplicates across appended runs agree anyway. *)
                  if not (Hashtbl.mem replay_table key) then incr loaded;
-                 Hashtbl.replace replay_table key value_bytes;
-                 if mode = Rewrite then begin
-                   Buffer.add_string content line;
-                   Buffer.add_char content '\n'
-                 end
+                 Hashtbl.replace replay_table key value_bytes
              | Failed_entry _ ->
                  (* Failures are journaled for the record but never
                     replayed: they may have been transient. *)
-                 if mode = Rewrite then begin
-                   Buffer.add_string content line;
-                   Buffer.add_char content '\n'
-                 end
+                 ()
              | exception _ -> incr dropped (* torn / damaged / foreign: drop *)
            done
          with End_of_file -> ()));
   {
     j_path = path;
     j_run_id = run_id;
-    mode;
     lock = Mutex.create ();
-    content;
     append_fd = None;
     replay_table;
     loaded_entries = !loaded;
@@ -218,9 +204,8 @@ let replay t ~key =
   Option.map (fun bytes -> Marshal.from_string bytes 0) found
 
 (* Tmp names embed PID, domain and a process-global counter, the same
-   uniqueness discipline as the cache: concurrent journal writers
-   sharing a directory (two daemons, daemon plus CLI) can never race
-   on a tmp path. *)
+   uniqueness discipline as the cache: concurrent fsck runs sharing a
+   directory can never race on a tmp path. *)
 let tmp_counter = Atomic.make 0
 
 let tmp_name path =
@@ -228,22 +213,18 @@ let tmp_name path =
     (Domain.self () :> int)
     (Atomic.fetch_and_add tmp_counter 1)
 
-(* Two durability disciplines.
+(* One durability discipline: each record goes to an O_APPEND fd in
+   ONE write(2).  A buffered channel could split one record across
+   several syscalls, so two processes appending to the same run id
+   could interleave mid-record; a single O_APPEND write is atomic with
+   respect to the file offset, so concurrent writers can at worst tear
+   the final line of a crashed process - which the load-time parser
+   skips.  Each append costs O(line), not O(file).
 
-   [Rewrite] (the one-shot default): every append rewrites the whole
-   file through a tmp + atomic rename, so a crash at any point leaves
-   either the previous or the new complete journal - never a torn
-   line.  Journals of one-shot runs are small, so the quadratic
-   rewrite cost is noise next to the tasks themselves.
-
-   [Append] (the daemon's mode): the whole line goes to an O_APPEND
-   fd in ONE write(2).  A buffered channel could split one record
-   across several syscalls, so two processes appending to the same
-   run id could interleave mid-record; a single O_APPEND write is
-   atomic with respect to the file offset, so concurrent writers can
-   at worst tear the final line of a crashed process — which the
-   load-time parser already skips.  Incremental cost stays O(line)
-   instead of O(file). *)
+   A torn final line has no newline, so the next record would extend
+   it and be lost with it on load.  The first write through a fresh fd
+   therefore starts with a newline when the file ends mid-line: the
+   torn fragment stays a line of its own. *)
 let write_all fd s =
   let n = String.length s in
   let rec go off =
@@ -254,41 +235,30 @@ let write_all fd s =
   in
   go 0
 
+let ends_mid_line fd =
+  let size = (Unix.fstat fd).Unix.st_size in
+  size > 0
+  &&
+  let last = Bytes.create 1 in
+  ignore (Unix.lseek fd (size - 1) Unix.SEEK_SET);
+  Unix.read fd last 0 1 = 1 && Bytes.get last 0 <> '\n'
+
 let append t line =
   Mutex.lock t.lock;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.lock)
     (fun () ->
-      match t.mode with
-      | Append -> (
-          try
-            let fd =
-              match t.append_fd with
-              | Some fd -> fd
-              | None ->
-                  mkdir_p (Filename.dirname t.j_path);
-                  let fd =
-                    Unix.openfile t.j_path
-                      [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ]
-                      0o644
-                  in
-                  t.append_fd <- Some fd;
-                  fd
-            in
-            write_all fd (line ^ "\n")
-          with _ -> ())
-      | Rewrite -> (
-          Buffer.add_string t.content line;
-          Buffer.add_char t.content '\n';
-          let tmp = tmp_name t.j_path in
-          try
+      try
+        match t.append_fd with
+        | Some fd -> write_all fd (line ^ "\n")
+        | None ->
             mkdir_p (Filename.dirname t.j_path);
-            let oc = open_out_bin tmp in
-            Fun.protect
-              ~finally:(fun () -> close_out_noerr oc)
-              (fun () -> Buffer.output_buffer oc t.content);
-            Sys.rename tmp t.j_path
-          with _ -> ( try Sys.remove tmp with _ -> ())))
+            let fd =
+              Unix.openfile t.j_path [ Unix.O_RDWR; Unix.O_APPEND; Unix.O_CREAT ] 0o644
+            in
+            t.append_fd <- Some fd;
+            write_all fd ((if ends_mid_line fd then "\n" else "") ^ line ^ "\n")
+      with _ -> ())
 
 let record_ok t ~key value =
   let bytes = Marshal.to_string value [] in

@@ -8,17 +8,13 @@
     self-contained (the marshalled value is embedded hex-encoded in
     the line), so resume works even under [--no-cache].
 
-    Durability discipline: in the default [Rewrite] mode each append
-    rewrites the whole journal to a temporary file (made unique by
-    PID, domain and a process-global counter) and renames it over the
-    old one, so a crash at any point leaves either the previous or
-    the new complete journal - never a torn line.  Long-lived writers
-    (the served daemon) open in [Append] mode instead: lines go to an
-    O_APPEND channel with a flush per record, so each append costs
-    O(line) rather than O(file); a crash can tear at most the final
-    line.  Unparseable lines (torn appends, foreign writers,
-    pre-rename crashes of older formats) are skipped on load either
-    way.
+    Durability discipline: every record is one [write(2)] of a whole
+    line to an O_APPEND descriptor, so an append costs O(line) and
+    concurrent writers never interleave inside a record.  A crash can
+    tear at most the final line; unparseable lines (torn appends,
+    foreign writers) are skipped on load, and {!fsck} compacts them
+    away.  A writer whose journal ends in a torn line starts its first
+    record on a fresh line, so the fragment never swallows it.
 
     Line format (one JSON object per line):
     {v
@@ -51,13 +47,10 @@ val derived_run_id : tag:string -> string list -> string
     request derives the identical id, so resume-on-rerun is
     automatic without the user naming runs. *)
 
-type mode = Rewrite | Append
-
-val open_ : ?dir:string -> ?mode:mode -> run_id:string -> unit -> t
+val open_ : ?dir:string -> run_id:string -> unit -> t
 (** Open (creating lazily on first append) the journal for [run_id],
     loading any entries a previous run left behind.  The run id is
-    sanitised to filename-safe characters.  [mode] defaults to
-    [Rewrite]; see the durability note above. *)
+    sanitised to filename-safe characters. *)
 
 val path : t -> string
 val run_id : t -> string
@@ -83,8 +76,8 @@ val record_failed : t -> key:string -> msg:string -> unit
 (** Journal a permanently-failed task (recomputed on resume). *)
 
 val close : t -> unit
-(** Close the underlying fd of an [Append]-mode journal (no-op in
-    [Rewrite] mode, where nothing stays open between appends). *)
+(** Close the descriptor the first append opened (a no-op when nothing
+    was appended).  A later append reopens it. *)
 
 (** {1 Offline verification} *)
 

@@ -12,14 +12,24 @@ let find name =
 let locks () = List.map Locks.test_of Locks.all
 let conform_default () = C11.lifted_library () @ locks ()
 
-let select ~limit ~default names =
-  let rec resolve acc = function
+(* Every name through [lookup], in order, or the first it rejects. *)
+let resolve lookup names =
+  let rec go acc = function
     | [] -> Ok (List.rev acc)
     | name :: rest -> (
-        match find name with Some t -> resolve (t :: acc) rest | None -> Error name)
+        match lookup name with Some x -> go (x :: acc) rest | None -> Error name)
   in
-  let tests = if names = [] then Ok (default ()) else resolve [] names in
+  go [] names
+
+let select ~limit ~default names =
+  let tests = if names = [] then Ok (default ()) else resolve find names in
   Result.map (List.filteri (fun i _ -> limit = 0 || i < limit)) tests
+
+let select_schemes ~default = function
+  | [] -> Ok default
+  | names -> resolve Compile.scheme_of_string names
+
+let select_locks = function [] -> Ok Locks.all | names -> resolve Locks.by_name names
 
 let explore (t : Test.t) =
   let outcomes = Enumerate.allowed_outcomes Axiomatic.Rc11 t.Test.program in

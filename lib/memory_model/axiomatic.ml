@@ -39,7 +39,7 @@ type static = {
   addr_data : B.t;  (** addr U data, the source of the rf-dependent dep_rfi part of ppo *)
   rmw : B.t;
   ppo_static : B.t;  (** preserved program order minus its rf-dependent dep_rfi part *)
-  fence : B.t;  (** fence_order under [model] *)
+  fence : B.t;  (** barrier order under [model] *)
   sync : B.t;  (** POWER sync order; empty for other models *)
   prune_core : B.t;  (** static part of the monotone pruning core *)
   ext : B.t;  (** all cross-thread pairs, for external-part masking *)
@@ -96,12 +96,12 @@ let prepare_base (x : Execution.t) =
   let mem_m = B.Mask.of_pred n (fun i -> Event.is_read ev.(i) || Event.is_write ev.(i)) in
   let acq_m = B.Mask.of_pred n (fun i -> Event.is_acquire ev.(i)) in
   let rel_m = B.Mask.of_pred n (fun i -> Event.is_release ev.(i)) in
-  let po = B.of_relation n x.Execution.po in
+  let po = x.Execution.po in
   let po_loc = B.filter (fun a b -> Event.same_loc ev.(a) ev.(b)) po in
-  let addr = B.of_relation n x.Execution.addr in
-  let data = B.of_relation n x.Execution.data in
-  let ctrl = B.of_relation n x.Execution.ctrl in
-  let rmw = B.of_relation n x.Execution.rmw in
+  let addr = x.Execution.addr in
+  let data = x.Execution.data in
+  let ctrl = x.Execution.ctrl in
+  let rmw = x.Execution.rmw in
   let addr_data = B.union addr data in
   let fence_ids kindp =
     List.filter (fun i -> Event.is_fence ev.(i) && kindp ev.(i)) (List.init n Fun.id)
@@ -449,54 +449,11 @@ let prune_viable st ~rf ~co =
       && B.is_acyclic (B.union_all n [ st.prune_core; dep_rfi_of st ~rf ~rfe; rfe ])
 
 (* ------------------------------------------------------------------ *)
-(* Whole-execution API (compatibility layer over the static split).    *)
+(* Whole-execution checks: one-off [prepare], then the static API.     *)
 (* ------------------------------------------------------------------ *)
 
-let bit_rf_co (x : Execution.t) =
-  let n = Array.length x.Execution.events in
-  (B.of_relation n x.Execution.rf, B.of_relation n x.Execution.co)
+let violations model (x : Execution.t) =
+  violations_static (prepare model x) ~rf:x.Execution.rf ~co:x.Execution.co
 
-let violations model x =
-  let st = prepare model x in
-  let rf, co = bit_rf_co x in
-  violations_static st ~rf ~co
-
-let consistent model x = violations model x = []
-
-(* Exposed building blocks (tests, verdict explanations).  These pay
-   the one-off [prepare] cost; hot paths use the static API above. *)
-
-let fence_order model x = B.to_relation (prepare model x).fence
-
-let preserved_program_order model x =
-  let st = prepare model x in
-  match model with
-  | Sc | Tso | Rc11 -> B.to_relation st.ppo_static
-  | Arm | Power ->
-      let rf, _ = bit_rf_co x in
-      let rfe = external_part st rf in
-      B.to_relation (B.union st.ppo_static (dep_rfi_of st ~rf ~rfe))
-
-let happens_before model x =
-  let st = prepare model x in
-  let rf, co = bit_rf_co x in
-  let fr = fr_of ~rf ~co in
-  let rfe = external_part st rf in
-  match model with
-  | Sc -> B.to_relation (B.union st.po (B.union_all st.n [ rf; co; fr ]))
-  | Rc11 -> B.to_relation (Rc11.happens_before (Option.get st.rc11) ~rf ~co)
-  | Tso -> B.to_relation (B.union_all st.n [ st.ppo_static; st.fence; rfe ])
-  | Arm ->
-      B.to_relation
-        (B.union_all st.n
-           [
-             rfe;
-             external_part st fr;
-             external_part st co;
-             st.ppo_static;
-             dep_rfi_of st ~rf ~rfe;
-             st.fence;
-           ])
-  | Power ->
-      B.to_relation
-        (B.union_all st.n [ st.ppo_static; dep_rfi_of st ~rf ~rfe; st.fence; rfe ])
+let consistent model (x : Execution.t) =
+  consistent_static (prepare model x) ~rf:x.Execution.rf ~co:x.Execution.co

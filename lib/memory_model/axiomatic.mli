@@ -105,14 +105,3 @@ val prune_viable : static -> rf:Bitrel.t -> co:Bitrel.t -> bool
     partial candidate is inconsistent, so the search can cut the
     subtree; [true] promises nothing - complete candidates still need
     {!consistent_static}. *)
-
-(** Exposed building blocks (useful for tests and for explaining
-    verdicts). *)
-
-val preserved_program_order : model -> Execution.t -> Relation.t
-
-val fence_order : model -> Execution.t -> Relation.t
-(** Pairs of memory accesses ordered by an intervening barrier under
-    the given model's interpretation of each barrier instruction. *)
-
-val happens_before : model -> Execution.t -> Relation.t

@@ -253,11 +253,7 @@ let of_list n pairs =
   List.iter (fun (a, b) -> add r a b) pairs;
   r
 
-let of_relation n rel = of_list n (Relation.to_list rel)
-
 let to_list t = List.rev (fold (fun a b acc -> (a, b) :: acc) t [])
-
-let to_relation t = Relation.of_list (to_list t)
 
 let pp fmt t =
   Format.fprintf fmt "{%s}"

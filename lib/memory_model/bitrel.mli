@@ -5,10 +5,11 @@
     (63 bits per OCaml immediate word).  Union, intersection and
     composition run a word at a time, O(n^2/63); transitive closure is
     bitset Warshall, O(n^3/63); acyclicity is a DFS that exits on the
-    first back edge.  This is the hot-path backend behind {!Axiomatic}
-    and the {!Enumerate} exploration core; {!Relation} remains the
-    clarity-first pair-set used off the hot path, and the two are kept
-    in agreement by property tests. *)
+    first back edge.  This is the one relation type of the exploration
+    core: {!Execution} holds its relations as [t], and {!Axiomatic} and
+    {!Enumerate} compute with them.  Property tests keep every
+    operation in agreement with the certificate checker's independent
+    boolean-matrix relations. *)
 
 type t
 
@@ -111,13 +112,9 @@ val iter_succ : t -> int -> (int -> unit) -> unit
 
 val fold : (int -> int -> 'a -> 'a) -> t -> 'a -> 'a
 
-val of_relation : int -> Relation.t -> t
-
-val to_relation : t -> Relation.t
-
 val of_list : int -> (int * int) list -> t
 
 val to_list : t -> (int * int) list
-(** Sorted lexicographically, like [Relation.to_list]. *)
+(** The pairs, sorted lexicographically. *)
 
 val pp : Format.formatter -> t -> unit

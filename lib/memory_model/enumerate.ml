@@ -254,21 +254,40 @@ let rec permutations = function
 (* ------------------------------------------------------------------ *)
 (* Candidate skeleton: everything about one choice of per-thread runs
    that is independent of the rf/co assignment.  Built once per run
-   combination and shared by every candidate explored from it.         *)
+   combination and shared by every candidate explored from it.
+
+   The dependency and rmw edges stay sorted pair lists: they key the
+   static memo's shape normal form, which most run combinations only
+   need to compare.  The rf/co-free execution, program order included,
+   is built on first use - a static-memo miss, or a candidate
+   materialized for a certificate or the reference path.               *)
 (* ------------------------------------------------------------------ *)
 
 type skeleton = {
   all_events : Event.t array;
-  sk_po : Relation.t;
-  sk_addr : Relation.t;
-  sk_data : Relation.t;
-  sk_ctrl : Relation.t;
-  sk_rmw : Relation.t;
+  sk_addr : (int * int) list;
+  sk_data : (int * int) list;
+  sk_ctrl : (int * int) list;
+  sk_rmw : (int * int) list;
+  sk_exec : Execution.t Lazy.t;
+      (** rf and co empty; shared by every candidate, never mutated *)
   init_ids : (Instr.loc * int) list;
   sk_locations : Instr.loc list;
   sk_reads : int list;
   sk_writes : int list;
 }
+
+(* Pairs collected newest first, as a sorted, duplicate-free list.
+   Event order, reversed back, is almost always sorted already, and
+   [List.sort_uniq] allocates several times what the edges themselves
+   do on every run combination, so only the exceptions pay for it. *)
+let sorted_pairs rev_pairs =
+  let rec strictly_sorted = function
+    | a :: (b :: _ as rest) -> compare a b < 0 && strictly_sorted rest
+    | _ -> true
+  in
+  let pairs = List.rev rev_pairs in
+  if strictly_sorted pairs then pairs else List.sort_uniq compare pairs
 
 let skeleton_of_runs (p : Program.t) (runs : run array) =
   (* Locations touched by any event or named in the program. *)
@@ -304,11 +323,10 @@ let skeleton_of_runs (p : Program.t) (runs : run array) =
         ))
       locations
   in
-  let po = ref Relation.empty in
-  let addr = ref Relation.empty in
-  let data = ref Relation.empty in
-  let ctrl = ref Relation.empty in
-  let rmw = ref Relation.empty in
+  let addr = ref [] in
+  let data = ref [] in
+  let ctrl = ref [] in
+  let rmw = ref [] in
   let read_global = Hashtbl.create 16 in
   (* (tid, read index) -> global id *)
   Array.iteri
@@ -323,24 +341,48 @@ let skeleton_of_runs (p : Program.t) (runs : run array) =
             (gid, e))
           run.events
       in
-      (* Transitive program order within the thread. *)
-      List.iteri
-        (fun i (gi, _) ->
-          List.iteri (fun j (gj, _) -> if i < j then po := Relation.add gi gj !po) ids)
-        ids;
       List.iter
         (fun (gid, e) ->
           let resolve idx = Hashtbl.find read_global (tid, idx) in
-          List.iter (fun i -> addr := Relation.add (resolve i) gid !addr) e.l_addr_deps;
-          List.iter (fun i -> data := Relation.add (resolve i) gid !data) e.l_data_deps;
-          List.iter (fun i -> ctrl := Relation.add (resolve i) gid !ctrl) e.l_ctrl_deps;
-          Option.iter (fun i -> rmw := Relation.add (resolve i) gid !rmw) e.l_rmw_source)
+          List.iter (fun i -> addr := (resolve i, gid) :: !addr) e.l_addr_deps;
+          List.iter (fun i -> data := (resolve i, gid) :: !data) e.l_data_deps;
+          List.iter (fun i -> ctrl := (resolve i, gid) :: !ctrl) e.l_ctrl_deps;
+          Option.iter (fun i -> rmw := (resolve i, gid) :: !rmw) e.l_rmw_source)
         ids)
     runs;
+  let n = !next_id in
   let all_events =
-    let arr = Array.make !next_id (List.hd !events) in
+    let arr = Array.make n (List.hd !events) in
     List.iter (fun (e : Event.t) -> arr.(e.Event.id) <- e) !events;
     arr
+  in
+  let addr = sorted_pairs !addr
+  and data = sorted_pairs !data
+  and ctrl = sorted_pairs !ctrl
+  and rmw = sorted_pairs !rmw in
+  let exec =
+    lazy
+      (let po = Bitrel.create n in
+       (* Transitive program order within each thread. *)
+       Array.iter
+         (fun (a : Event.t) ->
+           Array.iter
+             (fun (b : Event.t) ->
+               if a.Event.tid = b.Event.tid && a.Event.id < b.Event.id && not (Event.is_init a)
+               then Bitrel.add po a.Event.id b.Event.id)
+             all_events)
+         all_events;
+       let empty = Bitrel.create n in
+       {
+         Execution.events = all_events;
+         po;
+         rf = empty;
+         co = empty;
+         addr = Bitrel.of_list n addr;
+         data = Bitrel.of_list n data;
+         ctrl = Bitrel.of_list n ctrl;
+         rmw = Bitrel.of_list n rmw;
+       })
   in
   let reads =
     Array.to_list all_events |> List.filter Event.is_read |> List.map (fun e -> e.Event.id)
@@ -350,11 +392,11 @@ let skeleton_of_runs (p : Program.t) (runs : run array) =
   in
   {
     all_events;
-    sk_po = !po;
-    sk_addr = !addr;
-    sk_data = !data;
-    sk_ctrl = !ctrl;
-    sk_rmw = !rmw;
+    sk_addr = addr;
+    sk_data = data;
+    sk_ctrl = ctrl;
+    sk_rmw = rmw;
+    sk_exec = exec;
     init_ids;
     sk_locations = locations;
     sk_reads = reads;
@@ -400,29 +442,26 @@ let memory_of_chains skel chains =
          (l, Option.get (Event.value skel.all_events.(last))))
        chains)
 
-(* The rf/co-free execution a skeleton denotes, for static preparation
-   and for materializing complete candidates. *)
-let execution_of_skeleton skel ~rf ~co =
-  {
-    Execution.events = skel.all_events;
-    po = skel.sk_po;
-    rf;
-    co;
-    addr = skel.sk_addr;
-    data = skel.sk_data;
-    ctrl = skel.sk_ctrl;
-    rmw = skel.sk_rmw;
-  }
+(* A complete candidate: the skeleton's shared execution with rf and
+   co filled in. *)
+let candidate skel ~rf ~co = { (Lazy.force skel.sk_exec) with Execution.rf; co }
 
-let co_relation chains =
-  List.fold_left
-    (fun acc (_, chain) ->
-      let rec pairs = function
-        | [] | [ _ ] -> []
-        | x :: rest -> List.map (fun y -> (x, y)) rest @ pairs rest
+let rf_relation skel rf_pairs = Bitrel.of_list (Array.length skel.all_events) rf_pairs
+
+(* Each chain orders every write before all the writes after it. *)
+let co_relation skel chains =
+  let co = Bitrel.create (Array.length skel.all_events) in
+  List.iter
+    (fun (_, chain) ->
+      let rec order = function
+        | [] -> ()
+        | x :: rest ->
+            List.iter (fun y -> Bitrel.add co x y) rest;
+            order rest
       in
-      List.fold_left (fun acc (a, b) -> Relation.add a b acc) acc (pairs chain))
-    Relation.empty chains
+      order chain)
+    chains;
+  co
 
 (* ------------------------------------------------------------------ *)
 (* Exploration statistics.                                             *)
@@ -559,10 +598,10 @@ let skeleton_norm skel =
     (e.Event.tid, e.Event.po_index, action)
   in
   ( Array.map normalize skel.all_events,
-    Relation.to_list skel.sk_addr,
-    Relation.to_list skel.sk_data,
-    Relation.to_list skel.sk_ctrl,
-    Relation.to_list skel.sk_rmw,
+    skel.sk_addr,
+    skel.sk_data,
+    skel.sk_ctrl,
+    skel.sk_rmw,
     skel.init_ids,
     skel.sk_locations )
 
@@ -610,10 +649,7 @@ let static_for model skel =
               match memo_find base_memo key with
               | Some b -> b
               | None ->
-                  let b =
-                    Axiomatic.prepare_base
-                      (execution_of_skeleton skel ~rf:Relation.empty ~co:Relation.empty)
-                  in
+                  let b = Axiomatic.prepare_base (Lazy.force skel.sk_exec) in
                   memo_store base_memo key b;
                   b
             in
@@ -889,8 +925,7 @@ let candidate_executions ?(fuel = 1024) (p : Program.t) =
       let registers = registers_of_runs runs in
       search skel ~emit:(fun ~rf_pairs ~chains ->
           let x =
-            execution_of_skeleton skel ~rf:(Relation.of_list rf_pairs)
-              ~co:(co_relation chains)
+            candidate skel ~rf:(rf_relation skel rf_pairs) ~co:(co_relation skel chains)
           in
           acc := (x, { registers; memory = memory_of_chains skel chains }) :: !acc))
     (run_combos ~fuel p);
@@ -926,10 +961,10 @@ module Reference = struct
       let co_assignments = cartesian co_per_loc in
       List.concat_map
         (fun rf_pairs ->
-          let rf = Relation.of_list rf_pairs in
+          let rf = rf_relation skel rf_pairs in
           List.filter_map
             (fun chains ->
-              let x = execution_of_skeleton skel ~rf ~co:(co_relation chains) in
+              let x = candidate skel ~rf ~co:(co_relation skel chains) in
               match Execution.well_formed x with Ok () -> Some x | Error _ -> None)
             co_assignments)
         rf_assignments

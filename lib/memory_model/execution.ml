@@ -1,17 +1,15 @@
 type t = {
   events : Event.t array;
-  po : Relation.t;
-  rf : Relation.t;
-  co : Relation.t;
-  addr : Relation.t;
-  data : Relation.t;
-  ctrl : Relation.t;
-  rmw : Relation.t;
+  po : Bitrel.t;
+  rf : Bitrel.t;
+  co : Bitrel.t;
+  addr : Bitrel.t;
+  data : Bitrel.t;
+  ctrl : Bitrel.t;
+  rmw : Bitrel.t;
 }
 
 let event t id = t.events.(id)
-
-let event_ids t = List.init (Array.length t.events) Fun.id
 
 let select t p =
   Array.to_list t.events |> List.filter p |> List.map (fun (e : Event.t) -> e.Event.id)
@@ -19,43 +17,32 @@ let select t p =
 let reads t = select t Event.is_read
 let writes t = select t Event.is_write
 
-let fr t =
-  (* A read r "from-reads" a write w when w is co-after the write r
-     read from; exclude the identity that arises from rf^-1;co hitting
-     the same write. *)
-  Relation.filter (fun a b -> a <> b) (Relation.compose (Relation.inverse t.rf) t.co)
+(* A read r "from-reads" a write w when w is co-after the write r read
+   from; exclude the identity that arises from rf^-1;co hitting the
+   same write. *)
+let fr t = Bitrel.remove_diagonal (Bitrel.compose (Bitrel.inverse t.rf) t.co)
 
-let po_loc t =
-  Relation.filter (fun a b -> Event.same_loc t.events.(a) t.events.(b)) t.po
-
-let com t = Relation.union_all [ t.rf; t.co; fr t ]
-
-let external_rel t r =
-  Relation.filter (fun a b -> t.events.(a).Event.tid <> t.events.(b).Event.tid) r
-
-let internal_rel t r =
-  Relation.filter (fun a b -> t.events.(a).Event.tid = t.events.(b).Event.tid) r
-
-let rfe t = external_rel t t.rf
-let rfi t = internal_rel t t.rf
-let coe t = external_rel t t.co
-let fre t = external_rel t (fr t)
+let rfe t = Bitrel.filter (fun a b -> t.events.(a).Event.tid <> t.events.(b).Event.tid) t.rf
 
 let final_memory t =
   let module IM = Map.Make (Int) in
   let last = ref IM.empty in
   (* The co-maximal write for location l is the write to l with no
      outgoing co edge. *)
+  let has_successor w =
+    let exception Found in
+    try
+      Bitrel.iter_succ t.co w (fun _ -> raise Found);
+      false
+    with Found -> true
+  in
   List.iter
     (fun w ->
       let e = t.events.(w) in
       match Event.loc e with
       | None -> ()
       | Some l ->
-          let has_successor =
-            List.exists (fun (a, _) -> a = w) (Relation.to_list t.co)
-          in
-          if not has_successor then last := IM.add l (Option.get (Event.value e)) !last)
+          if not (has_successor w) then last := IM.add l (Option.get (Event.value e)) !last)
     (writes t);
   (* Locations whose only write is the init write still appear because
      init writes are events. *)
@@ -64,30 +51,31 @@ let final_memory t =
 let well_formed t =
   let problem = ref None in
   let fail msg = if !problem = None then problem := Some msg in
-  (* rf edges relate a write to a same-location same-value read. *)
-  List.iter
-    (fun (w, r) ->
+  (* rf edges relate a write to a same-location same-value read; count
+     each read's sources on the way. *)
+  let sources = Array.make (Array.length t.events) 0 in
+  Bitrel.iter
+    (fun w r ->
       let ew = t.events.(w) and er = t.events.(r) in
       if not (Event.is_write ew) then fail "rf source is not a write";
       if not (Event.is_read er) then fail "rf target is not a read";
       if not (Event.same_loc ew er) then fail "rf relates different locations";
-      if Event.value ew <> Event.value er then fail "rf relates different values")
-    (Relation.to_list t.rf);
+      if Event.value ew <> Event.value er then fail "rf relates different values";
+      sources.(r) <- sources.(r) + 1)
+    t.rf;
   (* Every read has exactly one rf source. *)
   List.iter
-    (fun r ->
-      let sources = List.filter (fun (_, r') -> r' = r) (Relation.to_list t.rf) in
-      if List.length sources <> 1 then fail "read without unique rf source")
+    (fun r -> if sources.(r) <> 1 then fail "read without unique rf source")
     (reads t);
   (* co is irreflexive, same-location, writes only. *)
-  List.iter
-    (fun (a, b) ->
+  Bitrel.iter
+    (fun a b ->
       let ea = t.events.(a) and eb = t.events.(b) in
       if a = b then fail "co is reflexive";
       if not (Event.is_write ea && Event.is_write eb) then fail "co relates non-writes";
       if not (Event.same_loc ea eb) then fail "co relates different locations")
-    (Relation.to_list t.co);
-  if not (Relation.is_acyclic t.co) then fail "co is cyclic";
+    t.co;
+  if not (Bitrel.is_acyclic t.co) then fail "co is cyclic";
   (* co totality per location. *)
   let ws = writes t in
   List.iter
@@ -95,7 +83,7 @@ let well_formed t =
       List.iter
         (fun b ->
           if a < b && Event.same_loc t.events.(a) t.events.(b) then
-            if not (Relation.mem a b t.co || Relation.mem b a t.co) then
+            if not (Bitrel.mem t.co a b || Bitrel.mem t.co b a) then
               fail "co not total on a location")
         ws)
     ws;

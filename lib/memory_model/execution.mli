@@ -1,50 +1,38 @@
 open Wmm_isa
 (** Candidate executions: events plus the base relations (po, rf, co,
-    dependencies) and the standard derived relations of the herding
-    cats framework. *)
+    dependencies) of the herding cats framework.
+
+    Every relation is a {!Bitrel.t} over the event ids, sized to the
+    event count.  The candidates of one run combination share their
+    events and their rf/co-free relations (po, addr, data, ctrl, rmw),
+    and may share rf across coherence choices, so no relation of an
+    execution may be mutated. *)
 
 type t = {
   events : Event.t array;  (** Indexed by event id. *)
-  po : Relation.t;  (** Program order, transitively closed, per thread. *)
-  rf : Relation.t;  (** Reads-from: write -> read, same loc and value. *)
-  co : Relation.t;  (** Coherence: per-location total order on writes. *)
-  addr : Relation.t;  (** Address dependencies: read -> access. *)
-  data : Relation.t;  (** Data dependencies: read -> write. *)
-  ctrl : Relation.t;  (** Control dependencies: read -> later event. *)
-  rmw : Relation.t;
+  po : Bitrel.t;  (** Program order, transitively closed, per thread. *)
+  rf : Bitrel.t;  (** Reads-from: write -> read, same loc and value. *)
+  co : Bitrel.t;  (** Coherence: per-location total order on writes. *)
+  addr : Bitrel.t;  (** Address dependencies: read -> access. *)
+  data : Bitrel.t;  (** Data dependencies: read -> write. *)
+  ctrl : Bitrel.t;  (** Control dependencies: read -> later event. *)
+  rmw : Bitrel.t;
       (** Read-modify-write pairs: the exclusive read -> the paired
           successful exclusive write. *)
 }
 
 val event : t -> int -> Event.t
 
-val event_ids : t -> int list
-
 val reads : t -> int list
 val writes : t -> int list
 
-val select : t -> (Event.t -> bool) -> int list
-
-val fr : t -> Relation.t
+val fr : t -> Bitrel.t
 (** From-reads: [rf^-1 ; co], reads before the writes that overwrite
     what they read. *)
 
-val po_loc : t -> Relation.t
-(** Program order restricted to same-location accesses. *)
-
-val com : t -> Relation.t
-(** Communication: [rf U co U fr]. *)
-
-val external_rel : t -> Relation.t -> Relation.t
-(** Restriction to pairs on different threads (init writes count as
-    external to every thread). *)
-
-val internal_rel : t -> Relation.t -> Relation.t
-
-val rfe : t -> Relation.t
-val rfi : t -> Relation.t
-val coe : t -> Relation.t
-val fre : t -> Relation.t
+val rfe : t -> Bitrel.t
+(** The rf pairs on different threads (init writes count as external
+    to every thread). *)
 
 val final_memory : t -> (Instr.loc * Instr.value) list
 (** Value of each location after the execution: the co-maximal write

@@ -64,10 +64,10 @@ let prepare (x : Execution.t) =
   let read_m = B.Mask.of_pred n (fun i -> Event.is_read ev.(i)) in
   let write_m = B.Mask.of_pred n (fun i -> Event.is_write ev.(i)) in
   let full_m = B.Mask.of_pred n (fun _ -> true) in
-  let po = B.of_relation n x.Execution.po in
+  let po = x.Execution.po in
   let po_loc = B.filter (fun a b -> Event.same_loc ev.(a) ev.(b)) po in
   let po_nloc = B.diff po po_loc in
-  let rmw = B.of_relation n x.Execution.rmw in
+  let rmw = x.Execution.rmw in
   let modes = Array.map event_mode ev in
   let fence_m = B.Mask.of_pred n (fun i -> Event.is_fence ev.(i)) in
   let rel_write_m =
@@ -160,7 +160,3 @@ let checks ctx ~rf ~co =
     ("no-thin-air", fun () -> B.is_acyclic (B.union ctx.po rf));
     ("sc", fun () -> sc_ok ctx ~co (Lazy.force d));
   ]
-
-let happens_before ctx ~rf ~co =
-  let hb, _, _ = derived ctx ~rf ~co in
-  hb

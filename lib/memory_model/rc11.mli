@@ -5,8 +5,7 @@ open Wmm_isa
     (irreflexive hb;eco?), SC (acyclic psc), and no-thin-air (acyclic
     po U rf).  Atomicity is shared with the hardware models and is not
     re-stated here.  Entry point for callers is {!Axiomatic} with the
-    [Rc11] model; this interface exists for tests and for explaining
-    verdicts. *)
+    [Rc11] model, which assembles its checks from this interface. *)
 
 type mode = Rlx | Acq | Rel | Acq_rel_m | Sc_m
 
@@ -30,6 +29,3 @@ val prepare : Execution.t -> ctx
 val checks : ctx -> rf:Bitrel.t -> co:Bitrel.t -> (string * (unit -> bool)) list
 (** Named axiom thunks sharing one lazily-forced derived environment:
     ["coherence"], ["no-thin-air"], ["sc"]. *)
-
-val happens_before : ctx -> rf:Bitrel.t -> co:Bitrel.t -> Bitrel.t
-(** hb = (po U sw)+ for the given candidate. *)

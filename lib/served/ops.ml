@@ -175,15 +175,10 @@ let run_conform ~engine ~arch ~max_edges ~limit ~infer_limit =
 (* ------------------------------------------------------------------ *)
 (* lang *)
 
-let resolve_schemes ~default = function
-  | [] -> default
-  | names ->
-      List.map
-        (fun name ->
-          match Wmm_lang.Compile.scheme_of_string name with
-          | Some s -> s
-          | None -> failwith (Printf.sprintf "unknown compilation scheme %S" name))
-        names
+let resolve_schemes ~default names =
+  match Wmm_lang.Catalog.select_schemes ~default names with
+  | Ok schemes -> schemes
+  | Error name -> failwith (Printf.sprintf "unknown compilation scheme %S" name)
 
 let resolve_lang_tests ~limit ~default names =
   match Wmm_lang.Catalog.select ~limit ~default names with
@@ -232,15 +227,9 @@ let run_lang ~engine ~action ~tests ~schemes ~limit =
   | Protocol.L_rank ->
       let schemes = resolve_schemes ~default:Rank.default_schemes schemes in
       let locks =
-        match tests with
-        | [] -> Locks.all
-        | names ->
-            List.map
-              (fun name ->
-                match Locks.by_name name with
-                | Some l -> l
-                | None -> failwith (Printf.sprintf "unknown lock %S" name))
-              names
+        match Catalog.select_locks tests with
+        | Ok locks -> locks
+        | Error name -> failwith (Printf.sprintf "unknown lock %S" name)
       in
       let rows = Rank.run ~schemes ~locks ~engine () in
       List.map

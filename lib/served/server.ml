@@ -785,11 +785,7 @@ let serve cfg =
           | Some id -> id
           | None -> Journal.derived_run_id ~tag:"served" [ Cache.code_version () ]
         in
-        let j =
-          Journal.open_
-            ~dir:(Filename.concat dir "journal")
-            ~mode:Journal.Append ~run_id ()
-        in
+        let j = Journal.open_ ~dir:(Filename.concat dir "journal") ~run_id () in
         Printf.eprintf "wmm_served: journal run id %s (%d completed tasks on file)\n%!"
           run_id (Journal.loaded j);
         Some j

@@ -1,43 +1,27 @@
-(* Regenerates the golden certificate fixtures asserted by test_cert:
+(* Regenerates the certificate goldens asserted by test_cert:
    `dune exec test/gen_cert_golden.exe > test/data/cert_golden.txt`
-   One section per (test, model) pair: a "== <test> <model> =="
-   header followed by the certificate text.  The case list must stay
-   in sync with test_cert.ml. *)
+   `dune exec test/gen_cert_golden.exe -- --digests > test/data/cert_digests.txt`
+   Both formats are documented in cert_golden/cert_golden.ml. *)
 
-open Wmm_isa
 open Wmm_model
 open Wmm_litmus
 
-let co_storm =
-  let st v = Instr.Store { src = Instr.Imm v; addr = Instr.Imm 0; order = Instr.Plain } in
-  let ld r = Instr.Load { dst = r; addr = Instr.Imm 0; order = Instr.Plain } in
-  Test.make ~name:"co-storm" ~description:"six writes, one observer thread"
-    ~locations:[| "x" |]
-    ~threads:[ [| st 1; st 2 |]; [| st 3; st 4 |]; [| st 5; st 6 |]; [| ld 0; ld 1 |] ]
-    ~condition:[ ((3, 0), 5); ((3, 1), 6) ]
-    ~expected:(List.map (fun m -> (m, true)) Axiomatic.all_models)
-    ()
-
-let cases =
-  [
-    Option.get (Library.by_name "SB");
-    Option.get (Library.by_name "MP");
-    Option.get (Library.by_name "IRIW");
-    co_storm;
-  ]
+let fixtures () =
+  List.iter
+    (fun ((t : Test.t), model) ->
+      match Wmm_certify.Emit.litmus model t with
+      | Ok cert ->
+          Printf.printf "== %s %s ==\n%s" t.Test.name (Axiomatic.model_name model)
+            (Wmm_cert.Certificate.to_string cert)
+      | Error msg ->
+          failwith
+            (Printf.sprintf "%s under %s: %s" t.Test.name (Axiomatic.model_name model) msg))
+    Cert_golden.fixture_cases
 
 let () =
-  List.iter
-    (fun (t : Test.t) ->
-      List.iter
-        (fun model ->
-          match Wmm_certify.Emit.litmus model t with
-          | Ok cert ->
-              Printf.printf "== %s %s ==\n%s" t.Test.name (Axiomatic.model_name model)
-                (Wmm_cert.Certificate.to_string cert)
-          | Error msg ->
-              failwith
-                (Printf.sprintf "%s under %s: %s" t.Test.name
-                   (Axiomatic.model_name model) msg))
-        Axiomatic.all_models)
-    cases
+  match Array.to_list Sys.argv with
+  | [ _ ] -> fixtures ()
+  | [ _; "--digests" ] -> List.iter print_endline (Cert_golden.digest_lines ())
+  | _ ->
+      prerr_endline "usage: gen_cert_golden [--digests]";
+      exit 2

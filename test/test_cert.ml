@@ -349,25 +349,9 @@ let test_planted_bug () =
 
 (* --- golden fixtures --------------------------------------------- *)
 
-(* Keep in sync with gen_cert_golden.ml. *)
-let co_storm =
-  let st v = Instr.Store { src = Instr.Imm v; addr = Instr.Imm 0; order = Instr.Plain } in
-  let ld r = Instr.Load { dst = r; addr = Instr.Imm 0; order = Instr.Plain } in
-  Test.make ~name:"co-storm" ~description:"six writes, one observer thread"
-    ~locations:[| "x" |]
-    ~threads:[ [| st 1; st 2 |]; [| st 3; st 4 |]; [| st 5; st 6 |]; [| ld 0; ld 1 |] ]
-    ~condition:[ ((3, 0), 5); ((3, 1), 6) ]
-    ~expected:(List.map (fun m -> (m, true)) Axiomatic.all_models)
-    ()
-
-let golden_cases =
-  List.concat_map
-    (fun t -> List.map (fun m -> (t, m)) Axiomatic.all_models)
-    [ sb; mp; iriw; co_storm ]
-
-let golden_path () =
-  if Sys.file_exists "data/cert_golden.txt" then "data/cert_golden.txt"
-  else "test/data/cert_golden.txt"
+let data_path name =
+  let local = Filename.concat "data" name in
+  if Sys.file_exists local then local else Filename.concat "test/data" name
 
 let read_file path =
   let ic = open_in_bin path in
@@ -397,8 +381,8 @@ let parse_sections text =
   List.rev !sections
 
 let test_golden () =
-  let sections = parse_sections (read_file (golden_path ())) in
-  Alcotest.(check int) "golden fixture count" (List.length golden_cases)
+  let sections = parse_sections (read_file (data_path "cert_golden.txt")) in
+  Alcotest.(check int) "golden fixture count" (List.length Cert_golden.fixture_cases)
     (List.length sections);
   List.iter2
     (fun ((t : Test.t), model) (name, model_name, text) ->
@@ -414,7 +398,21 @@ let test_golden () =
       | Error r ->
           Alcotest.failf "%s under %s: golden certificate rejected: %s" name model_name
             (Checker.reason_string r))
-    golden_cases sections
+    Cert_golden.fixture_cases sections
+
+(* Every library certificate and every bound-4 ARMv8/POWER verdict's,
+   pinned by digest (refresh: dune exec test/gen_cert_golden.exe --
+   --digests > test/data/cert_digests.txt). *)
+let test_digests () =
+  let golden =
+    String.split_on_char '\n' (read_file (data_path "cert_digests.txt"))
+    |> List.filter (fun l -> l <> "")
+  in
+  let now = Cert_golden.digest_lines () in
+  Alcotest.(check int) "digest line count" (List.length golden) (List.length now);
+  List.iter2
+    (fun g n -> if g <> n then Alcotest.failf "certificate digest differs:\n  golden %s\n  now    %s" g n)
+    golden now
 
 (* --- wmm_bench check: separate-process validation ---------------- *)
 
@@ -465,5 +463,6 @@ let suite =
     Alcotest.test_case "version guard" `Quick test_version_guard;
     Alcotest.test_case "planted bug: RMW atomicity dropped" `Quick test_planted_bug;
     Alcotest.test_case "golden certificate fixtures" `Quick test_golden;
+    Alcotest.test_case "certificate digests" `Quick test_digests;
     Alcotest.test_case "wmm_bench check (separate process)" `Quick test_bench_check;
   ]

@@ -60,17 +60,32 @@ let test_litmus_unparsable_file () =
       ignore (check_usage_error [ "litmus"; "--file"; path ]))
 
 (* Names are resolved before the engine exists: the error comes
-   before any journal is opened under the cache directory. *)
-let test_lang_error_opens_no_journal () =
+   before any journal is opened under the cache directory.  Returns
+   the error text. *)
+let lang_usage_error args =
   let dir = temp_path "" in
   Fun.protect
     ~finally:(fun () -> rm_rf dir)
     (fun () ->
-      let err =
-        check_usage_error [ "lang"; "explore"; "--test"; "NOPE"; "--cache-dir"; dir ]
-      in
+      let err = check_usage_error (("lang" :: args) @ [ "--cache-dir"; dir ]) in
       if Test_cert.contains ~sub:"journal:" err then Alcotest.failf "a journal was opened:\n%s" err;
-      Alcotest.(check bool) "cache directory untouched" false (Sys.file_exists dir))
+      Alcotest.(check bool) "cache directory untouched" false (Sys.file_exists dir);
+      err)
+
+let test_lang_error_opens_no_journal () = ignore (lang_usage_error [ "explore"; "--test"; "NOPE" ])
+
+(* An unknown scheme or lock name lists the valid ones. *)
+let lang_unknown_name args valid =
+  Alcotest.test_case
+    ("usage error: lang " ^ String.concat " " args)
+    `Quick
+    (fun () ->
+      let err = lang_usage_error args in
+      List.iter
+        (fun name ->
+          if not (Test_cert.contains ~sub:name err) then
+            Alcotest.failf "valid name %s not listed:\n%s" name err)
+        valid)
 
 let test_figure_several_ids () =
   let figure ids =
@@ -99,5 +114,9 @@ let suite =
     usage_error [ "figure"; "fig1"; "nope" ];
     Alcotest.test_case "lang usage error opens no journal" `Quick
       test_lang_error_opens_no_journal;
+    lang_unknown_name [ "conform"; "--scheme"; "nope" ]
+      (List.map Wmm_lang.Compile.scheme_name Wmm_lang.Compile.all_schemes);
+    lang_unknown_name [ "rank"; "--test"; "nope" ]
+      (List.map (fun (l : Wmm_lang.Locks.t) -> l.Wmm_lang.Locks.name) Wmm_lang.Locks.all);
     Alcotest.test_case "figure with several ids" `Quick test_figure_several_ids;
   ]

@@ -341,7 +341,16 @@ let test_journal_skips_failed_and_torn_entries () =
       Alcotest.(check (option int)) "ok entry replays" (Some 7)
         (Journal.replay reopened ~key:"good");
       Alcotest.(check (option int)) "failed entry never replays" None
-        (Journal.replay reopened ~key:"bad"))
+        (Journal.replay reopened ~key:"bad");
+      (* The next writer starts a fresh line: its record must not be
+         swallowed by the torn fragment. *)
+      Journal.record_ok reopened ~key:"after" 8;
+      Journal.close reopened;
+      let again = Journal.open_ ~dir ~run_id:"torn" () in
+      Alcotest.(check int) "the record after the torn line replays" 2 (Journal.loaded again);
+      Alcotest.(check (option int)) "its value is intact" (Some 8)
+        (Journal.replay again ~key:"after");
+      Alcotest.(check int) "only the torn line is dropped" 1 (Journal.dropped again))
 
 let test_journal_hex_codec () =
   (* Every byte value encodes exactly as "%02x" did, and decodes back,
@@ -365,13 +374,13 @@ let test_journal_hex_codec () =
 let test_journal_append_two_concurrent_writers () =
   with_temp_dir (fun dir ->
       (* Two long-lived writers (the served daemon's shape: one
-         Append-mode handle per incarnation, O_APPEND fd, one write
-         per record) interleave appends into the same run's journal.
+         handle per incarnation, O_APPEND fd, one write per record)
+         interleave appends into the same run's journal.
          Every record must survive whole - no interleaved or torn
          lines. *)
       let n = 100 in
       let writer tag =
-        let j = Journal.open_ ~dir ~mode:Journal.Append ~run_id:"two writers" () in
+        let j = Journal.open_ ~dir ~run_id:"two writers" () in
         for i = 0 to n - 1 do
           Journal.record_ok j ~key:(Printf.sprintf "%s-%d" tag i) (i * 2);
           if i mod 7 = 0 then Thread.yield ()
@@ -397,7 +406,7 @@ let test_journal_append_two_concurrent_writers () =
 
 let test_journal_fsck_compacts_damage () =
   with_temp_dir (fun dir ->
-      let j = Journal.open_ ~dir ~mode:Journal.Append ~run_id:"fsck" () in
+      let j = Journal.open_ ~dir ~run_id:"fsck" () in
       Journal.record_ok j ~key:"dup" 1;
       Journal.record_failed j ~key:"orphan" ~msg:"transient crash";
       Journal.record_ok j ~key:"dup" 2;

@@ -225,9 +225,7 @@ let test_prune_residual_invariant () =
           List.iter
             (fun ((x : Execution.t), _) ->
               let st = Axiomatic.prepare model x in
-              let n = Array.length x.Execution.events in
-              let rf = Bitrel.of_relation n x.Execution.rf in
-              let co = Bitrel.of_relation n x.Execution.co in
+              let rf = x.Execution.rf and co = x.Execution.co in
               let full = Axiomatic.consistent_static st ~rf ~co in
               let via_prune =
                 Axiomatic.prune_viable st ~rf ~co

@@ -95,22 +95,23 @@ let tiny_execution () =
         action = Event.Read { loc = 0; value = 2; order = Instr.Plain } };
     |]
   in
+  let rel = Bitrel.of_list 3 in
   {
     Execution.events;
-    po = Relation.empty;
-    rf = Relation.of_list [ (1, 2) ];
-    co = Relation.of_list [ (0, 1) ];
-    addr = Relation.empty;
-    data = Relation.empty;
-    ctrl = Relation.empty;
-    rmw = Relation.empty;
+    po = rel [];
+    rf = rel [ (1, 2) ];
+    co = rel [ (0, 1) ];
+    addr = rel [];
+    data = rel [];
+    ctrl = rel [];
+    rmw = rel [];
   }
 
 let test_derived_relations () =
   let x = tiny_execution () in
   (* fr: the read of W2 from-reads nothing co-after W2. *)
-  Alcotest.(check int) "fr empty" 0 (Relation.cardinal (Execution.fr x));
-  Alcotest.(check bool) "rfe external" true (Relation.mem 1 2 (Execution.rfe x));
+  Alcotest.(check int) "fr empty" 0 (Bitrel.cardinal (Execution.fr x));
+  Alcotest.(check bool) "rfe external" true (Bitrel.mem (Execution.rfe x) 1 2);
   Alcotest.(check int) "final memory" 2 (List.assoc 0 (Execution.final_memory x));
   (match Execution.well_formed x with
   | Ok () -> ()
@@ -118,7 +119,7 @@ let test_derived_relations () =
 
 let test_well_formed_catches_bad_rf () =
   let x = tiny_execution () in
-  let bad = { x with Execution.rf = Relation.of_list [ (0, 2) ] } in
+  let bad = { x with Execution.rf = Bitrel.of_list 3 [ (0, 2) ] } in
   (* rf value mismatch: read has value 2, init write has 0. *)
   match Execution.well_formed bad with
   | Ok () -> Alcotest.fail "expected ill-formed"
@@ -133,9 +134,9 @@ let test_fr_derivation () =
   in
   let x' =
     { x with Execution.events = [| x.Execution.events.(0); x.Execution.events.(1); read_init |];
-             rf = Relation.of_list [ (0, 2) ] }
+             rf = Bitrel.of_list 3 [ (0, 2) ] }
   in
-  Alcotest.(check bool) "fr to overwriting store" true (Relation.mem 2 1 (Execution.fr x'))
+  Alcotest.(check bool) "fr to overwriting store" true (Bitrel.mem (Execution.fr x') 2 1)
 
 (* Enumeration ------------------------------------------------------ *)
 

@@ -131,20 +131,21 @@ let test_atomicity_axiom_direct () =
         action = Event.Write { loc = 0; value = 5; order = Instr.Plain } };
     |]
   in
+  let rel = Bitrel.of_list 4 in
   let x =
     {
       Execution.events;
-      po = Relation.of_list [ (1, 2) ];
-      rf = Relation.of_list [ (0, 1) ];
-      co = Relation.of_list [ (0, 3); (3, 2); (0, 2) ];
-      addr = Relation.empty;
-      data = Relation.empty;
-      ctrl = Relation.empty;
-      rmw = Relation.of_list [ (1, 2) ];
+      po = rel [ (1, 2) ];
+      rf = rel [ (0, 1) ];
+      co = rel [ (0, 3); (3, 2); (0, 2) ];
+      addr = rel [];
+      data = rel [];
+      ctrl = rel [];
+      rmw = rel [ (1, 2) ];
     }
   in
   Alcotest.(check bool) "atomicity violated" false (Axiomatic.consistent Axiomatic.Sc x);
-  let without_rmw = { x with Execution.rmw = Relation.empty } in
+  let without_rmw = { x with Execution.rmw = rel [] } in
   Alcotest.(check bool) "fine without the rmw pair" true
     (Axiomatic.consistent Axiomatic.Sc without_rmw)
 

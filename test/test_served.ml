@@ -501,6 +501,27 @@ let test_server_restart_resumes_from_journal () =
           Client.close c;
           shutdown ()))
 
+(* An unknown compilation scheme is answered with one error frame
+   naming it; the connection stays usable. *)
+let test_lang_unknown_scheme () =
+  with_temp_dir (fun dir ->
+      let socket = Filename.concat dir "s.sock" in
+      let cfg = quiet_cfg dir socket in
+      with_server cfg (fun _ ->
+          let c = connect cfg in
+          (match
+             roundtrip_ok c {|{"op": "lang", "action": "conform", "schemes": ["nope"]}|}
+           with
+          | [ frame ] ->
+              Alcotest.(check (list string)) "error frame" [ "error" ] (statuses [ frame ]);
+              Alcotest.(check (option string)) "names the scheme"
+                (Some {|unknown compilation scheme "nope"|})
+                (Json.str_member "error" frame)
+          | frames -> Alcotest.failf "expected one final frame, got %d" (List.length frames));
+          Alcotest.(check (list string)) "connection still answers" [ "ok" ]
+            (statuses (roundtrip_ok c {|{"op": "ping"}|}));
+          Client.close c))
+
 let suite =
   [
     Alcotest.test_case "json roundtrip and accessors" `Quick test_json_roundtrip;
@@ -523,4 +544,6 @@ let suite =
       test_journal_hit_overtakes_a_miss;
     Alcotest.test_case "server restart resumes from journal" `Quick
       test_server_restart_resumes_from_journal;
+    Alcotest.test_case "lang unknown scheme is an error frame" `Quick
+      test_lang_unknown_scheme;
   ]
