@@ -67,7 +67,7 @@ let attempt_task t ~token task =
          without threading it through every signature; [Cancelled] is
          not transient, so a cancelled attempt is never retried. *)
       Wmm_util.Cancel.with_ambient token (fun () ->
-          task.Task.run (Task.rng_for ~root_seed:0 key))
+          task.Task.run (Task.rng_for key))
     with
     | v -> Ok (v, attempt + 1)
     | exception e when Fault.transient_exn e && attempt + 1 < max_attempts ->

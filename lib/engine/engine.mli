@@ -39,7 +39,7 @@ val create :
 (** [jobs] defaults to 1 (sequential; [0] means all domains as
     reported by [Domain.recommended_domain_count]); [cache] to
     {!Cache.disabled}.  Every task's RNG stream derives from its key
-    under the root seed 0.
+    alone ({!Task.rng_for}).
 
     [pool], when given, is a persistent {!Workqueue} shared with the
     caller (and possibly with other engines): batches submit to it

@@ -11,13 +11,12 @@ let make ~key ?label run =
 
 let pure ~key ?label f = make ~key ?label (fun _rng -> f ())
 
-let rng_for ~root_seed key =
+let rng_for key =
   (* Fold the 128-bit MD5 of the key into an int so the stream
-     depends on the key's full content, then mix in the root seed and
-     take one split to decorrelate from any generator the caller
-     might have built from the same integers. *)
+     depends on the key's full content, then take one split to
+     decorrelate from any generator the caller might have built from
+     the same integer. *)
   let digest = Digest.string key in
   let h = ref 0 in
   String.iter (fun c -> h := (!h * 257) + Char.code c) digest;
-  let mixed = !h lxor (root_seed * 0x9E3779B9) in
-  Rng.split (Rng.create (mixed land max_int))
+  Rng.split (Rng.create (!h land max_int))

@@ -16,8 +16,8 @@ type 'a t = {
   label : string;  (** Short human-readable label for telemetry. *)
   run : Rng.t -> 'a;
       (** The computation.  The RNG is a private stream derived from
-          the engine's root seed and [key]; tasks that carry their
-          own seeding may ignore it. *)
+          [key] ({!rng_for}); tasks that carry their own seeding may
+          ignore it. *)
 }
 
 val make : key:string -> ?label:string -> (Rng.t -> 'a) -> 'a t
@@ -26,7 +26,7 @@ val make : key:string -> ?label:string -> (Rng.t -> 'a) -> 'a t
 val pure : key:string -> ?label:string -> (unit -> 'a) -> 'a t
 (** A task that ignores the engine-provided RNG. *)
 
-val rng_for : root_seed:int -> string -> Rng.t
-(** The private stream for a key: a split of a generator seeded by
-    mixing [root_seed] with a digest of the key.  Depends only on
-    the two arguments, never on submission or execution order. *)
+val rng_for : string -> Rng.t
+(** The private stream for a key: a split of a generator seeded by a
+    digest of the key.  Depends only on the key, never on submission
+    or execution order. *)

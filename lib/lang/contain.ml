@@ -57,7 +57,7 @@ let contain_task scheme (t : Test.t) =
                    (String.concat " | "
                       (List.map (Enumerate.outcome_to_string src) escaped)))))
 
-let check_of_task task = task.Task.run (Task.rng_for ~root_seed:0 task.Task.key)
+let check_of_task task = task.Task.run (Task.rng_for task.Task.key)
 
 type report = {
   schemes : Compile.scheme list;

@@ -142,15 +142,6 @@ let prepare_base (x : Execution.t) =
         B.restrict po ~domain:rel_m ~range:acq_m;
       ]
   in
-  let ext =
-    let r = B.create n in
-    for a = 0 to n - 1 do
-      for b = 0 to n - 1 do
-        if tids.(a) <> tids.(b) then B.add r a b
-      done
-    done;
-    r
-  in
   {
     b_exec = x;
     b_n = n;
@@ -176,7 +167,7 @@ let prepare_base (x : Execution.t) =
     b_f_eieio = through_fence (Event.is_fence_kind Instr.Eieio);
     b_isb_restore = ctrl_isync [ Instr.Isb ];
     b_isync_restore = ctrl_isync [ Instr.Isync ];
-    b_ext = ext;
+    b_ext = Execution.external_pairs x;
   }
 
 let of_base model (b : base) =
@@ -254,10 +245,6 @@ let prepare model (x : Execution.t) = of_base model (prepare_base x)
 
 let external_part st r = B.inter st.ext r
 
-(* A read r "from-reads" a write w when w is co-after the write r read
-   from; exclude the identity from rf^-1;co hitting the same write. *)
-let fr_of ~rf ~co = B.remove_diagonal (B.compose (B.inverse rf) co)
-
 let dep_rfi_of st ~rf ~rfe =
   if st.deps_empty then st.empty_rel else B.compose st.addr_data (B.diff rf rfe)
 
@@ -268,7 +255,7 @@ let dep_rfi_of st ~rf ~rfe =
    reach (POWER's closures in particular). *)
 let axiom_checks st ~rf ~co =
   let n = st.n in
-  let fr = lazy (fr_of ~rf ~co) in
+  let fr = lazy (Execution.fr_of ~rf ~co) in
   let com = lazy (B.union_all n [ rf; co; Lazy.force fr ]) in
   let rfe = lazy (external_part st rf) in
   let fre = lazy (external_part st (Lazy.force fr)) in
@@ -413,7 +400,7 @@ let prune_possible st =
 
 let prune_viable st ~rf ~co =
   let n = st.n in
-  let fr = fr_of ~rf ~co in
+  let fr = Execution.fr_of ~rf ~co in
   (st.rmw_empty
   ||
   let fre = external_part st fr in

@@ -277,18 +277,6 @@ type skeleton = {
   sk_writes : int list;
 }
 
-(* Pairs collected newest first, as a sorted, duplicate-free list.
-   Event order, reversed back, is almost always sorted already, and
-   [List.sort_uniq] allocates several times what the edges themselves
-   do on every run combination, so only the exceptions pay for it. *)
-let sorted_pairs rev_pairs =
-  let rec strictly_sorted = function
-    | a :: (b :: _ as rest) -> compare a b < 0 && strictly_sorted rest
-    | _ -> true
-  in
-  let pairs = List.rev rev_pairs in
-  if strictly_sorted pairs then pairs else List.sort_uniq compare pairs
-
 let skeleton_of_runs (p : Program.t) (runs : run array) =
   (* Locations touched by any event or named in the program. *)
   let module LS = Set.Make (Int) in
@@ -356,10 +344,10 @@ let skeleton_of_runs (p : Program.t) (runs : run array) =
     List.iter (fun (e : Event.t) -> arr.(e.Event.id) <- e) !events;
     arr
   in
-  let addr = sorted_pairs !addr
-  and data = sorted_pairs !data
-  and ctrl = sorted_pairs !ctrl
-  and rmw = sorted_pairs !rmw in
+  let addr = List.sort_uniq compare !addr
+  and data = List.sort_uniq compare !data
+  and ctrl = List.sort_uniq compare !ctrl
+  and rmw = List.sort_uniq compare !rmw in
   let exec =
     lazy
       (let po = Bitrel.create n in

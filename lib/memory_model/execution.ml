@@ -20,9 +20,17 @@ let writes t = select t Event.is_write
 (* A read r "from-reads" a write w when w is co-after the write r read
    from; exclude the identity that arises from rf^-1;co hitting the
    same write. *)
-let fr t = Bitrel.remove_diagonal (Bitrel.compose (Bitrel.inverse t.rf) t.co)
+let fr_of ~rf ~co = Bitrel.remove_diagonal (Bitrel.compose (Bitrel.inverse rf) co)
 
-let rfe t = Bitrel.filter (fun a b -> t.events.(a).Event.tid <> t.events.(b).Event.tid) t.rf
+let external_pairs t =
+  let n = Array.length t.events in
+  let r = Bitrel.create n in
+  for a = 0 to n - 1 do
+    for b = 0 to n - 1 do
+      if t.events.(a).Event.tid <> t.events.(b).Event.tid then Bitrel.add r a b
+    done
+  done;
+  r
 
 let final_memory t =
   let module IM = Map.Make (Int) in

@@ -26,13 +26,14 @@ val event : t -> int -> Event.t
 val reads : t -> int list
 val writes : t -> int list
 
-val fr : t -> Bitrel.t
+val fr_of : rf:Bitrel.t -> co:Bitrel.t -> Bitrel.t
 (** From-reads: [rf^-1 ; co], reads before the writes that overwrite
     what they read. *)
 
-val rfe : t -> Bitrel.t
-(** The rf pairs on different threads (init writes count as external
-    to every thread). *)
+val external_pairs : t -> Bitrel.t
+(** Every pair of events on different threads (init writes count as
+    external to every thread); a relation's external part, such as
+    rfe, is its intersection with this. *)
 
 val final_memory : t -> (Instr.loc * Instr.value) list
 (** Value of each location after the execution: the co-maximal write

@@ -116,7 +116,7 @@ let derived ctx ~rf ~co =
   let rs = B.compose ctx.ws_base (B.reflexive_transitive_closure (B.compose rf ctx.rmw)) in
   let sw = B.compose ctx.pre_rel (B.compose rs (B.compose rf ctx.post_acq)) in
   let hb = B.transitive_closure (B.union ctx.po sw) in
-  let fr = B.remove_diagonal (B.compose (B.inverse rf) co) in
+  let fr = Execution.fr_of ~rf ~co in
   let eco = B.transitive_closure (B.union_all n [ rf; co; fr ]) in
   (hb, eco, fr)
 

@@ -170,7 +170,7 @@ let cert_task model (t : Test.t) =
           | Error r ->
               C_fail ("certificate rejected: " ^ Wmm_cert.Checker.reason_string r)))
 
-let check_of_task task = task.Task.run (Task.rng_for ~root_seed:0 task.Task.key)
+let check_of_task task = task.Task.run (Task.rng_for task.Task.key)
 
 (* ------------------------------------------------------------------ *)
 (* Shrinking                                                          *)

@@ -110,8 +110,10 @@ let tiny_execution () =
 let test_derived_relations () =
   let x = tiny_execution () in
   (* fr: the read of W2 from-reads nothing co-after W2. *)
-  Alcotest.(check int) "fr empty" 0 (Bitrel.cardinal (Execution.fr x));
-  Alcotest.(check bool) "rfe external" true (Bitrel.mem (Execution.rfe x) 1 2);
+  Alcotest.(check int) "fr empty" 0
+    (Bitrel.cardinal (Execution.fr_of ~rf:x.Execution.rf ~co:x.Execution.co));
+  Alcotest.(check bool) "rfe external" true
+    (Bitrel.mem (Bitrel.inter (Execution.external_pairs x) x.Execution.rf) 1 2);
   Alcotest.(check int) "final memory" 2 (List.assoc 0 (Execution.final_memory x));
   (match Execution.well_formed x with
   | Ok () -> ()
@@ -136,7 +138,7 @@ let test_fr_derivation () =
     { x with Execution.events = [| x.Execution.events.(0); x.Execution.events.(1); read_init |];
              rf = Bitrel.of_list 3 [ (0, 2) ] }
   in
-  Alcotest.(check bool) "fr to overwriting store" true (Bitrel.mem (Execution.fr x') 2 1)
+  Alcotest.(check bool) "fr to overwriting store" true (Bitrel.mem (Execution.fr_of ~rf:x'.Execution.rf ~co:x'.Execution.co) 2 1)
 
 (* Enumeration ------------------------------------------------------ *)
 
