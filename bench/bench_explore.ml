@@ -4,8 +4,9 @@
    engine ([Enumerate.allowed_outcomes_stats]) and the
    generate-and-filter [Enumerate.Reference] path are run over the
    full litmus library and a set of synthetic IRIW-class worst cases;
-   outcome sets are asserted identical per program; the result is
-   written as BENCH_explore.json.
+   outcome sets are asserted identical per program; with --out the
+   result is written as JSON (the checked-in copy is
+   BENCH_explore.json).
 
    Usage: bench_explore [--out FILE] [--expected FILE] [--reps N]
                         [--no-reference] [--write-expected FILE]
@@ -295,7 +296,7 @@ let json_of results ~reps ~mode =
 (* ------------------------------------------------------------------ *)
 
 let () =
-  let out = ref "BENCH_explore.json" in
+  let out = ref None in
   let expected = ref None in
   let write_exp = ref None in
   let reps = ref (if fast () then 1 else 3) in
@@ -304,7 +305,7 @@ let () =
   let rec parse = function
     | [] -> ()
     | "--out" :: v :: rest ->
-        out := v;
+        out := Some v;
         parse rest
     | "--expected" :: v :: rest ->
         expected := Some v;
@@ -354,8 +355,10 @@ let () =
   Option.iter (fun p -> write_expected p results) !write_exp;
   Option.iter (fun p -> assert_expected p results) !expected;
   if !optimal then assert_optimal results;
-  let json = json_of results ~reps:!reps ~mode in
-  let oc = open_out !out in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "wrote %s\n%!" !out
+  Option.iter
+    (fun path ->
+      let oc = open_out path in
+      output_string oc (json_of results ~reps:!reps ~mode);
+      close_out oc;
+      Printf.printf "wrote %s\n%!" path)
+    !out

@@ -303,12 +303,17 @@ let litmus_cmd =
             print_endline (Check.describe v);
             if certify then begin
               match Wmm_certify.Emit.litmus model test with
-              | Ok cert ->
-                  let path =
-                    write_cert cert_dir test.Test.name (Axiomatic.model_name model) cert
-                  in
-                  Printf.printf "  certificate: %s\n" path
               | Error msg -> Printf.printf "  certificate: skipped (%s)\n" msg
+              | Ok cert -> (
+                  match Wmm_certify.Emit.agree ~allowed:v.Check.axiomatic_allowed cert with
+                  | Ok cert ->
+                      let path =
+                        write_cert cert_dir test.Test.name (Axiomatic.model_name model) cert
+                      in
+                      Printf.printf "  certificate: %s\n" path
+                  | Error msg ->
+                      incr failures;
+                      Printf.printf "  certificate: mismatch (%s)\n" msg)
             end)
           (Check.models_for ~parsed:(file <> None) test))
       tests;

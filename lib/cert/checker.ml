@@ -167,7 +167,8 @@ let check_forbidden model (program : Program.t) cond (f : Certificate.forbidden_
     | exception Replay.Fuel -> reject "replay-fuel" "program exhausted interpretation fuel"
   in
   let expected = Hashtbl.create 16 in
-  (* events-key -> (shape, runs list, per-combo candidate count, multiplicity) *)
+  (* events-key -> (shape, final registers of each run combination
+     with this key, per-combo candidate count, multiplicity) *)
   let total_expected = ref 0 in
   List.iter
     (fun runs ->
@@ -187,19 +188,24 @@ let check_forbidden model (program : Program.t) cond (f : Certificate.forbidden_
       if count > 0 then begin
         total_expected := !total_expected + count;
         let key = Trace.events_key (Array.to_list shape.Replay.events) in
+        let regs = Replay.regs_of_runs runs in
         match Hashtbl.find_opt expected key with
-        | Some (sh, rs, c, mult) -> Hashtbl.replace expected key (sh, runs :: rs, c, mult + 1)
-        | None -> Hashtbl.replace expected key (shape, [ runs ], count, 1)
+        | Some (sh, rs, c, mult) -> Hashtbl.replace expected key (sh, regs :: rs, c, mult + 1)
+        | None -> Hashtbl.replace expected key (shape, [ regs ], count, 1)
       end)
     combos;
   (* The certificate must list exactly one combo per feasible run
      combination (multiset match on the canonical events). *)
+  let listed =
+    List.map
+      (fun (x : Certificate.combo) -> (Trace.events_key x.Certificate.x_events, x))
+      f.Certificate.f_combos
+  in
   let seen_mult = Hashtbl.create 16 in
   List.iter
-    (fun (x : Certificate.combo) ->
-      let key = Trace.events_key x.Certificate.x_events in
+    (fun (key, _) ->
       Hashtbl.replace seen_mult key (1 + Option.value ~default:0 (Hashtbl.find_opt seen_mult key)))
-    f.Certificate.f_combos;
+    listed;
   Hashtbl.iter
     (fun key (_, _, _, mult) ->
       let got = Option.value ~default:0 (Hashtbl.find_opt seen_mult key) in
@@ -215,12 +221,13 @@ let check_forbidden model (program : Program.t) cond (f : Certificate.forbidden_
     seen_mult;
   (* Per combo: every candidate well-formed and distinct, the count
      exactly the recomputed rf x co product (=> exhaustiveness), and
-     no consistent candidate may satisfy the condition. *)
+     no consistent candidate may satisfy the condition - checked as
+     "every candidate that satisfies it is inconsistent", so the
+     axioms run only where the condition holds. *)
   let total_listed = ref 0 in
   List.iter
-    (fun (x : Certificate.combo) ->
-      let key = Trace.events_key x.Certificate.x_events in
-      let shape, runs_list, count, _ =
+    (fun (key, (x : Certificate.combo)) ->
+      let shape, regs_list, count, _ =
         match Hashtbl.find_opt expected key with Some e -> e | None -> assert false
       in
       if List.length x.Certificate.x_candidates <> count then
@@ -242,21 +249,17 @@ let check_forbidden model (program : Program.t) cond (f : Certificate.forbidden_
           if Hashtbl.mem dedup norm then
             reject "duplicate-candidate" "a candidate execution is listed twice";
           Hashtbl.replace dedup norm ();
-          let rf = Rel.of_list n k.Certificate.k_rf in
-          let co = rel_of_chains n k.Certificate.k_co in
-          if Axioms.violations model ctx ~rf ~co = [] then begin
-            let mem = Replay.memory_of_chains shape k.Certificate.k_co in
-            List.iter
-              (fun runs ->
-                let regs = Replay.regs_of_runs runs in
-                if cond_satisfied cond ~regs ~mem then
-                  reject "forbidden-refuted"
-                    "a consistent execution satisfies the condition under %s"
-                    (Axioms.model_name model))
-              runs_list
-          end)
+          let mem = Replay.memory_of_chains shape k.Certificate.k_co in
+          if
+            List.exists (fun regs -> cond_satisfied cond ~regs ~mem) regs_list
+            && Axioms.consistent model ctx
+                 ~rf:(Rel.of_list n k.Certificate.k_rf)
+                 ~co:(rel_of_chains n k.Certificate.k_co)
+          then
+            reject "forbidden-refuted" "a consistent execution satisfies the condition under %s"
+              (Axioms.model_name model))
         x.Certificate.x_candidates)
-    f.Certificate.f_combos;
+    listed;
   if f.Certificate.f_count <> !total_expected || !total_listed <> !total_expected then
     reject "count-mismatch" "certificate claims %d candidates, the program's space has %d"
       f.Certificate.f_count !total_expected;

@@ -11,7 +11,10 @@ open Wmm_analysis
    {!Wmm_cert.Certificate} values that the independent checker
    revalidates from scratch.  A bug here (or anywhere in the
    exploration core) produces certificates the checker rejects; it
-   cannot produce a wrongly-accepted verdict. *)
+   cannot produce a wrongly-accepted verdict.  The claim of a litmus
+   certificate comes from emission's own witness walk, not from the
+   graph engine, so callers that print a verdict beside it compare
+   the two ({!agree}). *)
 
 let default_max_candidates = 20_000
 
@@ -93,16 +96,16 @@ let candidate_of (x : Execution.t) =
 (* Claim builders.                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let find_witness model (program : Program.t) cond =
-  let rec search = function
-    | [] -> Error "no consistent execution satisfies the condition"
-    | (x, o) :: rest ->
-        if satisfies cond o && Axiomatic.consistent model x then Ok (witness_of x o)
-        else search rest
-  in
-  match Enumerate.candidate_executions program with
-  | candidates -> search candidates
+(* The first candidate in the witness order that satisfies the
+   condition and the model allows, if any. *)
+let first_witness model (program : Program.t) cond =
+  match Enumerate.first_witness model program (satisfies cond) with
+  | found -> Ok (Option.map (fun (x, o) -> witness_of x o) found)
   | exception Failure msg -> Error msg
+
+let find_witness model program cond =
+  Result.bind (first_witness model program cond)
+    (Option.to_result ~none:"no consistent execution satisfies the condition")
 
 (* Exhaustive execution set, grouped into per-run-combination combos.
    The reference enumeration shares one physical event array per
@@ -120,7 +123,7 @@ let forbidden_body ?(max_candidates = default_max_candidates) model
       else begin
         let refuted =
           List.exists
-            (fun (x, o) -> Axiomatic.consistent model x && satisfies cond o)
+            (fun (x, o) -> satisfies cond o && Axiomatic.consistent model x)
             candidates
         in
         if refuted then Error "the condition is allowed, not forbidden"
@@ -148,26 +151,17 @@ let forbidden_body ?(max_candidates = default_max_candidates) model
         end
       end
 
+let certificate model program cond claim =
+  { Certificate.model = cert_model model; program; cond; claim }
+
 let allowed model (program : Program.t) cond =
   Result.map
-    (fun w ->
-      {
-        Certificate.model = cert_model model;
-        program;
-        cond;
-        claim = Certificate.Allowed w;
-      })
+    (fun w -> certificate model program cond (Certificate.Allowed w))
     (find_witness model program cond)
 
 let forbidden ?max_candidates model (program : Program.t) cond =
   Result.map
-    (fun body ->
-      {
-        Certificate.model = cert_model model;
-        program;
-        cond;
-        claim = Certificate.Forbidden body;
-      })
+    (fun body -> certificate model program cond (Certificate.Forbidden body))
     (forbidden_body ?max_candidates model program cond)
 
 (* ------------------------------------------------------------------ *)
@@ -198,18 +192,13 @@ let minimal ?max_candidates model (t : Test.t) (strategy : Placement.strategy) =
       (List.init (List.length strategy) Fun.id)
   in
   Ok
-    {
-      Certificate.model = cert_model model;
-      program = t.Test.program;
-      cond;
-      claim =
-        Certificate.Minimal
+    (certificate model t.Test.program cond
+       (Certificate.Minimal
           {
             Certificate.m_sites = List.map site_of strategy;
             m_fenced = body;
             m_refutations = List.rev refutations;
-          };
-    }
+          }))
 
 (* ------------------------------------------------------------------ *)
 (* Verdict-level entry point.                                          *)
@@ -217,5 +206,17 @@ let minimal ?max_candidates model (t : Test.t) (strategy : Placement.strategy) =
 
 let litmus ?max_candidates model (t : Test.t) =
   let cond = condition_of_test t in
-  if Check.axiomatic_allowed model t then allowed model t.Test.program cond
-  else forbidden ?max_candidates model t.Test.program cond
+  let program = t.Test.program in
+  match first_witness model program cond with
+  | Error msg -> Error msg
+  | Ok (Some w) -> Ok (certificate model program cond (Certificate.Allowed w))
+  | Ok None -> forbidden ?max_candidates model program cond
+
+(* A certificate printed or served beside a verdict must claim what
+   the verdict says; a disagreement between the graph engine and the
+   witness walk becomes an error naming both claims. *)
+let agree ~allowed (cert : Certificate.t) =
+  let claim = Certificate.claim_name cert.Certificate.claim in
+  let verdict = if allowed then "allowed" else "forbidden" in
+  if claim = verdict then Ok cert
+  else Error (Printf.sprintf "certificate claims %s, the verdict is %s" claim verdict)

@@ -905,19 +905,39 @@ let outcome_of (p : Program.t) (runs : run array) (x : Execution.t) =
   ignore p;
   { registers = registers_of_runs runs; memory = Execution.final_memory x }
 
-let candidate_executions ?(fuel = 1024) (p : Program.t) =
-  let acc = ref [] in
+(* Every well-formed candidate of [p], run combination by run
+   combination, in [search]'s order.  [visit] gets each candidate's
+   final state and a thunk that materializes its execution, so a
+   caller that filters on the outcome builds only the executions it
+   keeps. *)
+let walk_candidates ~fuel (p : Program.t) visit =
   List.iter
     (fun runs ->
       let skel = skeleton_of_runs p runs in
       let registers = registers_of_runs runs in
       search skel ~emit:(fun ~rf_pairs ~chains ->
-          let x =
-            candidate skel ~rf:(rf_relation skel rf_pairs) ~co:(co_relation skel chains)
-          in
-          acc := (x, { registers; memory = memory_of_chains skel chains }) :: !acc))
-    (run_combos ~fuel p);
+          visit
+            { registers; memory = memory_of_chains skel chains }
+            (fun () ->
+              candidate skel ~rf:(rf_relation skel rf_pairs) ~co:(co_relation skel chains))))
+    (run_combos ~fuel p)
+
+let candidate_executions ?(fuel = 1024) (p : Program.t) =
+  let acc = ref [] in
+  walk_candidates ~fuel p (fun o execution -> acc := (execution (), o) :: !acc);
   List.rev !acc
+
+let first_witness ?(fuel = 1024) model (p : Program.t) pred =
+  let exception Witness of (Execution.t * outcome) in
+  match
+    walk_candidates ~fuel p (fun o execution ->
+        if pred o then begin
+          let x = execution () in
+          if Axiomatic.consistent model x then raise (Witness (x, o))
+        end)
+  with
+  | () -> None
+  | exception Witness w -> Some w
 
 (* ------------------------------------------------------------------ *)
 (* Pre-rewrite reference path: materialize the full cartesian product

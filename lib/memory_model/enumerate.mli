@@ -57,6 +57,18 @@ val candidate_executions :
     accidentally looping programs fail fast: exceeding it raises
     [Failure]. *)
 
+val first_witness :
+  ?fuel:int ->
+  Axiomatic.model ->
+  Program.t ->
+  (outcome -> bool) ->
+  (Execution.t * outcome) option
+(** The first candidate, in {!candidate_executions}' order, whose
+    final state satisfies the predicate and which the model allows.
+    Walks the same candidates but stops at the witness, and builds an
+    execution only for candidates whose final state passes.  [fuel]
+    as for {!candidate_executions}. *)
+
 val allowed_outcomes : Axiomatic.model -> Program.t -> outcome list
 (** Deduplicated, sorted final states of the model-consistent
     executions (CI-asserted equal to {!Reference}). *)

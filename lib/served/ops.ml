@@ -86,7 +86,11 @@ let run_litmus ~engine ~tests ~program ~model ~mode ~certify =
           | Protocol.Random iterations -> Check.run_random ~iterations m config test
         in
         let certificate =
-          if certify then Some (Wmm_certify.Emit.litmus m test) else None
+          if certify then
+            Some
+              (Result.bind (Wmm_certify.Emit.litmus m test)
+                 (Wmm_certify.Emit.agree ~allowed:v.Check.axiomatic_allowed))
+          else None
         in
         verdict_item ?certificate v)
   in

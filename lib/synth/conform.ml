@@ -148,12 +148,12 @@ let machine_task model cfg cfg_id (t : Test.t) =
                 (Printf.sprintf "machine reaches %s, forbidden by the model"
                    (Enumerate.outcome_to_string p (to_enum o)))))
 
-(* Certificate layer: every axiomatic verdict must certify, and the
-   emitted certificate must survive serialization and the independent
-   checker.  A rejection means the explorer and the checker's
-   from-scratch revalidation of the same claim disagree - the
-   strongest cross-check in the suite, since the two sides share no
-   code beyond the ISA types. *)
+(* Certificate layer: every axiomatic verdict must certify, the
+   certificate must claim what the graph engine decided, and it must
+   survive serialization and the independent checker.  A rejection
+   means the explorer and the checker's from-scratch revalidation of
+   the same claim disagree - the strongest cross-check in the suite,
+   since the two sides share no code beyond the ISA types. *)
 let cert_task model (t : Test.t) =
   let key =
     Printf.sprintf "conform/cert/v1|%s|%s" (Axiomatic.model_name model)
@@ -165,10 +165,13 @@ let cert_task model (t : Test.t) =
       | Error msg -> C_skip msg
       | exception Failure msg -> C_skip msg
       | Ok cert -> (
-          match Wmm_cert.Checker.check_string (Wmm_cert.Certificate.to_string cert) with
-          | Ok _ -> C_ok
-          | Error r ->
-              C_fail ("certificate rejected: " ^ Wmm_cert.Checker.reason_string r)))
+          match Wmm_certify.Emit.agree ~allowed:(Check.axiomatic_allowed model t) cert with
+          | Error msg -> C_fail msg
+          | Ok cert -> (
+              match Wmm_cert.Checker.check_string (Wmm_cert.Certificate.to_string cert) with
+              | Ok _ -> C_ok
+              | Error r ->
+                  C_fail ("certificate rejected: " ^ Wmm_cert.Checker.reason_string r))))
 
 let check_of_task task = task.Task.run (Task.rng_for task.Task.key)
 

@@ -174,7 +174,7 @@ let test_mutations_allowed () =
           { w with Certificate.w_events = List.map bump w.Certificate.w_events }))
 
 let test_mutations_forbidden () =
-  (* SB is forbidden under SC: 1 run combination, 4 rf/co candidates. *)
+  (* SB is forbidden under SC: 4 run combinations, 1 rf/co candidate each. *)
   let cert = emit sb Axiomatic.Sc in
   let f =
     match cert.Certificate.claim with
@@ -200,6 +200,42 @@ let test_mutations_forbidden () =
   expect_reject "forged candidate count" "count-mismatch"
     (with_claim cert
        (Certificate.Forbidden { f with Certificate.f_count = f.Certificate.f_count + 1 }));
+  (* The check tests the condition before the axioms; these two pin
+     both sides of that order.  The execution set does not depend on
+     the model: relabelled as TSO, the candidate whose reads both
+     return 0 is consistent and refutes the claim. *)
+  expect_reject "relabelled model" "forbidden-refuted"
+    { cert with Certificate.model = Axioms.Tso };
+  (* A candidate whose final state misses the condition is still
+     validated: drop the rf edge of the combination whose reads both
+     return 1. *)
+  let reads_one (x : Certificate.combo) =
+    List.for_all
+      (fun (e : Trace.event) -> (not (Trace.is_read e)) || Trace.value e = Some 1)
+      x.Certificate.x_events
+  in
+  Alcotest.(check int) "one combination reads 1 twice" 1
+    (List.length (List.filter reads_one f.Certificate.f_combos));
+  expect_reject "dropped rf edge off the condition" "rf-missing"
+    (with_claim cert
+       (Certificate.Forbidden
+          {
+            f with
+            Certificate.f_combos =
+              List.map
+                (fun (x : Certificate.combo) ->
+                  if not (reads_one x) then x
+                  else
+                    {
+                      x with
+                      Certificate.x_candidates =
+                        List.map
+                          (fun (k : Certificate.candidate) ->
+                            { k with Certificate.k_rf = List.tl k.Certificate.k_rf })
+                          x.Certificate.x_candidates;
+                    })
+                f.Certificate.f_combos;
+          }));
   (* Padding a truncated set with a duplicate keeps the count right
      but trips the dedup.  SB's combos hold one candidate each (the
      run's values pin rf), so use 2+2W: no reads, one combo, and 2!x2!
@@ -225,6 +261,21 @@ let test_mutations_forbidden () =
     (padded <> f.Certificate.f_combos);
   expect_reject "duplicated candidate" "duplicate-candidate"
     (with_claim cert (Certificate.Forbidden { f with Certificate.f_combos = padded }))
+
+(* Emission decides its claim itself; a caller holding the graph
+   engine's verdict turns a disagreement into an error. *)
+let test_claim_agrees () =
+  let v = Check.run_exhaustive Axiomatic.Sc (Check.machine_config Axiomatic.Sc) sb in
+  let cert = emit sb Axiomatic.Sc in
+  (match Wmm_certify.Emit.agree ~allowed:v.Check.axiomatic_allowed cert with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "matching verdict refused: %s" msg);
+  let flipped = { v with Check.axiomatic_allowed = not v.Check.axiomatic_allowed } in
+  match Wmm_certify.Emit.agree ~allowed:flipped.Check.axiomatic_allowed cert with
+  | Ok _ -> Alcotest.fail "a certificate contradicting the verdict was accepted"
+  | Error msg ->
+      Alcotest.(check string) "error names both claims"
+        "certificate claims forbidden, the verdict is allowed" msg
 
 let test_mutations_minimal () =
   let strategy =
@@ -459,6 +510,7 @@ let suite =
     Alcotest.test_case "mutations: allowed witness" `Quick test_mutations_allowed;
     Alcotest.test_case "mutations: forbidden execution set" `Quick
       test_mutations_forbidden;
+    Alcotest.test_case "claim agrees with the verdict" `Quick test_claim_agrees;
     Alcotest.test_case "mutations: minimality claim" `Quick test_mutations_minimal;
     Alcotest.test_case "version guard" `Quick test_version_guard;
     Alcotest.test_case "planted bug: RMW atomicity dropped" `Quick test_planted_bug;
