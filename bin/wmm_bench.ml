@@ -283,7 +283,7 @@ let litmus_cmd =
       | None, None -> Library.all
       | Some name, None -> [ library_test name ]
     in
-    let failures = ref 0 in
+    let unsound_verdicts = ref 0 and mismatches = ref 0 in
     List.iter
       (fun test ->
         List.iter
@@ -299,7 +299,7 @@ let litmus_cmd =
               if file <> None then v.Check.observed && not v.Check.axiomatic_allowed
               else not (Check.sound v)
             in
-            if unsound then incr failures;
+            if unsound then incr unsound_verdicts;
             print_endline (Check.describe v);
             if certify then begin
               match Wmm_certify.Emit.litmus model test with
@@ -312,15 +312,14 @@ let litmus_cmd =
                       in
                       Printf.printf "  certificate: %s\n" path
                   | Error msg ->
-                      incr failures;
+                      incr mismatches;
                       Printf.printf "  certificate: mismatch (%s)\n" msg)
             end)
           (Check.models_for ~parsed:(file <> None) test))
       tests;
-    if !failures > 0 then begin
-      Printf.printf "%d unsound verdicts\n" !failures;
-      exit 1
-    end
+    if !unsound_verdicts > 0 then Printf.printf "%d unsound verdicts\n" !unsound_verdicts;
+    if !mismatches > 0 then Printf.printf "%d certificate mismatches\n" !mismatches;
+    if !unsound_verdicts + !mismatches > 0 then exit 1
   in
   Cmd.v
     (Cmd.info "litmus" ~doc:"Run litmus tests on the operational machine and the models")

@@ -927,10 +927,10 @@ let candidate_executions ?(fuel = 1024) (p : Program.t) =
   walk_candidates ~fuel p (fun o execution -> acc := (execution (), o) :: !acc);
   List.rev !acc
 
-let first_witness ?(fuel = 1024) model (p : Program.t) pred =
+let first_witness model (p : Program.t) pred =
   let exception Witness of (Execution.t * outcome) in
   match
-    walk_candidates ~fuel p (fun o execution ->
+    walk_candidates ~fuel:1024 p (fun o execution ->
         if pred o then begin
           let x = execution () in
           if Axiomatic.consistent model x then raise (Witness (x, o))

@@ -58,7 +58,6 @@ val candidate_executions :
     [Failure]. *)
 
 val first_witness :
-  ?fuel:int ->
   Axiomatic.model ->
   Program.t ->
   (outcome -> bool) ->
@@ -66,8 +65,7 @@ val first_witness :
 (** The first candidate, in {!candidate_executions}' order, whose
     final state satisfies the predicate and which the model allows.
     Walks the same candidates but stops at the witness, and builds an
-    execution only for candidates whose final state passes.  [fuel]
-    as for {!candidate_executions}. *)
+    execution only for candidates whose final state passes. *)
 
 val allowed_outcomes : Axiomatic.model -> Program.t -> outcome list
 (** Deduplicated, sorted final states of the model-consistent
