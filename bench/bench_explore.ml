@@ -2,7 +2,7 @@
 
    v3: graph engine against reference.  For every case the graph
    engine ([Enumerate.allowed_outcomes_stats]) and the
-   generate-and-filter [Enumerate.Reference] path are run over the
+   generate-and-filter [Reference] path (test/reference) are run over the
    full litmus library and a set of synthetic IRIW-class worst cases;
    outcome sets are asserted identical per program; with --out the
    result is written as JSON (the checked-in copy is
@@ -146,7 +146,7 @@ let run_case ~reps ~reference case =
     else
       let ref_outs, dt =
         time_reps reps (fun () ->
-            List.map (Enumerate.Reference.allowed_outcomes case.model) case.programs)
+            List.map (Reference.allowed_outcomes case.model) case.programs)
       in
       List.iteri
         (fun i (p : Program.t) ->

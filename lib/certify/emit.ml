@@ -6,17 +6,18 @@ open Wmm_analysis
 
 (* Certificate emission: the untrusted half of proof-carrying
    verdicts.  This module sits on the explorer's side of the trust
-   boundary - it uses {!Wmm_model.Enumerate} to find witnesses and to
-   materialize exhaustive execution sets - and packages them into
-   {!Wmm_cert.Certificate} values that the independent checker
-   revalidates from scratch.  A bug here (or anywhere in the
+   boundary - one {!Wmm_model.Enumerate.walk} per claim either finds a
+   witness or lists the exhaustive execution set - and packages the
+   result into {!Wmm_cert.Certificate} values that the independent
+   checker revalidates from scratch.  A bug here (or anywhere in the
    exploration core) produces certificates the checker rejects; it
    cannot produce a wrongly-accepted verdict.  The claim of a litmus
-   certificate comes from emission's own witness walk, not from the
-   graph engine, so callers that print a verdict beside it compare
-   the two ({!agree}). *)
+   certificate comes from emission's own walk, not from the graph
+   engine, so callers that print a verdict beside it compare the two
+   ({!agree}). *)
 
-let default_max_candidates = 20_000
+(* The most candidates a forbidden certificate lists. *)
+let max_candidates = 20_000
 
 let cert_model (m : Axiomatic.model) =
   match Axioms.model_of_name (Axiomatic.model_name m) with
@@ -89,67 +90,47 @@ let witness_of (x : Execution.t) (o : Enumerate.outcome) =
     w_mem = o.Enumerate.memory;
   }
 
-let candidate_of (x : Execution.t) =
-  { Certificate.k_rf = Bitrel.to_list x.Execution.rf; k_co = co_chains x }
-
 (* ------------------------------------------------------------------ *)
 (* Claim builders.                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* The first candidate in the witness order that satisfies the
-   condition and the model allows, if any. *)
-let first_witness model (program : Program.t) cond =
-  match Enumerate.first_witness model program (satisfies cond) with
-  | found -> Ok (Option.map (fun (x, o) -> witness_of x o) found)
+let walk model (program : Program.t) cond =
+  match Enumerate.walk model program (satisfies cond) with
+  | w -> Ok w
   | exception Failure msg -> Error msg
 
 let find_witness model program cond =
-  Result.bind (first_witness model program cond)
-    (Option.to_result ~none:"no consistent execution satisfies the condition")
+  Result.bind (walk model program cond) (function
+    | Enumerate.Witness (x, o) -> Ok (witness_of x o)
+    | Enumerate.Exhausted _ -> Error "no consistent execution satisfies the condition")
 
-(* Exhaustive execution set, grouped into per-run-combination combos.
-   The reference enumeration shares one physical event array per
-   combo, which is exactly the grouping the certificate needs. *)
-let forbidden_body ?(max_candidates = default_max_candidates) model
-    (program : Program.t) cond =
-  match Enumerate.Reference.candidate_executions program with
-  | exception Failure msg -> Error msg
-  | candidates ->
-      let total = List.length candidates in
-      if total > max_candidates then
-        Error
-          (Printf.sprintf "certificate too large: %d candidate executions (cap %d)"
-             total max_candidates)
-      else begin
-        let refuted =
-          List.exists
-            (fun (x, o) -> satisfies cond o && Axiomatic.consistent model x)
-            candidates
-        in
-        if refuted then Error "the condition is allowed, not forbidden"
-        else begin
-          (* Group by the physically shared skeleton, preserving combo
-             order.  Every candidate of a combo shares the events and
-             the rmw pairing (both are determined by the runs), so the
-             first execution stands in for the combo's trace. *)
-          let combos = ref [] in
-          List.iter
-            (fun ((x : Execution.t), _) ->
-              match !combos with
-              | (head, cands) :: rest
-                when head.Execution.events == x.Execution.events ->
-                  combos := (head, candidate_of x :: cands) :: rest
-              | _ -> combos := (x, [ candidate_of x ]) :: !combos)
-            candidates;
-          let f_combos =
-            List.rev_map
-              (fun (head, cands) ->
-                { Certificate.x_events = events_of head; x_candidates = List.rev cands })
-              !combos
-          in
-          Ok { Certificate.f_count = total; f_combos }
-        end
-      end
+(* An exhausted walk's lists are the forbidden execution set, one combo
+   per listed run combination. *)
+let forbidden_set (combos : Enumerate.combination list) count =
+  let combo_of (c : Enumerate.combination) =
+    {
+      Certificate.x_events = events_of c.Enumerate.execution;
+      x_candidates =
+        List.map
+          (fun (k : Enumerate.candidate) -> { Certificate.k_rf = k.rf; k_co = k.co })
+          c.Enumerate.candidates;
+    }
+  in
+  if count > max_candidates then
+    Error
+      (Printf.sprintf "certificate too large: %d candidate executions (cap %d)" count
+         max_candidates)
+  else
+    Ok
+      {
+        Certificate.f_count = count;
+        f_combos = List.map combo_of combos;
+      }
+
+let forbidden_body model program cond =
+  Result.bind (walk model program cond) (function
+    | Enumerate.Witness _ -> Error "the condition is allowed, not forbidden"
+    | Enumerate.Exhausted (combos, count) -> forbidden_set combos count)
 
 let certificate model program cond claim =
   { Certificate.model = cert_model model; program; cond; claim }
@@ -159,10 +140,10 @@ let allowed model (program : Program.t) cond =
     (fun w -> certificate model program cond (Certificate.Allowed w))
     (find_witness model program cond)
 
-let forbidden ?max_candidates model (program : Program.t) cond =
+let forbidden model (program : Program.t) cond =
   Result.map
     (fun body -> certificate model program cond (Certificate.Forbidden body))
-    (forbidden_body ?max_candidates model program cond)
+    (forbidden_body model program cond)
 
 (* ------------------------------------------------------------------ *)
 (* Minimality claims.                                                  *)
@@ -171,11 +152,11 @@ let forbidden ?max_candidates model (program : Program.t) cond =
 let site_of (s : Placement.site) =
   { Certificate.s_tid = s.Placement.tid; s_at = s.Placement.at; s_barrier = s.Placement.barrier }
 
-let minimal ?max_candidates model (t : Test.t) (strategy : Placement.strategy) =
+let minimal model (t : Test.t) (strategy : Placement.strategy) =
   let cond = condition_of_test t in
   let ( let* ) = Result.bind in
   let fenced = Placement.apply t.Test.program strategy in
-  let* body = forbidden_body ?max_candidates model fenced cond in
+  let* body = forbidden_body model fenced cond in
   let* refutations =
     List.fold_left
       (fun acc idx ->
@@ -204,13 +185,16 @@ let minimal ?max_candidates model (t : Test.t) (strategy : Placement.strategy) =
 (* Verdict-level entry point.                                          *)
 (* ------------------------------------------------------------------ *)
 
-let litmus ?max_candidates model (t : Test.t) =
-  let cond = condition_of_test t in
-  let program = t.Test.program in
-  match first_witness model program cond with
-  | Error msg -> Error msg
-  | Ok (Some w) -> Ok (certificate model program cond (Certificate.Allowed w))
-  | Ok None -> forbidden ?max_candidates model program cond
+(* One walk: its witness is the allowed certificate, its exhausted
+   lists the forbidden one. *)
+let litmus model (t : Test.t) =
+  let cond = condition_of_test t and program = t.Test.program in
+  Result.bind (walk model program cond) (fun w ->
+      Result.map (certificate model program cond)
+        (match w with
+        | Enumerate.Witness (x, o) -> Ok (Certificate.Allowed (witness_of x o))
+        | Enumerate.Exhausted (combos, count) ->
+            Result.map (fun body -> Certificate.Forbidden body) (forbidden_set combos count)))
 
 (* A certificate printed or served beside a verdict must claim what
    the verdict says; a disagreement between the graph engine and the

@@ -207,6 +207,6 @@ let inferred_cost_ns (fit : Sensitivity.fit) (relative : Stats.summary) =
 
 type divergence = { micro_ns : float; macro_ns : float }
 
-let divergence_interesting ?(threshold = 0.5) d =
+let divergence_interesting d =
   let denom = Float.max (abs_float d.micro_ns) 1e-9 in
-  abs_float (d.macro_ns -. d.micro_ns) /. denom > threshold
+  abs_float (d.macro_ns -. d.micro_ns) /. denom > 0.5

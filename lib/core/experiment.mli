@@ -145,7 +145,7 @@ type divergence = {
   macro_ns : float;  (** In-vivo: inferred from the benchmark. *)
 }
 
-val divergence_interesting : ?threshold:float -> divergence -> bool
-(** True when in-vitro and in-vivo disagree by more than [threshold]
-    (default 50%) relatively - which the paper reads as the benchmark
+val divergence_interesting : divergence -> bool
+(** True when in-vitro and in-vivo disagree by more than 50%
+    relatively - which the paper reads as the benchmark
     exercising memory-system state that microbenchmarks cannot. *)

@@ -42,5 +42,4 @@ let fit_k ~xs ~ys = fit_k_with (fun ~f ~xs ~ys ~init () -> Fit.curve_fit ~f ~xs 
 let fit_k_robust ~xs ~ys =
   fit_k_with (fun ~f ~xs ~ys ~init () -> Fit.huber_fit ~f ~xs ~ys ~init ()) ~xs ~ys
 
-let well_suited ?(max_error_percent = 15.) ?(min_k = 1e-4) fit =
-  fit.converged && fit.k >= min_k && fit.k_error_percent <= max_error_percent
+let well_suited fit = fit.converged && fit.k >= 1e-4 && fit.k_error_percent <= 15.

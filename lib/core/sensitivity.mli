@@ -48,7 +48,7 @@ val fit_k_robust : xs:float array -> ys:float array -> fit
     by outlier samples pull on [k] with bounded force.  Identical to
     {!fit_k} on clean data. *)
 
-val well_suited : ?max_error_percent:float -> ?min_k:float -> fit -> bool
+val well_suited : fit -> bool
 (** The paper's usefulness criterion: a benchmark suits a code path
-    when [k] is comparatively high and the fit variance low.
-    Defaults: error below 15%, k at least 1e-4. *)
+    when [k] is comparatively high and the fit variance low: the fit
+    converged, k is at least 1e-4 and its error at most 15%. *)

@@ -41,9 +41,13 @@ type run = {
   final_regs : (Instr.reg * Instr.value) list;  (** registers written *)
 }
 
+(* Interpreted steps per thread: an accidentally looping program fails
+   fast, with [Failure], instead of hanging. *)
+let fuel = 1024
+
 (* Interpret one thread, branching over the possible values of every
    load (drawn from [pool]).  Returns every feasible run. *)
-let run_thread ~fuel ~pool (thread : Program.thread) : run list =
+let run_thread ~pool (thread : Program.thread) : run list =
   let length = Array.length thread in
   let results = ref [] in
   let module IM = Map.Make (Int) in
@@ -181,7 +185,7 @@ let run_thread ~fuel ~pool (thread : Program.thread) : run list =
 (* Phase one: value pool fixpoint.                                     *)
 (* ------------------------------------------------------------------ *)
 
-let value_pool ~fuel (p : Program.t) =
+let value_pool (p : Program.t) =
   let module LM = Map.Make (Int) in
   let module VS = Set.Make (Int) in
   let initial =
@@ -198,7 +202,7 @@ let value_pool ~fuel (p : Program.t) =
     let additions = ref pool in
     Array.iter
       (fun thread ->
-        let runs = run_thread ~fuel ~pool:(lookup pool) thread in
+        let runs = run_thread ~pool:(lookup pool) thread in
         List.iter
           (fun run ->
             List.iter
@@ -228,30 +232,6 @@ let value_pool ~fuel (p : Program.t) =
   lookup pool
 
 (* ------------------------------------------------------------------ *)
-(* Phase two: candidate generation.                                    *)
-(* ------------------------------------------------------------------ *)
-
-let rec cartesian = function
-  | [] -> [ [] ]
-  | choices :: rest ->
-      let tails = cartesian rest in
-      List.concat_map (fun c -> List.map (fun tail -> c :: tail) tails) choices
-
-let rec permutations = function
-  | [] -> [ [] ]
-  | l ->
-      (* Remove the chosen element by position: filtering on structural
-         equality would drop every duplicate occurrence at once and
-         lose permutations (and their lengths) for lists with repeated
-         elements. *)
-      List.concat
-        (List.mapi
-           (fun i x ->
-             let rest = List.filteri (fun j _ -> j <> i) l in
-             List.map (fun p -> x :: p) (permutations rest))
-           l)
-
-(* ------------------------------------------------------------------ *)
 (* Candidate skeleton: everything about one choice of per-thread runs
    that is independent of the rf/co assignment.  Built once per run
    combination and shared by every candidate explored from it.
@@ -259,8 +239,8 @@ let rec permutations = function
    The dependency and rmw edges stay sorted pair lists: they key the
    static memo's shape normal form, which most run combinations only
    need to compare.  The rf/co-free execution, program order included,
-   is built on first use - a static-memo miss, or a candidate
-   materialized for a certificate or the reference path.               *)
+   is built on first use - a static-memo miss, a witness, or a
+   combination the candidate walk lists for a certificate.            *)
 (* ------------------------------------------------------------------ *)
 
 type skeleton = {
@@ -651,15 +631,20 @@ let static_for model skel =
       st
 
 (* ------------------------------------------------------------------ *)
-(* Candidate generator for certificate witnesses.
+(* The exhaustive candidate generator, in the certificates' canonical
+   order.
 
    Every well-formed candidate of one skeleton, model-blind: first
-   every read is assigned its rf source (fewest candidates first),
-   then each location's coherence order is grown one write at a time.
-   Candidates are well-formed by construction (rf is
+   every read, in event-id order, is assigned its rf source (writes in
+   event-id order), then each location's coherence order is grown one
+   write at a time, locations in ascending order.  So rf choices vary
+   lexicographically in read order, and under each of them every
+   location's coherence permutations vary lexicographically, the first
+   location slowest.  Candidates are well-formed by construction (rf is
    value/location-matched and unique per read, co is a per-location
    total order with init first).  The order is part of the contract:
-   an allowed certificate's witness is the first match in it.          *)
+   an allowed certificate's witness is the first match in it, and a
+   forbidden certificate lists the candidates in it.                    *)
 (* ------------------------------------------------------------------ *)
 
 let search skel
@@ -667,10 +652,6 @@ let search skel
   let reads = Array.of_list skel.sk_reads in
   let nreads = Array.length reads in
   let rf_cands = Array.map (fun r -> rf_candidates skel r) reads in
-  let order = Array.init nreads Fun.id in
-  Array.sort
-    (fun i j -> compare (List.length rf_cands.(i)) (List.length rf_cands.(j)))
-    order;
   let locs = co_locations skel in
   let rf_edges = ref [] in
   (* Cooperative cancellation: the candidate space can take minutes to
@@ -688,13 +669,12 @@ let search skel
       if i = nreads then assign_locs locs []
       else begin
         poll ();
-        let r = reads.(order.(i)) in
         List.iter
           (fun w ->
-            rf_edges := (w, r) :: !rf_edges;
+            rf_edges := (w, reads.(i)) :: !rf_edges;
             assign_read (i + 1);
             rf_edges := List.tl !rf_edges)
-          rf_cands.(order.(i))
+          rf_cands.(i)
       end
     and assign_locs remaining_locs done_chains =
       match remaining_locs with
@@ -893,103 +873,16 @@ let graph_search ~static ~(sym : Symmetry.t) skel ~counters
     place start
   end
 
-let run_combos ~fuel (p : Program.t) =
+let run_combos (p : Program.t) =
   (match Program.validate p with Ok () -> () | Error msg -> invalid_arg msg);
-  let pool = value_pool ~fuel p in
-  let per_thread_runs =
-    Array.to_list (Array.map (fun thread -> run_thread ~fuel ~pool thread) p.Program.threads)
-  in
-  List.map Array.of_list (cartesian per_thread_runs)
-
-let outcome_of (p : Program.t) (runs : run array) (x : Execution.t) =
-  ignore p;
-  { registers = registers_of_runs runs; memory = Execution.final_memory x }
-
-(* Every well-formed candidate of [p], run combination by run
-   combination, in [search]'s order.  [visit] gets each candidate's
-   final state and a thunk that materializes its execution, so a
-   caller that filters on the outcome builds only the executions it
-   keeps. *)
-let walk_candidates ~fuel (p : Program.t) visit =
-  List.iter
-    (fun runs ->
-      let skel = skeleton_of_runs p runs in
-      let registers = registers_of_runs runs in
-      search skel ~emit:(fun ~rf_pairs ~chains ->
-          visit
-            { registers; memory = memory_of_chains skel chains }
-            (fun () ->
-              candidate skel ~rf:(rf_relation skel rf_pairs) ~co:(co_relation skel chains))))
-    (run_combos ~fuel p)
-
-let candidate_executions ?(fuel = 1024) (p : Program.t) =
-  let acc = ref [] in
-  walk_candidates ~fuel p (fun o execution -> acc := (execution (), o) :: !acc);
-  List.rev !acc
-
-let first_witness model (p : Program.t) pred =
-  let exception Witness of (Execution.t * outcome) in
-  match
-    walk_candidates ~fuel:1024 p (fun o execution ->
-        if pred o then begin
-          let x = execution () in
-          if Axiomatic.consistent model x then raise (Witness (x, o))
-        end)
-  with
-  | () -> None
-  | exception Witness w -> Some w
-
-(* ------------------------------------------------------------------ *)
-(* Pre-rewrite reference path: materialize the full cartesian product
-   of rf choices and per-location co permutations, filter by
-   well-formedness, then by the model.  Kept as the oracle for golden
-   tests, as the baseline the perf benchmark measures against, and as
-   the exhaustive candidate list of forbidden certificates.            *)
-(* ------------------------------------------------------------------ *)
-
-module Reference = struct
-  let cartesian = cartesian
-
-  let permutations = permutations
-
-  let executions_of_runs (p : Program.t) (runs : run array) =
-    let skel = skeleton_of_runs p runs in
-    let rf_choices =
-      List.map (fun r -> List.map (fun w -> (w, r)) (rf_candidates skel r)) skel.sk_reads
-    in
-    if List.exists (fun c -> c = []) rf_choices then []
-    else begin
-      let rf_assignments = cartesian rf_choices in
-      let co_per_loc =
-        List.map
-          (fun (l, init_id, others) ->
-            List.map (fun perm -> (l, init_id :: perm)) (permutations others))
-          (co_locations skel)
-      in
-      let co_assignments = cartesian co_per_loc in
-      List.concat_map
-        (fun rf_pairs ->
-          let rf = rf_relation skel rf_pairs in
-          List.filter_map
-            (fun chains ->
-              let x = candidate skel ~rf ~co:(co_relation skel chains) in
-              match Execution.well_formed x with Ok () -> Some x | Error _ -> None)
-            co_assignments)
-        rf_assignments
-    end
-
-  let candidate_executions ?(fuel = 1024) (p : Program.t) =
-    List.concat_map
-      (fun runs ->
-        List.map (fun x -> (x, outcome_of p runs x)) (executions_of_runs p runs))
-      (run_combos ~fuel p)
-
-  let allowed_outcomes model p =
-    candidate_executions p
-    |> List.filter (fun (x, _) -> Axiomatic.consistent model x)
-    |> List.map snd
-    |> List.sort_uniq compare_outcome
-end
+  let pool = value_pool p in
+  (* Every choice of one run per thread, the first thread's varying
+     slowest. *)
+  Array.fold_right
+    (fun runs tails -> List.concat_map (fun r -> List.map (fun t -> r :: t) tails) runs)
+    (Array.map (fun thread -> run_thread ~pool thread) p.Program.threads)
+    [ [] ]
+  |> List.map Array.of_list
 
 (* The vector of values a combo's loads observe, in a fixed event
    order: the signature the symmetry group acts on.  Permutations fix
@@ -1296,10 +1189,10 @@ let explore_canonical ~counters ~(sym : Symmetry.t) model (p : Program.t) combos
       end)
     combos
 
-let allowed_outcomes_stats ?(fuel = 1024) model (p : Program.t) =
+let allowed_outcomes_stats model (p : Program.t) =
   let t0 = Unix.gettimeofday () in
   let counters = fresh_counters () in
-  let combos = run_combos ~fuel p in
+  let combos = run_combos p in
   let sym = Symmetry.detect p in
   let acc = ref [] in
   explore_canonical ~counters ~sym model p combos (fun o -> acc := o :: !acc);
@@ -1312,10 +1205,10 @@ let allowed_outcomes model p = fst (allowed_outcomes_stats model p)
 
 exception Found
 
-let exists_outcome ?(fuel = 1024) model (p : Program.t) pred =
+let exists_outcome model (p : Program.t) pred =
   let t0 = Unix.gettimeofday () in
   let counters = fresh_counters () in
-  let combos = run_combos ~fuel p in
+  let combos = run_combos p in
   let sym = Symmetry.detect p in
   (* A canonical outcome stands for its whole orbit. *)
   let hit =
@@ -1352,3 +1245,84 @@ let outcome_allowed model p query =
          query.memory
   in
   exists_outcome model p matches
+
+(* ------------------------------------------------------------------ *)
+(* The candidate walk: generate and test over [search].
+
+   One pass over every run combination's candidates, in [search]'s
+   order.  A candidate's final state is read off its chains; only a
+   candidate whose state passes the predicate gets rf/co relations,
+   checked against the combination's static context, which is taken
+   at most once, lazily, from the memo the graph engine uses.  The
+   walk lists every candidate as it goes, so when no candidate both
+   passes and is allowed, the lists are the exhaustive candidate set
+   of a forbidden certificate and nothing is enumerated twice.  Only a
+   combination that has candidates is kept, and of its skeleton only
+   the lazily built execution: most run combinations of a program with
+   many runs (392 of CAS+both's 400) have a read no write can feed.  *)
+(* ------------------------------------------------------------------ *)
+
+type candidate = { rf : (int * int) list; co : (Instr.loc * int list) list }
+
+type combination = {
+  execution : Execution.t;
+  registers : ((int * Instr.reg) * Instr.value) list;
+  candidates : candidate list;
+}
+
+type walk = Witness of Execution.t * outcome | Exhausted of combination list * int
+
+(* [on_match] gets every candidate whose final state passes [pred]
+   and which the model allows; it may raise to end the walk. *)
+let candidate_walk model (p : Program.t) pred ~on_match =
+  let count = ref 0 in
+  let combos =
+    List.filter_map
+      (fun runs ->
+        let skel = skeleton_of_runs p runs in
+        let registers = registers_of_runs runs in
+        let static = lazy (static_for model skel) in
+        let listed = ref [] in
+        search skel ~emit:(fun ~rf_pairs ~chains ->
+            incr count;
+            listed := (rf_pairs, chains) :: !listed;
+            let o = { registers; memory = memory_of_chains skel chains } in
+            if pred o then begin
+              let rf = rf_relation skel rf_pairs and co = co_relation skel chains in
+              if Axiomatic.consistent_static (Lazy.force static) ~rf ~co then
+                on_match (candidate skel ~rf ~co) o
+            end);
+        if !listed = [] then None else Some (skel.sk_exec, registers, !listed))
+      (run_combos p)
+  in
+  (combos, !count)
+
+let walk model p pred =
+  let exception Found of Execution.t * outcome in
+  match candidate_walk model p pred ~on_match:(fun x o -> raise (Found (x, o))) with
+  | exception Found (x, o) -> Witness (x, o)
+  | combos, count ->
+      (* [search] pushes rf pairs in read order and chains in location
+         order; a candidate lists the sorted pairs and the
+         location-sorted chains. *)
+      let as_candidate (rf, chains) = { rf = List.sort compare rf; co = List.rev chains } in
+      Exhausted
+        ( List.map
+            (fun (execution, registers, listed) ->
+              {
+                execution = Lazy.force execution;
+                registers;
+                candidates = List.rev_map as_candidate listed;
+              })
+            combos,
+          count )
+
+let filtered_outcomes model p =
+  let acc = ref [] in
+  ignore (candidate_walk model p (fun _ -> true) ~on_match:(fun _ o -> acc := o :: !acc));
+  List.sort_uniq compare_outcome !acc
+
+let combinations p =
+  List.map
+    (fun runs -> (Lazy.force (skeleton_of_runs p runs).sk_exec, registers_of_runs runs))
+    (run_combos p)

@@ -17,8 +17,8 @@ open Wmm_isa
     check screens every step, so each maximal consistent execution is
     reached exactly once and no leaf is wasted.  Structurally
     identical threads are quotiented by symmetry ({!Symmetry}) and the
-    outcome set re-expanded.  {!Reference}, the pre-rewrite
-    generate-and-filter path, is kept as the test oracle. *)
+    outcome set re-expanded.  Certificates come from a flat
+    generate-and-test {!walk} over the same run combinations. *)
 
 type outcome = {
   registers : ((int * Instr.reg) * Instr.value) list;
@@ -48,35 +48,14 @@ type stats = {
 
 val zero_stats : stats
 
-val candidate_executions :
-  ?fuel:int -> Program.t -> (Execution.t * outcome) list
-(** All well-formed candidate executions with their final states, in
-    a fixed order (rf assigned fewest-candidates-first, then coherence
-    per location); certificate witnesses are the first match in it.
-    [fuel] caps interpreted steps per thread (default 1024) so
-    accidentally looping programs fail fast: exceeding it raises
-    [Failure]. *)
-
-val first_witness :
-  Axiomatic.model ->
-  Program.t ->
-  (outcome -> bool) ->
-  (Execution.t * outcome) option
-(** The first candidate, in {!candidate_executions}' order, whose
-    final state satisfies the predicate and which the model allows.
-    Walks the same candidates but stops at the witness, and builds an
-    execution only for candidates whose final state passes. *)
-
 val allowed_outcomes : Axiomatic.model -> Program.t -> outcome list
 (** Deduplicated, sorted final states of the model-consistent
-    executions (CI-asserted equal to {!Reference}). *)
+    executions, by the graph engine. *)
 
-val allowed_outcomes_stats :
-  ?fuel:int -> Axiomatic.model -> Program.t -> outcome list * stats
+val allowed_outcomes_stats : Axiomatic.model -> Program.t -> outcome list * stats
 (** [allowed_outcomes] plus the exploration counters for this call. *)
 
-val exists_outcome :
-  ?fuel:int -> Axiomatic.model -> Program.t -> (outcome -> bool) -> bool
+val exists_outcome : Axiomatic.model -> Program.t -> (outcome -> bool) -> bool
 (** Whether any model-consistent candidate's final state satisfies
     the predicate.  Stops at the first witness, so forbidden-outcome
     checks on permissive models return as soon as the outcome is
@@ -94,21 +73,49 @@ val global_stats : unit -> stats
 
 val reset_global_stats : unit -> unit
 
-(** The pre-rewrite generate-and-filter path: materialize the full
-    cartesian product of rf choices and per-location co permutations,
-    filter by well-formedness, then filter by the model.  Kept as the
-    oracle for golden tests, as the baseline the perf benchmark
-    measures the search against, and as the exhaustive candidate list
-    of forbidden certificates. *)
-module Reference : sig
-  val permutations : 'a list -> 'a list list
-  (** All permutations; duplicate elements are kept positionally
-      distinct (a list of length [n] always yields [n!] entries). *)
+(** {2 The candidate walk}
 
-  val cartesian : 'a list list -> 'a list list
+    Every well-formed candidate execution of a program, run
+    combination by run combination, in one canonical order: rf
+    choices lexicographic in read order (reads and writes by event
+    id), then each location's coherence permutations lexicographic,
+    locations ascending.  This order is part of the certificate
+    format. *)
 
-  val candidate_executions :
-    ?fuel:int -> Program.t -> (Execution.t * outcome) list
+type candidate = {
+  rf : (int * int) list;  (** (write, read) pairs, sorted. *)
+  co : (Instr.loc * int list) list;
+      (** One coherence chain per location, init write first, sorted
+          by location. *)
+}
 
-  val allowed_outcomes : Axiomatic.model -> Program.t -> outcome list
-end
+type combination = {
+  execution : Execution.t;  (** The run combination's events; rf and co empty. *)
+  registers : ((int * Instr.reg) * Instr.value) list;
+      (** Final registers, sorted by (thread, register). *)
+  candidates : candidate list;  (** In the canonical order, never empty. *)
+}
+
+type walk =
+  | Witness of Execution.t * outcome
+      (** The first candidate whose final state satisfies the
+          predicate and which the model allows. *)
+  | Exhausted of combination list * int
+      (** There is none: every run combination that has candidates,
+          with its candidates, and the candidate count. *)
+
+val walk : Axiomatic.model -> Program.t -> (outcome -> bool) -> walk
+(** One pass over the candidates that stops at the first witness.
+    Relations are built, and the model consulted, only for candidates
+    whose final state passes.  Raises [Failure] when a thread runs
+    more than 1024 interpreted steps. *)
+
+val filtered_outcomes : Axiomatic.model -> Program.t -> outcome list
+(** Generate and filter over the same walk: the deduplicated, sorted
+    final states of every candidate the model allows. *)
+
+val combinations :
+  Program.t -> (Execution.t * ((int * Instr.reg) * Instr.value) list) list
+(** Each feasible run combination's rf/co-free execution and final
+    registers, in the walk's order; the input of an independent
+    candidate enumerator. *)

@@ -41,8 +41,7 @@ type oracle = {
   outcomes : Axiomatic.model -> Program.t -> Enumerate.outcome list;
 }
 
-let reference_oracle =
-  { oracle_id = "reference/v1"; outcomes = Enumerate.Reference.allowed_outcomes }
+let walk_oracle = { oracle_id = "walk/v1"; outcomes = Enumerate.filtered_outcomes }
 
 type config = {
   models : Axiomatic.model list option;
@@ -55,7 +54,7 @@ type config = {
 let default_config =
   {
     models = None;
-    oracle = reference_oracle;
+    oracle = walk_oracle;
     machine = true;
     infer_limit = 48;
     certificates = true;

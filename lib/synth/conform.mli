@@ -10,9 +10,10 @@ open Wmm_litmus
 
     - {b explore}: the graph engine
       ({!Enumerate.allowed_outcomes}) against an independent outcome
-      oracle, by default the generate-and-filter
-      {!Enumerate.Reference} path, for every model under check.  The
-      two must produce identical outcome sets.
+      oracle, by default generate-and-filter over the certificates'
+      candidate walk ({!Enumerate.filtered_outcomes}), for every
+      model under check.  The two must produce identical outcome
+      sets.
     - {b machine}: the operational machine
       ({!Wmm_machine.Relaxed.enumerate}) against the axiomatic
       models.  The machine is documented to exhibit a subset of the
@@ -80,8 +81,8 @@ type oracle = {
   outcomes : Axiomatic.model -> Program.t -> Enumerate.outcome list;
 }
 
-val reference_oracle : oracle
-(** {!Enumerate.Reference.allowed_outcomes} under id ["reference/v1"]. *)
+val walk_oracle : oracle
+(** {!Enumerate.filtered_outcomes} under id ["walk/v1"]. *)
 
 type config = {
   models : Axiomatic.model list option;
@@ -97,8 +98,8 @@ type config = {
 }
 
 val default_config : config
-(** Reference oracle, default models, machine and certificate layers
-    on, [infer_limit = 48]. *)
+(** Walk oracle, default models, machine and certificate layers on,
+    [infer_limit = 48]. *)
 
 val run :
   ?config:config -> engine:Wmm_engine.Engine.t -> arch:Arch.t -> Test.t list -> report

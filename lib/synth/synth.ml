@@ -350,8 +350,7 @@ let uniquify gens =
       else { g with g_test = { g.g_test with Test.name = name } })
     gens
 
-let generate ?(max_edges = Cycle.default_max_edges) ?atomics arch =
-  let atomics = match atomics with Some a -> a | None -> arch = Arch.Armv8 in
+let generate ?(max_edges = Cycle.default_max_edges) arch =
   let seen = Hashtbl.create 4096 in
   let keep test cycle =
     let key = Canon.of_test test in
@@ -368,7 +367,7 @@ let generate ?(max_edges = Cycle.default_max_edges) ?atomics arch =
       (Cycle.enumerate ~max_edges arch)
   in
   let cas =
-    if atomics then List.filter_map (fun t -> keep t None) (cas_tests ()) else []
+    if arch = Arch.Armv8 then List.filter_map (fun t -> keep t None) (cas_tests ()) else []
   in
   uniquify (base @ cas)
 
@@ -379,9 +378,12 @@ let battery ~max_edges ~limit arch =
 
 let verdict_models arch = [ Axiomatic.Sc; Axiomatic.Tso; Axiomatic.model_for_arch arch ]
 
-let with_verdicts ?models arch (t : Test.t) =
-  let models = match models with Some m -> m | None -> verdict_models arch in
-  { t with Test.expected = List.map (fun m -> (m, Check.axiomatic_allowed m t)) models }
+let with_verdicts arch (t : Test.t) =
+  {
+    t with
+    Test.expected =
+      List.map (fun m -> (m, Check.axiomatic_allowed m t)) (verdict_models arch);
+  }
 
 let covers family (t : Test.t) =
   let key = Canon.of_test t in

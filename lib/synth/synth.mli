@@ -36,12 +36,12 @@ val cas_tests : unit -> Test.t list
     attempt an increment; conditions enumerate observed values,
     success flags and final memory. *)
 
-val generate : ?max_edges:int -> ?atomics:bool -> Arch.t -> generated list
+val generate : ?max_edges:int -> Arch.t -> generated list
 (** The deduplicated family for an architecture at the given cycle
     bound (default {!Cycle.default_max_edges}), deterministically
     ordered, with unique names ([~n] suffixes break the rare naming
-    ties).  [atomics] (default: true on ARMv8 only, since exclusives
-    print in ARM syntax) appends {!cas_tests}. *)
+    ties).  On ARMv8 it ends with {!cas_tests} (exclusives print in
+    ARM syntax only). *)
 
 val battery : max_edges:int -> limit:int -> Arch.t -> Test.t list
 (** The conformance battery: the tests of {!generate} at [max_edges],
@@ -51,8 +51,9 @@ val verdict_models : Arch.t -> Axiomatic.model list
 (** [Sc; Tso; model_for_arch arch] — the models a generated test's
     verdicts are computed under. *)
 
-val with_verdicts : ?models:Axiomatic.model list -> Arch.t -> Test.t -> Test.t
-(** Fill [expected] by exhaustive axiomatic exploration. *)
+val with_verdicts : Arch.t -> Test.t -> Test.t
+(** Fill [expected] by exhaustive axiomatic exploration under
+    {!verdict_models}. *)
 
 val covers : generated list -> Test.t -> generated option
 (** The family member isomorphic to the given test (by canonical

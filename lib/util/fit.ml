@@ -56,7 +56,8 @@ let covariance_of ?weights f params xs ys =
   | inv -> Array.map (Array.map (fun v -> v *. s2)) inv
   | exception Failure _ -> Linalg.make m m nan
 
-let curve_fit ?(max_iterations = 200) ?(tolerance = 1e-12) ?weights ~f ~xs ~ys ~init () =
+let curve_fit ?weights ~f ~xs ~ys ~init () =
+  let max_iterations = 200 and tolerance = 1e-12 in
   let n = Array.length xs and m = Array.length init in
   if n <> Array.length ys then invalid_arg "Fit.curve_fit: xs/ys length mismatch";
   if n < m then invalid_arg "Fit.curve_fit: fewer points than parameters";
@@ -120,11 +121,12 @@ let curve_fit ?(max_iterations = 200) ?(tolerance = 1e-12) ?weights ~f ~xs ~ys ~
    within delta robust standard deviations keep weight 1, larger ones
    are down-weighted proportionally to 1/|r|.  The robust scale is
    re-estimated each round from the median absolute residual. *)
-let huber_fit ?(max_iterations = 200) ?(tolerance = 1e-12) ?(delta = 1.345) ~f ~xs ~ys
-    ~init () =
+let huber_fit ~f ~xs ~ys ~init () =
+  (* 95% efficiency under normality. *)
+  let delta = 1.345 in
   let n = Array.length xs in
   let weights = Array.make n 1. in
-  let result = ref (curve_fit ~max_iterations ~tolerance ~f ~xs ~ys ~init ()) in
+  let result = ref (curve_fit ~f ~xs ~ys ~init ()) in
   let rounds = ref 0 in
   let settled = ref false in
   while (not !settled) && !rounds < 20 do
@@ -144,8 +146,7 @@ let huber_fit ?(max_iterations = 200) ?(tolerance = 1e-12) ?(delta = 1.345) ~f ~
       if not !changed then settled := true
       else
         result :=
-          curve_fit ~max_iterations ~tolerance ~weights ~f ~xs ~ys
-            ~init:!result.params ()
+          curve_fit ~weights ~f ~xs ~ys ~init:!result.params ()
     end
   done;
   !result

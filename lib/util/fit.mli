@@ -15,13 +15,11 @@ type result = {
   residual_ss : float;  (** Sum of squared residuals at the optimum. *)
   iterations : int;
   converged : bool;
-      (** False when the iteration limit was reached before the
-          relative improvement fell under the tolerance. *)
+      (** False when 200 iterations ran out before a step's relative
+          improvement fell under 1e-12. *)
 }
 
 val curve_fit :
-  ?max_iterations:int ->
-  ?tolerance:float ->
   ?weights:float array ->
   f:(float array -> float -> float) ->
   xs:float array ->
@@ -38,9 +36,6 @@ val curve_fit :
     parameters. *)
 
 val huber_fit :
-  ?max_iterations:int ->
-  ?tolerance:float ->
-  ?delta:float ->
   f:(float array -> float -> float) ->
   xs:float array ->
   ys:float array ->
@@ -48,9 +43,9 @@ val huber_fit :
   unit ->
   result
 (** Robust fit by iteratively reweighted least squares with Huber
-    weights: residuals within [delta] (default 1.345, 95% efficiency
-    under normality) robust standard deviations of zero keep full
-    weight, larger residuals are down-weighted by [delta * s / |r|].
+    weights: residuals within [delta = 1.345] (95% efficiency under
+    normality) robust standard deviations of zero keep full weight,
+    larger residuals are down-weighted by [delta * s / |r|].
     Outlier points therefore pull on the fit with bounded force
     instead of quadratically.  Degenerates to {!curve_fit} when all
     residuals are small. *)

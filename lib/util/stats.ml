@@ -77,7 +77,8 @@ let mad samples =
    deviation under normality, so [threshold] reads as a z-score. *)
 let mad_scale = 1.4826
 
-let reject_outliers ?(threshold = 3.5) samples =
+let reject_outliers samples =
+  let threshold = 3.5 in
   check_nonempty "Stats.reject_outliers" samples;
   let n = Array.length samples in
   if n < 4 then Array.copy samples

@@ -40,10 +40,9 @@ val mad : float array -> float
     by 1.4826 for a robust standard-deviation estimate under
     normality. *)
 
-val reject_outliers : ?threshold:float -> float array -> float array
+val reject_outliers : float array -> float array
 (** Drop samples whose modified z-score
-    [|x - median| / (1.4826 * mad)] exceeds [threshold] (default
-    3.5).  Arrays of fewer than four samples, zero-MAD arrays, and
+    [|x - median| / (1.4826 * mad)] exceeds 3.5.  Arrays of fewer than four samples, zero-MAD arrays, and
     rejections that would leave fewer than two samples are returned
     unchanged (as a copy): the caller always gets a usable sample
     set. *)

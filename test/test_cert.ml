@@ -369,7 +369,7 @@ let buggy_allowed model (t : Test.t) =
             claim = Certificate.Allowed (Wmm_certify.Emit.witness_of x o);
           }
       else None)
-    (Enumerate.candidate_executions t.Test.program)
+    (Reference.candidate_executions t.Test.program)
 
 let instr_count (t : Test.t) =
   Array.fold_left (fun acc th -> acc + Array.length th) 0 t.Test.program.Program.threads
@@ -465,6 +465,38 @@ let test_digests () =
     (fun g n -> if g <> n then Alcotest.failf "certificate digest differs:\n  golden %s\n  now    %s" g n)
     golden now
 
+(* --- the certificate cap ------------------------------------------ *)
+
+(* co-storm has 35,280 candidate executions, more than the 20,000 a
+   forbidden certificate may list.  Under the fixtures' condition (the
+   observer reads 5, then 6) every model allows it and the witness
+   certifies.  Reading 6, then 5 breaks read-read coherence (CoRR)
+   under every model, so the walk is exhausted and emission declines. *)
+let co_storm_corr =
+  {
+    Cert_golden.co_storm with
+    Test.condition = [ ((3, 0), 6); ((3, 1), 5) ];
+    expected = List.map (fun m -> (m, false)) Axiomatic.all_models;
+  }
+
+let test_certificate_cap () =
+  List.iter
+    (fun model ->
+      let name = Axiomatic.model_name model in
+      Alcotest.(check bool) ("co-storm CoRR forbidden under " ^ name) false
+        (Check.axiomatic_allowed model co_storm_corr);
+      (match Wmm_certify.Emit.litmus model co_storm_corr with
+      | Ok _ -> Alcotest.failf "co-storm CoRR under %s: certified past the cap" name
+      | Error msg ->
+          Alcotest.(check string) ("co-storm CoRR under " ^ name)
+            "certificate too large: 35280 candidate executions (cap 20000)" msg);
+      let cert = emit Cert_golden.co_storm model in
+      (match cert.Certificate.claim with
+      | Certificate.Allowed _ -> ()
+      | _ -> Alcotest.failf "co-storm under %s: not an allowed certificate" name);
+      check_ok ("co-storm under " ^ name) cert)
+    Axiomatic.all_models
+
 (* --- wmm_bench check: separate-process validation ---------------- *)
 
 (* Same resolution as test_chaos: the test binary runs from inside
@@ -516,5 +548,6 @@ let suite =
     Alcotest.test_case "planted bug: RMW atomicity dropped" `Quick test_planted_bug;
     Alcotest.test_case "golden certificate fixtures" `Quick test_golden;
     Alcotest.test_case "certificate digests" `Quick test_digests;
+    Alcotest.test_case "certificate cap: co-storm" `Quick test_certificate_cap;
     Alcotest.test_case "wmm_bench check (separate process)" `Quick test_bench_check;
   ]

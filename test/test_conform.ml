@@ -47,7 +47,7 @@ let weakened_oracle =
     Conform.oracle_id = "test/planted-sc-per-location";
     outcomes =
       (fun model p ->
-        Enumerate.Reference.candidate_executions p
+        Reference.candidate_executions p
         |> List.filter_map (fun (x, o) ->
                let violations = Axiomatic.violations model x in
                if List.for_all (fun v -> v = "sc-per-location") violations then Some o

@@ -2,15 +2,16 @@ open Wmm_isa
 open Wmm_model
 open Wmm_litmus
 
-(* The exploration core: the graph engine and the certificate
-   candidate search must be outcome-identical to the pre-rewrite
-   generate-and-filter path (kept as [Enumerate.Reference]), and the
-   engine's pruning/consistency counters must behave sanely. *)
+(* The exploration core: the graph engine and the certificates'
+   candidate walk must be outcome-identical to the generate-and-filter
+   enumerator (the test library [Reference]), the walk must list
+   Reference's candidates in Reference's order, and the engine's
+   pruning/consistency counters must behave sanely. *)
 
 (* --- permutations: duplicate elements are kept ------------------- *)
 
 let test_permutations_duplicates () =
-  let perms = Enumerate.Reference.permutations [ 1; 1; 2 ] in
+  let perms = Reference.permutations [ 1; 1; 2 ] in
   Alcotest.(check int) "3! permutations even with duplicates" 6 (List.length perms);
   List.iter
     (fun p ->
@@ -20,7 +21,7 @@ let test_permutations_duplicates () =
   Alcotest.(check int) "three distinct orders" 3
     (List.length (List.sort_uniq compare perms));
   Alcotest.(check int) "4 distinct elements, 24 perms" 24
-    (List.length (Enumerate.Reference.permutations [ 1; 2; 3; 4 ]))
+    (List.length (Reference.permutations [ 1; 2; 3; 4 ]))
 
 let outcomes_equal = List.equal (fun a b -> Enumerate.compare_outcome a b = 0)
 
@@ -75,25 +76,68 @@ let reference_outcomes =
     match Hashtbl.find_opt memo key with
     | Some o -> o
     | None ->
-        let o = Enumerate.Reference.allowed_outcomes model p in
+        let o = Reference.allowed_outcomes model p in
         Hashtbl.add memo key o;
         o
 
-(* --- golden: search equals reference ----------------------------- *)
+(* --- golden: the candidate walk equals reference ------------------ *)
 
-(* [Enumerate.candidate_executions] is the rf/co search that certificate
-   witnesses are drawn from.  Filtered by the model, it must keep as
-   many executions as the reference enumerator does and reach the
-   same outcome set. *)
+(* [Enumerate.walk] is the rf/co search that certificates are drawn
+   from.  Exhausted (its predicate never holds), it must list
+   Reference's candidates combination by combination and in order,
+   each as the rf pairs and co chains a certificate prints - the
+   certificate bytes rest on this.  Filtered by the model, its
+   candidates must keep as many executions as the reference enumerator
+   does and reach the same outcome set. *)
 let consistent_under model cands =
   List.filter (fun ((x : Execution.t), _) -> Axiomatic.consistent model x) cands
 
 let outcome_set cands = List.sort_uniq Enumerate.compare_outcome (List.map snd cands)
 
+(* A listed candidate as an execution, with its final state. *)
+let materialize (c : Enumerate.combination) (k : Enumerate.candidate) =
+  let x = c.Enumerate.execution in
+  let rf = Bitrel.of_list (Array.length x.Execution.events) k.Enumerate.rf in
+  let y = Reference.candidate x ~rf (List.map snd k.Enumerate.co) in
+  (y, { Enumerate.registers = c.Enumerate.registers; memory = Execution.final_memory y })
+
 let check_search_golden model (p : Program.t) =
   let label = Printf.sprintf "%s/%s" p.Program.name (Axiomatic.model_name model) in
-  let fast = consistent_under model (Enumerate.candidate_executions p) in
-  let slow = consistent_under model (Enumerate.Reference.candidate_executions p) in
+  let combos, count =
+    match Enumerate.walk model p (fun _ -> false) with
+    | Enumerate.Exhausted (combos, count) -> (combos, count)
+    | Enumerate.Witness _ -> Alcotest.failf "%s: a predicate that never holds matched" label
+  in
+  (* The walk lists the run combinations that have candidates. *)
+  let reference = List.filter (fun (_, xs) -> xs <> []) (Reference.combinations p) in
+  Alcotest.(check int) (label ^ " run combinations") (List.length reference)
+    (List.length combos);
+  List.iteri
+    (fun i ((c : Enumerate.combination), (registers, xs)) ->
+      if c.Enumerate.registers <> registers then
+        Alcotest.failf "%s: combination %d registers differ" label i;
+      Alcotest.(check int)
+        (Printf.sprintf "%s combination %d candidates" label i)
+        (List.length xs)
+        (List.length c.Enumerate.candidates);
+      List.iteri
+        (fun j ((k : Enumerate.candidate), (x : Execution.t)) ->
+          if
+            k.Enumerate.rf <> Bitrel.to_list x.Execution.rf
+            || k.Enumerate.co <> Wmm_certify.Emit.co_chains x
+          then Alcotest.failf "%s: combination %d candidate %d differs from reference" label i j)
+        (List.combine c.Enumerate.candidates xs))
+    (List.combine combos reference);
+  Alcotest.(check int) (label ^ " candidate count")
+    (List.fold_left (fun n (_, xs) -> n + List.length xs) 0 reference)
+    count;
+  let walked =
+    List.concat_map
+      (fun c -> List.map (materialize c) c.Enumerate.candidates)
+      combos
+  in
+  let fast = consistent_under model walked in
+  let slow = consistent_under model (Reference.candidate_executions p) in
   Alcotest.(check int) (label ^ " consistent executions") (List.length slow) (List.length fast);
   let fast_outs = outcome_set fast and slow_outs = outcome_set slow in
   if not (outcomes_equal fast_outs slow_outs) then
@@ -115,7 +159,7 @@ let test_graph_golden_library model () =
     (fun (t : Test.t) ->
       let p = t.Test.program in
       let graph = Enumerate.allowed_outcomes model p in
-      let slow = Enumerate.Reference.allowed_outcomes model p in
+      let slow = Reference.allowed_outcomes model p in
       if not (outcomes_equal graph slow) then
         Alcotest.failf "%s under %s: graph %d outcomes, reference %d" t.Test.name
           (Axiomatic.model_name model)
@@ -152,7 +196,7 @@ let test_graph_golden_synth_sample () =
       List.iter
         (fun model ->
           let graph = Enumerate.allowed_outcomes model p in
-          let slow = Enumerate.Reference.allowed_outcomes model p in
+          let slow = Reference.allowed_outcomes model p in
           if not (outcomes_equal graph slow) then
             Alcotest.failf "synth %s under %s: graph %d outcomes, reference %d"
               p.Program.name
@@ -166,7 +210,7 @@ let test_graph_golden_synth_sample () =
 (* Executions the reference enumerator finds consistent: what a
    search without symmetry reduction reaches. *)
 let reference_consistent model p =
-  List.length (consistent_under model (Enumerate.Reference.candidate_executions p))
+  List.length (consistent_under model (Reference.candidate_executions p))
 
 let test_symmetry_quotient () =
   (* Identical tier: three byte-identical writers - one canonical
@@ -177,7 +221,7 @@ let test_symmetry_quotient () =
   in
   let go, gs = Enumerate.allowed_outcomes_stats Axiomatic.Sc p in
   Alcotest.(check bool) "identical-tier outcomes agree" true
-    (outcomes_equal (Enumerate.Reference.allowed_outcomes Axiomatic.Sc p) go);
+    (outcomes_equal (Reference.allowed_outcomes Axiomatic.Sc p) go);
   Alcotest.(check int) "graph searches 1/3! of the executions"
     (reference_consistent Axiomatic.Sc p)
     (6 * gs.Enumerate.consistent);
@@ -189,7 +233,7 @@ let test_symmetry_quotient () =
   in
   let ho, hs = Enumerate.allowed_outcomes_stats Axiomatic.Sc q in
   Alcotest.(check bool) "renamed-tier outcomes agree" true
-    (outcomes_equal (Enumerate.Reference.allowed_outcomes Axiomatic.Sc q) ho);
+    (outcomes_equal (Reference.allowed_outcomes Axiomatic.Sc q) ho);
   Alcotest.(check int) "renamed tier also quotients by 3!"
     (reference_consistent Axiomatic.Sc q)
     (6 * hs.Enumerate.consistent)
@@ -234,7 +278,7 @@ let test_prune_residual_invariant () =
               if full <> via_prune then
                 Alcotest.failf "%s/%s: consistent=%b but prune+residual=%b" p.Program.name
                   (Axiomatic.model_name model) full via_prune)
-            (Enumerate.candidate_executions p))
+            (Reference.candidate_executions p))
         Axiomatic.all_models)
     progs
 
