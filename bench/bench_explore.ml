@@ -24,6 +24,7 @@
 open Wmm_isa
 open Wmm_model
 open Wmm_litmus
+module Json = Wmm_util.Json
 
 let fast () = Sys.getenv_opt "WMM_FAST" <> None
 
@@ -239,59 +240,59 @@ let assert_optimal results =
 (* v3 drops v2's fields about the pruned engine and the routing to it
    (engine, pruned_s, speedup_vs_pruned and the routed-program count);
    every other field is kept, and speedup is reference time over graph
-   time. *)
+   time.  Times keep microseconds, ratios two decimals and waste four. *)
 let json_of results ~reps ~mode =
-  let b = Buffer.create 4096 in
-  let fl f = Printf.sprintf "%.6f" f in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"schema_version\": 3,\n";
-  Buffer.add_string b (Printf.sprintf "  \"mode\": \"%s\",\n" mode);
-  Buffer.add_string b (Printf.sprintf "  \"reps\": %d,\n" reps);
-  Buffer.add_string b "  \"cases\": [\n";
-  let n = List.length results in
-  List.iteri
-    (fun i r ->
-      let speedup =
-        match r.ref_s with
-        | Some ref_s when r.graph_s > 0. -> Printf.sprintf "%.2f" (ref_s /. r.graph_s)
-        | _ -> "null"
-      in
-      let waste =
-        if r.stats.Enumerate.consistent > 0 then
-          Printf.sprintf "%.4f"
-            (float_of_int r.stats.Enumerate.generated
-            /. float_of_int r.stats.Enumerate.consistent)
-        else "1.0"
-      in
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"name\": \"%s\", \"model\": \"%s\", \"new_s\": %s, \"ref_s\": %s, \
-            \"speedup\": %s, \"outcomes\": %d, \"explored\": %d, \"pruned\": %d, \
-            \"consistent\": %d, \"revisits\": %d, \"symmetry_skips\": %d, \"waste\": \
-            %s}%s\n"
-           r.case.name
-           (Axiomatic.model_name r.case.model)
-           (fl r.graph_s)
-           (match r.ref_s with Some s -> fl s | None -> "null")
-           speedup r.outcomes r.stats.Enumerate.generated r.stats.Enumerate.pruned
-           r.stats.Enumerate.consistent r.stats.Enumerate.revisits
-           r.stats.Enumerate.symmetry_skips waste
-           (if i = n - 1 then "" else ",")))
-    results;
-  Buffer.add_string b "  ],\n";
+  let round digits f =
+    let scale = 10. ** float_of_int digits in
+    Json.Num (Float.round (f *. scale) /. scale)
+  in
+  let seconds = round 6 and ratio = round 2 in
+  let case r =
+    let st = r.stats in
+    Json.Obj
+      [
+        ("name", Json.Str r.case.name);
+        ("model", Json.Str (Axiomatic.model_name r.case.model));
+        ("new_s", seconds r.graph_s);
+        ("ref_s", match r.ref_s with Some s -> seconds s | None -> Json.Null);
+        ( "speedup",
+          match r.ref_s with
+          | Some ref_s when r.graph_s > 0. -> ratio (ref_s /. r.graph_s)
+          | _ -> Json.Null );
+        ("outcomes", Json.of_int r.outcomes);
+        ("explored", Json.of_int st.Enumerate.generated);
+        ("pruned", Json.of_int st.Enumerate.pruned);
+        ("consistent", Json.of_int st.Enumerate.consistent);
+        ("revisits", Json.of_int st.Enumerate.revisits);
+        ("symmetry_skips", Json.of_int st.Enumerate.symmetry_skips);
+        ( "waste",
+          if st.Enumerate.consistent > 0 then
+            round 4
+              (float_of_int st.Enumerate.generated /. float_of_int st.Enumerate.consistent)
+          else Json.Num 1. );
+      ]
+  in
   let total_new = List.fold_left (fun acc r -> acc +. r.graph_s) 0. results in
   let total_ref =
     List.fold_left (fun acc r -> match r.ref_s with Some s -> acc +. s | None -> acc) 0.
       results
   in
-  Buffer.add_string b
-    (Printf.sprintf "  \"totals\": {\"new_s\": %s, \"ref_s\": %s, \"speedup\": %s}\n"
-       (fl total_new) (fl total_ref)
-       (if total_new > 0. && total_ref > 0. then
-          Printf.sprintf "%.2f" (total_ref /. total_new)
-        else "null"));
-  Buffer.add_string b "}\n";
-  Buffer.contents b
+  Json.Obj
+    [
+      ("schema_version", Json.of_int 3);
+      ("mode", Json.Str mode);
+      ("reps", Json.of_int reps);
+      ("cases", Json.Arr (List.map case results));
+      ( "totals",
+        Json.Obj
+          [
+            ("new_s", seconds total_new);
+            ("ref_s", seconds total_ref);
+            ( "speedup",
+              if total_new > 0. && total_ref > 0. then ratio (total_ref /. total_new)
+              else Json.Null );
+          ] );
+    ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -358,7 +359,8 @@ let () =
   Option.iter
     (fun path ->
       let oc = open_out path in
-      output_string oc (json_of results ~reps:!reps ~mode);
+      output_string oc (Json.to_string (json_of results ~reps:!reps ~mode));
+      output_char oc '\n';
       close_out oc;
       Printf.printf "wrote %s\n%!" path)
     !out

@@ -181,12 +181,6 @@ let with_batch_engine b ~tag ~parts f =
 (* Certificate emission helpers (litmus --certify / analyze --certify) *)
 (* ------------------------------------------------------------------ *)
 
-let rec mkdir_p d =
-  if d <> "" && d <> "." && d <> "/" && not (Sys.file_exists d) then begin
-    mkdir_p (Filename.dirname d);
-    try Sys.mkdir d 0o755 with Sys_error _ -> ()
-  end
-
 let cert_file_name name model =
   let safe s =
     String.map
@@ -199,7 +193,7 @@ let cert_file_name name model =
   Printf.sprintf "%s__%s.cert" (safe name) (safe model)
 
 let write_cert dir name model cert =
-  mkdir_p dir;
+  Wmm_util.Fs.mkdir_p dir;
   let path = Filename.concat dir (cert_file_name name model) in
   Out_channel.with_open_text path (fun oc ->
       output_string oc (Wmm_cert.Certificate.to_string cert));
@@ -1144,7 +1138,7 @@ let query_cmd =
         let op =
           match op with Some op -> op | None -> die "OP required unless --stdin"
         in
-        let open Wmm_served.Json in
+        let open Wmm_util.Json in
         let str_list l = Arr (List.map (fun s -> Str s) l) in
         let fields =
           match op with
@@ -1208,9 +1202,9 @@ let query_cmd =
         List.iter
           (fun line ->
             print_endline line;
-            match Wmm_served.Json.str_member "status"
-                    (Result.value ~default:Wmm_served.Json.Null
-                       (Wmm_served.Json.parse line))
+            match Wmm_util.Json.str_member "status"
+                    (Result.value ~default:Wmm_util.Json.Null
+                       (Wmm_util.Json.parse line))
             with
             | Some "ok" -> ()
             | Some "overloaded" -> overloaded := true
@@ -1288,10 +1282,9 @@ let cache_cmd =
     | "fsck" ->
         let r = Wmm_engine.Cache.fsck cache in
         Printf.printf
-          "cache: scanned %d entries, %d verified, %d quarantined (.corrupt), \
-           %d legacy unverified\n"
+          "cache: scanned %d entries, %d verified, %d quarantined (.corrupt)\n"
           r.Wmm_engine.Cache.f_scanned r.Wmm_engine.Cache.f_ok
-          r.Wmm_engine.Cache.f_quarantined r.Wmm_engine.Cache.f_unverified;
+          r.Wmm_engine.Cache.f_quarantined;
         let journal_dir = Filename.concat cache_dir "journal" in
         let run_ids =
           match run_id with

@@ -183,12 +183,3 @@ let edge_kind e =
   | false, true -> Wmm_platform.Barrier.Load_store
   | true, false -> Wmm_platform.Barrier.Store_load
   | true, true -> Wmm_platform.Barrier.Store_store
-
-let access_of t ~tid ~index =
-  List.find_opt (fun a -> a.tid = tid && a.index = index) t.accesses
-
-let pp_access fmt a =
-  Format.fprintf fmt "%c%s:%d.%d"
-    (if a.is_write then 'W' else 'R')
-    (match a.loc with Some l -> string_of_int l | None -> "?")
-    a.tid a.index

@@ -63,6 +63,3 @@ val conflict : access -> access -> bool
 val edge_kind : po_edge -> Wmm_platform.Barrier.elemental
 (** Classify by endpoint directions: LoadLoad, LoadStore, StoreLoad
     or StoreStore. *)
-
-val access_of : t -> tid:int -> index:int -> access option
-val pp_access : Format.formatter -> access -> unit

@@ -9,7 +9,7 @@
    the report keeps those in counters, never in the verdict lines. *)
 
 module Rng = Wmm_util.Rng
-module Json = Wmm_served.Json
+module Json = Wmm_util.Json
 module Client = Wmm_served.Client
 module Protocol = Wmm_served.Protocol
 module Ops = Wmm_served.Ops
@@ -81,20 +81,6 @@ let rec take n = function
   | [] -> []
   | _ when n <= 0 -> []
   | x :: tl -> x :: take (n - 1) tl
-
-let rec rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-      (try Unix.rmdir path with Unix.Unix_error _ -> ())
-  | _ -> ( try Sys.remove path with Sys_error _ -> ())
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
 
 let shuffle rng l =
   let a = Array.of_list l in
@@ -333,9 +319,9 @@ let run cfg =
   let rng = Rng.create cfg.seed in
   let log = ref [] in
   let logf fmt = Printf.ksprintf (fun s -> log := s :: !log) fmt in
-  rm_rf cfg.cache_dir;
+  Wmm_util.Fs.rm_rf cfg.cache_dir;
   (try Sys.remove cfg.socket_path with Sys_error _ -> ());
-  mkdir_p cfg.cache_dir;
+  Wmm_util.Fs.mkdir_p cfg.cache_dir;
   let battery = battery_of cfg in
   let n = List.length battery in
   if n = 0 then invalid_arg "Chaos.run: empty battery";
@@ -742,11 +728,11 @@ let render r =
     (fun (k, v) -> Printf.bprintf b "chaos: counter %s=%d\n" k v)
     r.r_counters;
   Printf.bprintf b
-    "chaos: corrupt_files=%d cache_fsck={scanned=%d ok=%d quarantined=%d \
-     unverified=%d} journal_fsck={lines=%d ok=%d torn=%d duplicates=%d \
-     orphans=%d kept=%d compacted=%b}\n"
+    "chaos: corrupt_files=%d cache_fsck={scanned=%d ok=%d quarantined=%d} \
+     journal_fsck={lines=%d ok=%d torn=%d duplicates=%d orphans=%d kept=%d \
+     compacted=%b}\n"
     r.r_corrupt_files r.r_cache_fsck.Cache.f_scanned r.r_cache_fsck.Cache.f_ok
-    r.r_cache_fsck.Cache.f_quarantined r.r_cache_fsck.Cache.f_unverified
+    r.r_cache_fsck.Cache.f_quarantined
     r.r_journal_fsck.Journal.j_lines r.r_journal_fsck.Journal.j_ok
     r.r_journal_fsck.Journal.j_torn r.r_journal_fsck.Journal.j_duplicates
     r.r_journal_fsck.Journal.j_orphans r.r_journal_fsck.Journal.j_kept

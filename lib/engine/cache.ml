@@ -64,8 +64,7 @@ let bump a f =
    characters of their digest: concurrent writers (several daemon
    workers, or a daemon plus one-shot CLIs sharing _wmm_cache/)
    spread their directory traffic instead of all contending on one
-   huge flat directory.  Pre-sharding caches are still read (flat
-   fallback in [find]) but new stores always land sharded. *)
+   huge flat directory. *)
 let digest_hex a key = Digest.to_hex (Digest.string (a.version ^ "\x00" ^ key))
 
 let shard_of_digest hex = String.sub hex 0 2
@@ -73,8 +72,6 @@ let shard_of_digest hex = String.sub hex 0 2
 let path a key =
   let hex = digest_hex a key in
   Filename.concat (Filename.concat a.a_dir (shard_of_digest hex)) (hex ^ ".cache")
-
-let legacy_path a key = Filename.concat a.a_dir (digest_hex a key ^ ".cache")
 
 (* Tmp names embed PID, domain and a process-global counter: two
    daemons (or a daemon and a CLI) sharing one cache directory can
@@ -87,45 +84,39 @@ let tmp_name file =
     (Domain.self () :> int)
     (Atomic.fetch_and_add tmp_counter 1)
 
-let rec mkdir_p d =
-  if d <> "" && d <> "." && d <> "/" && not (Sys.file_exists d) then begin
-    mkdir_p (Filename.dirname d);
-    try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 (* Entry layout (three marshalled fields after a magic marker):
      magic ^ key ^ digest-of-payload ^ payload
    where payload is the marshalled value as a string.  The digest is
    verified on every read, so a flipped bit anywhere in the payload
    reads as damage — not as a plausible-but-wrong result — and the
-   file is quarantined.  Pre-digest entries (two fields, no magic)
-   are still readable but unverifiable. *)
+   file is quarantined. *)
 let entry_magic = "wmm-cache-v2"
 
+(* The stored key and payload of the entry in [file].  Raises
+   [Sys_error] when the file cannot be opened, and anything else when
+   its bytes are not a whole entry with a matching payload digest. *)
+let read_fields file =
+  let ic = open_in_bin file in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () ->
+      let magic : string = Marshal.from_channel ic in
+      if magic <> entry_magic then failwith "Cache: not an entry";
+      let key : string = Marshal.from_channel ic in
+      let digest : string = Marshal.from_channel ic in
+      let payload : string = Marshal.from_channel ic in
+      if Digest.string payload <> digest then failwith "Cache: payload digest mismatch";
+      (key, payload))
+
 let read_entry ~key file =
-  try
-    let ic = open_in_bin file in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let first : string = Marshal.from_channel ic in
-        if first = entry_magic then begin
-          let stored_key : string = Marshal.from_channel ic in
-          if stored_key <> key then `Miss
-          else
-            let digest : string = Marshal.from_channel ic in
-            let payload : string = Marshal.from_channel ic in
-            if Digest.string payload <> digest then `Corrupt
-            else `Hit (Marshal.from_string payload 0)
-        end
-        else if first = key then `Hit (Marshal.from_channel ic)  (* legacy *)
-        else `Miss)
-  with
-  | Sys_error _ -> `Miss
+  match read_fields file with
+  | stored_key, payload when stored_key = key -> `Hit (Marshal.from_string payload 0)
+  | _ -> `Miss
+  | exception Sys_error _ -> `Miss
   (* Anything else — truncated marshal header, garbled bytes, a
      failing digest — is evidence of on-disk damage, never of a plain
      miss. *)
-  | _ -> `Corrupt
+  | exception _ -> `Corrupt
 
 (* Move a damaged entry out of the lookup path but keep the evidence:
    <hex>.cache becomes <hex>.corrupt, which no maintenance or lookup
@@ -144,23 +135,15 @@ let find t ~key =
   match t with
   | Disabled -> None
   | Active a -> (
-      let sharded = path a key in
-      match
-        (match read_entry ~key sharded with
-        | `Miss ->
-            (match read_entry ~key (legacy_path a key) with  (* pre-sharding *)
-            | `Corrupt -> `Corrupt_at (legacy_path a key)
-            | (`Hit _ | `Miss) as r -> r)
-        | `Corrupt -> `Corrupt_at sharded
-        | `Hit _ as r -> r)
-      with
+      let file = path a key in
+      match read_entry ~key file with
       | `Hit v ->
           bump a (fun a -> a.hits <- a.hits + 1);
           Some v
       | `Miss ->
           bump a (fun a -> a.misses <- a.misses + 1);
           None
-      | `Corrupt_at file ->
+      | `Corrupt ->
           ignore (quarantine file);
           bump a (fun a ->
               a.verify_failures <- a.verify_failures + 1;
@@ -175,7 +158,7 @@ let store t ~key value =
       let file = path a key in
       let tmp = tmp_name file in
       try
-        mkdir_p (Filename.dirname file);
+        Wmm_util.Fs.mkdir_p (Filename.dirname file);
         let payload = Marshal.to_string value [] in
         let oc = open_out_bin tmp in
         Fun.protect
@@ -197,8 +180,9 @@ let store t ~key value =
 
 (* Every entry this module writes ends in ".cache"; anything else in
    the directory (journals, tmp files of live writers) is left alone.
-   Both layouts are walked: flat legacy entries at the top level plus
-   the two-hex-character shard subdirectories. *)
+   The top level is walked as well as the two-hex-character shard
+   subdirectories, so [clear] and [prune] also remove the flat entries
+   of older builds. *)
 let is_shard_dir name =
   String.length name = 2
   && String.for_all (function 'a' .. 'f' | '0' .. '9' -> true | _ -> false) name
@@ -282,53 +266,24 @@ let prune t ~max_bytes =
 (* property [find] relies on at serve time.                           *)
 (* ------------------------------------------------------------------ *)
 
-type fsck_report = {
-  f_scanned : int;
-  f_ok : int;
-  f_quarantined : int;
-  f_unverified : int;
-}
-
-let verify_file file =
-  try
-    let ic = open_in_bin file in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let first : string = Marshal.from_channel ic in
-        if first = entry_magic then begin
-          let _key : string = Marshal.from_channel ic in
-          let digest : string = Marshal.from_channel ic in
-          let payload : string = Marshal.from_channel ic in
-          if Digest.string payload = digest then `Ok else `Corrupt
-        end
-        else
-          (* Legacy two-field entry: no stored digest to check against.
-             Require the value to at least unmarshal. *)
-          let _v : Obj.t = Marshal.from_channel ic in
-          `Unverified)
-  with
-  | Sys_error _ -> `Ok  (* vanished mid-scan (concurrent prune): not damage *)
-  | _ -> `Corrupt
+type fsck_report = { f_scanned : int; f_ok : int; f_quarantined : int }
 
 let fsck t =
   match t with
-  | Disabled -> { f_scanned = 0; f_ok = 0; f_quarantined = 0; f_unverified = 0 }
+  | Disabled -> { f_scanned = 0; f_ok = 0; f_quarantined = 0 }
   | Active a ->
       let report =
         List.fold_left
           (fun r (file, _, _) ->
-            match verify_file file with
-            | `Ok -> { r with f_scanned = r.f_scanned + 1; f_ok = r.f_ok + 1 }
-            | `Unverified ->
-                { r with f_scanned = r.f_scanned + 1;
-                  f_unverified = r.f_unverified + 1 }
-            | `Corrupt ->
-                if quarantine file then
-                  { r with f_scanned = r.f_scanned + 1;
-                    f_quarantined = r.f_quarantined + 1 }
-                else { r with f_scanned = r.f_scanned + 1 })
-          { f_scanned = 0; f_ok = 0; f_quarantined = 0; f_unverified = 0 }
+            let r = { r with f_scanned = r.f_scanned + 1 } in
+            match read_fields file with
+            | _ -> { r with f_ok = r.f_ok + 1 }
+            (* Vanished mid-scan (concurrent prune): not damage. *)
+            | exception Sys_error _ -> { r with f_ok = r.f_ok + 1 }
+            | exception _ ->
+                if quarantine file then { r with f_quarantined = r.f_quarantined + 1 }
+                else r)
+          { f_scanned = 0; f_ok = 0; f_quarantined = 0 }
           (entries a.a_dir)
       in
       bump a (fun a ->
@@ -340,11 +295,7 @@ let corrupt t ~key =
   match t with
   | Disabled -> false
   | Active a -> (
-      let file =
-        let sharded = path a key in
-        if Sys.file_exists sharded then sharded else legacy_path a key
-      in
-      match open_out_gen [ Open_wronly; Open_binary ] 0o644 file with
+      match open_out_gen [ Open_wronly; Open_binary ] 0o644 (path a key) with
       | exception Sys_error _ -> false
       | oc ->
           (* Garble the header in place: the marshalled stored-key no

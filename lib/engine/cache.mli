@@ -4,19 +4,17 @@
     directory, named by the hex MD5 of [version ^ key] and sharded
     into 256 subdirectories by the digest's first two hex characters
     so concurrent writers (daemon workers, parallel CLIs) spread
-    their directory traffic.  Flat pre-sharding entries are still
-    found.  The version
-    tag defaults to a digest of the running executable, so results
-    computed by a stale binary are never reused after a rebuild; the
-    task key carries everything else that determines the result
-    (benchmark profile, platform configuration, sample counts,
-    seeds).
+    their directory traffic.  The version tag defaults to a digest of
+    the running executable, so results computed by a stale binary are
+    never reused after a rebuild; the task key carries everything
+    else that determines the result (benchmark profile, platform
+    configuration, sample counts, seeds).
 
-    Values are stored with [Marshal] alongside their key; a lookup
-    only succeeds when the stored key matches exactly, which guards
-    against digest collisions and truncated files.  As with any
-    marshalling cache, the caller must ensure that equal keys imply
-    equal result {e types}.
+    Each entry stores a magic marker, its key, an MD5 of the
+    marshalled value and the value itself; a lookup only succeeds
+    when the stored key matches exactly, which guards against digest
+    collisions.  As with any marshalling cache, the caller must
+    ensure that equal keys imply equal result {e types}.
 
     All operations are safe to call concurrently from multiple
     domains {e and} multiple processes sharing one directory:
@@ -89,13 +87,13 @@ type fsck_report = {
   f_scanned : int;      (** entries examined *)
   f_ok : int;           (** digest-verified clean *)
   f_quarantined : int;  (** damaged, renamed to [.corrupt] *)
-  f_unverified : int;   (** legacy pre-digest entries (readable, no digest) *)
 }
 
 val fsck : t -> fsck_report
-(** Walk every [.cache] entry (both layouts) and verify its stored
-    payload digest, quarantining damaged files exactly as {!find}
-    would.  Filename digests embed the {e writing} binary's version,
+(** Walk every [.cache] file (shard subdirectories and the top level)
+    and verify its stored payload digest, quarantining damaged files
+    exactly as {!find} would; a file that is not an entry in this
+    module's format counts as damaged.  Filename digests embed the {e writing} binary's version,
     so fsck checks payload integrity only — it never judges the
     key→filename mapping.  Quarantines are counted into
     [verify_failures]/[errors] on this handle. *)

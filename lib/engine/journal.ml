@@ -1,3 +1,5 @@
+module Json = Wmm_util.Json
+
 type t = {
   j_path : string;
   j_run_id : string;
@@ -9,12 +11,6 @@ type t = {
 }
 
 let default_dir = Filename.concat Cache.default_dir "journal"
-
-let rec mkdir_p d =
-  if d <> "" && d <> "." && d <> "/" && not (Sys.file_exists d) then begin
-    mkdir_p (Filename.dirname d);
-    try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
 
 let sanitize run_id =
   String.map
@@ -70,86 +66,38 @@ let hex_decode s =
    JSON and as hex, so without the digest it would replay as a
    plausible wrong result.  With it, damage reads as a torn line. *)
 let ok_line ~key value_bytes =
-  Printf.sprintf {|{"key": "%s", "status": "ok", "digest": "%s", "value": "%s"}|}
-    (Telemetry.json_escape key)
-    (Digest.to_hex (Digest.string value_bytes))
-    (hex_encode value_bytes)
+  Json.to_string
+    (Json.Obj
+       [
+         ("key", Json.Str key);
+         ("status", Json.Str "ok");
+         ("digest", Json.Str (Digest.to_hex (Digest.string value_bytes)));
+         ("value", Json.Str (hex_encode value_bytes));
+       ])
 
 let failed_line ~key ~msg =
-  Printf.sprintf {|{"key": "%s", "status": "failed", "msg": "%s"}|}
-    (Telemetry.json_escape key) (Telemetry.json_escape msg)
-
-(* Minimal parser for exactly the lines this module writes: a fixed
-   field order and only string values.  Torn or foreign lines fail to
-   parse and are skipped, which makes replay safe after a crash
-   mid-append. *)
-let parse_string_at s i =
-  if i >= String.length s || s.[i] <> '"' then failwith "Journal: expected string";
-  let b = Buffer.create 32 in
-  let rec go i =
-    if i >= String.length s then failwith "Journal: unterminated string"
-    else
-      match s.[i] with
-      | '"' -> (Buffer.contents b, i + 1)
-      | '\\' ->
-          if i + 1 >= String.length s then failwith "Journal: bad escape"
-          else begin
-            (match s.[i + 1] with
-            | '"' -> Buffer.add_char b '"'
-            | '\\' -> Buffer.add_char b '\\'
-            | 'n' -> Buffer.add_char b '\n'
-            | 'r' -> Buffer.add_char b '\r'
-            | 't' -> Buffer.add_char b '\t'
-            | 'u' ->
-                if i + 5 >= String.length s then failwith "Journal: bad \\u escape";
-                Buffer.add_char b (Char.chr (int_of_string ("0x" ^ String.sub s (i + 2) 4)))
-            | _ -> failwith "Journal: unknown escape");
-            go (if s.[i + 1] = 'u' then i + 6 else i + 2)
-          end
-      | c ->
-          Buffer.add_char b c;
-          go (i + 1)
-  in
-  go (i + 1)
-
-let expect s i literal =
-  let n = String.length literal in
-  if i + n <= String.length s && String.sub s i n = literal then i + n
-  else failwith "Journal: malformed line"
+  Json.to_string
+    (Json.Obj [ ("key", Json.Str key); ("status", Json.Str "failed"); ("msg", Json.Str msg) ])
 
 type entry = Ok_entry of string * string | Failed_entry of string * string
 
+(* Torn, damaged or foreign lines raise, and every reader skips them,
+   which makes replay safe after a crash mid-append. *)
 let parse_line line =
-  let i = expect line 0 {|{"key": |} in
-  let key, i = parse_string_at line i in
-  let i = expect line i {|, "status": |} in
-  let status, i = parse_string_at line i in
-  match status with
+  let v = match Json.parse line with Ok v -> v | Error e -> failwith e in
+  let field name =
+    match Json.str_member name v with
+    | Some s -> s
+    | None -> failwith ("Journal: missing " ^ name)
+  in
+  let key = field "key" in
+  match field "status" with
   | "ok" ->
-      (* Digest is optional on parse so journals written before the
-         field existed still replay (unverified). *)
-      let digest, i =
-        let lit = {|, "digest": |} in
-        let n = String.length lit in
-        if i + n <= String.length line && String.sub line i n = lit then
-          let d, i = parse_string_at line (i + n) in
-          (Some d, i)
-        else (None, i)
-      in
-      let i = expect line i {|, "value": |} in
-      let value_hex, i = parse_string_at line i in
-      ignore (expect line i "}");
-      let value_bytes = hex_decode value_hex in
-      (match digest with
-      | Some d when Digest.to_hex (Digest.string value_bytes) <> d ->
-          failwith "Journal: value digest mismatch"
-      | _ -> ());
+      let value_bytes = hex_decode (field "value") in
+      if Digest.to_hex (Digest.string value_bytes) <> field "digest" then
+        failwith "Journal: value digest mismatch";
       Ok_entry (key, value_bytes)
-  | "failed" ->
-      let i = expect line i {|, "msg": |} in
-      let msg, i = parse_string_at line i in
-      ignore (expect line i "}");
-      Failed_entry (key, msg)
+  | "failed" -> Failed_entry (key, field "msg")
   | _ -> failwith "Journal: unknown status"
 
 (* ------------------------------------------------------------------ *)
@@ -252,7 +200,7 @@ let append t line =
         match t.append_fd with
         | Some fd -> write_all fd (line ^ "\n")
         | None ->
-            mkdir_p (Filename.dirname t.j_path);
+            Wmm_util.Fs.mkdir_p (Filename.dirname t.j_path);
             let fd =
               Unix.openfile t.j_path [ Unix.O_RDWR; Unix.O_APPEND; Unix.O_CREAT ] 0o644
             in

@@ -21,12 +21,13 @@
     {"key": "<task key>", "status": "ok", "digest": "<md5 hex>", "value": "<hex marshal>"}
     {"key": "<task key>", "status": "failed", "msg": "<message>"}
     v}
-    The digest is the MD5 of the raw marshalled value and is checked
-    on load: a flipped bit inside the payload would otherwise still
-    parse and replay as a plausible wrong result.  Lines without the
-    field (older journals) load unverified.  Failed entries are
-    recorded for post-mortems but never replayed: the failure may
-    have been transient. *)
+    Lines are printed by [Wmm_util.Json.to_string] and read back by
+    [Wmm_util.Json.parse].  The digest is the MD5 of the raw
+    marshalled value and is checked on load: a flipped bit inside the
+    payload would otherwise still parse and replay as a plausible
+    wrong result.  An ok line without a digest is dropped like any
+    damaged line.  Failed entries are recorded for post-mortems but
+    never replayed: the failure may have been transient. *)
 
 type t
 
@@ -59,8 +60,8 @@ val loaded : t -> int
 (** Number of distinct replayable (ok) entries found on open. *)
 
 val dropped : t -> int
-(** Number of lines skipped on open as torn, digest-mismatched or
-    foreign.  Nonzero after a crash mid-append (expected, at most the
+(** Number of lines skipped on open as torn, digest-mismatched,
+    digest-less or foreign.  Nonzero after a crash mid-append (expected, at most the
     final line per crashed writer) or after on-disk damage. *)
 
 val replay : t -> key:string -> 'a option

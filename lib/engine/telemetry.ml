@@ -1,3 +1,5 @@
+module Json = Wmm_util.Json
+
 type outcome = Ran | Cache_hit | Replayed | Failed of string
 
 type record = {
@@ -22,28 +24,63 @@ type exploration = {
    task-level records: request counts by disposition, where answers
    came from (fresh computation, result cache, resume journal, or an
    in-flight computation another client started), latency split by
-   hit/compute, and load high-water marks. *)
+   hit/compute, and load high-water marks.  The daemon counts into one
+   record under its own lock. *)
 type server = {
-  requests : int;
-  ok : int;
-  errors : int;
-  overloaded : int;  (** Requests shed with a structured reply. *)
-  computed : int;
-  cache_hits : int;
-  journal_hits : int;
-  dedup_joined : int;
-  streamed_items : int;  (** Response objects written (>= requests). *)
-  clients : int;  (** Connections accepted over the lifetime. *)
-  hit_wall_total_s : float;
-  hit_wall_max_s : float;
-  compute_wall_total_s : float;
-  compute_wall_max_s : float;
-  max_pending : int;  (** Peak admitted-but-unfinished requests. *)
-  max_client_queue : int;  (** Peak per-client response backlog. *)
-  deadline_exceeded : int;  (** Requests answered with a deadline frame. *)
-  executor_recycles : int;  (** Executor threads quarantined + respawned. *)
-  client_retries : int;  (** Requests arriving with a retry count > 0. *)
+  mutable requests : int;
+  mutable ok : int;
+  mutable request_errors : int;
+  mutable overloaded : int;
+  mutable computed : int;
+  mutable cache_hits : int;
+  mutable journal_hits : int;
+  mutable dedup_joined : int;
+  mutable streamed_items : int;
+  mutable clients : int;
+  mutable hit_wall_total_s : float;
+  mutable hit_wall_max_s : float;
+  mutable compute_wall_total_s : float;
+  mutable compute_wall_max_s : float;
+  mutable max_pending : int;
+  mutable max_client_queue : int;
+  mutable deadline_exceeded : int;
+  mutable executor_recycles : int;
+  mutable client_retries : int;
 }
+
+let create_server () =
+  { requests = 0; ok = 0; request_errors = 0; overloaded = 0; computed = 0;
+    cache_hits = 0; journal_hits = 0; dedup_joined = 0; streamed_items = 0;
+    clients = 0; hit_wall_total_s = 0.; hit_wall_max_s = 0.;
+    compute_wall_total_s = 0.; compute_wall_max_s = 0.; max_pending = 0;
+    max_client_queue = 0; deadline_exceeded = 0; executor_recycles = 0;
+    client_retries = 0 }
+
+(* Latencies go out as whole microseconds: the served protocol's
+   numbers are integral. *)
+let server_fields sv =
+  let int = Json.of_int and us s = Json.Num (Float.round (s *. 1e6)) in
+  [
+    ("requests", int sv.requests);
+    ("ok", int sv.ok);
+    ("request_errors", int sv.request_errors);
+    ("overloaded", int sv.overloaded);
+    ("computed", int sv.computed);
+    ("cache_hits", int sv.cache_hits);
+    ("journal_hits", int sv.journal_hits);
+    ("dedup_joined", int sv.dedup_joined);
+    ("streamed_items", int sv.streamed_items);
+    ("clients", int sv.clients);
+    ("hit_wall_total_us", us sv.hit_wall_total_s);
+    ("hit_wall_max_us", us sv.hit_wall_max_s);
+    ("compute_wall_total_us", us sv.compute_wall_total_s);
+    ("compute_wall_max_us", us sv.compute_wall_max_s);
+    ("max_pending", int sv.max_pending);
+    ("max_client_queue", int sv.max_client_queue);
+    ("deadline_exceeded", int sv.deadline_exceeded);
+    ("executor_recycles", int sv.executor_recycles);
+    ("client_retries", int sv.client_retries);
+  ]
 
 type t = {
   lock : Mutex.t;
@@ -164,7 +201,7 @@ let render_summary s =
         (Printf.sprintf
            "\nserver: %d requests (%d ok, %d errors, %d overloaded) from %d clients | %d \
             computed, %d cache, %d journal, %d deduped"
-           sv.requests sv.ok sv.errors sv.overloaded sv.clients sv.computed
+           sv.requests sv.ok sv.request_errors sv.overloaded sv.clients sv.computed
            sv.cache_hits sv.journal_hits sv.dedup_joined);
       if sv.deadline_exceeded > 0 || sv.executor_recycles > 0 || sv.client_retries > 0
       then
@@ -183,33 +220,6 @@ let render_summary s =
            (1e3 *. sv.compute_wall_max_s) sv.max_pending sv.max_client_queue));
   Buffer.contents b
 
-(* Minimal JSON emission: only strings, numbers and the two shapes
-   below are ever produced, so a purpose-built printer beats pulling
-   in a dependency. *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_float f =
-  if Float.is_finite f then Printf.sprintf "%.6f" f else "null"
-
-let outcome_json = function
-  | Ran -> Printf.sprintf {|"ran"|}
-  | Cache_hit -> Printf.sprintf {|"cached"|}
-  | Replayed -> Printf.sprintf {|"replayed"|}
-  | Failed msg -> Printf.sprintf {|{"failed": "%s"}|} (json_escape msg)
-
 (* Bumped whenever the shape of this JSON changes, so downstream
    parsers of telemetry dumps can dispatch on it.  v3 added the
    "exploration" object (candidate-execution search counters); v4 the
@@ -219,72 +229,77 @@ let outcome_json = function
    v6 the per-engine exploration counters ("revisits" and
    "symmetry_skips" among them); v7 keeps only the counters of the one
    remaining engine ("explored", "pruned", "consistent", "revisits",
-   "symmetry_skips"). *)
-let schema_version = 7
+   "symmetry_skips"); v8 gives the "server" object the served [stats]
+   op's names and units ("request_errors", latencies as integral
+   "*_us"). *)
+let schema_version = 8
 
 let to_json s rs =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b (Printf.sprintf "  \"schema_version\": %d,\n" schema_version);
-  Buffer.add_string b (Printf.sprintf "  \"jobs\": %d,\n" s.jobs);
-  Buffer.add_string b (Printf.sprintf "  \"tasks_total\": %d,\n" s.total);
-  Buffer.add_string b (Printf.sprintf "  \"tasks_ran\": %d,\n" s.ran);
-  Buffer.add_string b (Printf.sprintf "  \"tasks_cached\": %d,\n" s.cached);
-  Buffer.add_string b (Printf.sprintf "  \"tasks_replayed\": %d,\n" s.replayed);
-  Buffer.add_string b (Printf.sprintf "  \"tasks_retried\": %d,\n" s.retried);
-  Buffer.add_string b (Printf.sprintf "  \"tasks_failed\": %d,\n" s.failed);
-  Buffer.add_string b (Printf.sprintf "  \"wall_s\": %s,\n" (json_float s.wall_s));
-  Buffer.add_string b (Printf.sprintf "  \"busy_s\": %s,\n" (json_float s.busy_s));
-  Buffer.add_string b
-    (Printf.sprintf "  \"speedup_estimate\": %s,\n" (json_float s.speedup_estimate));
-  Buffer.add_string b (Printf.sprintf "  \"max_queue_depth\": %d,\n" s.max_queue_depth);
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"cache\": {\"hits\": %d, \"misses\": %d, \"stores\": %d, \"errors\": %d, \"verify_failures\": %d, \"pruned\": %d},\n"
-       s.cache.Cache.hits s.cache.Cache.misses s.cache.Cache.stores s.cache.Cache.errors
-       s.cache.Cache.verify_failures s.cache.Cache.pruned);
-  (match s.exploration with
-  | None -> Buffer.add_string b "  \"exploration\": null,\n"
-  | Some e ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "  \"exploration\": {\"explored\": %d, \"pruned\": %d, \"consistent\": %d, \"revisits\": %d, \"symmetry_skips\": %d, \"wall_s\": %s},\n"
-           e.explored e.pruned e.consistent e.revisits e.symmetry_skips
-           (json_float e.explore_wall_s)));
-  (match s.server with
-  | None -> Buffer.add_string b "  \"server\": null,\n"
-  | Some sv ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "  \"server\": {\"requests\": %d, \"ok\": %d, \"errors\": %d, \"overloaded\": \
-            %d, \"computed\": %d, \"cache_hits\": %d, \"journal_hits\": %d, \
-            \"dedup_joined\": %d, \"streamed_items\": %d, \"clients\": %d, \
-            \"hit_wall_total_s\": %s, \"hit_wall_max_s\": %s, \"compute_wall_total_s\": \
-            %s, \"compute_wall_max_s\": %s, \"max_pending\": %d, \"max_client_queue\": \
-            %d, \"deadline_exceeded\": %d, \"executor_recycles\": %d, \
-            \"client_retries\": %d},\n"
-           sv.requests sv.ok sv.errors sv.overloaded sv.computed sv.cache_hits
-           sv.journal_hits sv.dedup_joined sv.streamed_items sv.clients
-           (json_float sv.hit_wall_total_s) (json_float sv.hit_wall_max_s)
-           (json_float sv.compute_wall_total_s) (json_float sv.compute_wall_max_s)
-           sv.max_pending sv.max_client_queue sv.deadline_exceeded
-           sv.executor_recycles sv.client_retries));
-  Buffer.add_string b "  \"tasks\": [\n";
-  let n = List.length rs in
-  List.iteri
-    (fun i r ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"label\": \"%s\", \"wall_s\": %s, \"queue_depth\": %d, \"attempts\": %d, \"outcome\": %s}%s\n"
-           (json_escape r.label) (json_float r.wall_s) r.queue_depth r.attempts
-           (outcome_json r.outcome)
-           (if i = n - 1 then "" else ",")))
-    rs;
-  Buffer.add_string b "  ]\n}\n";
-  Buffer.contents b
+  let int = Json.of_int and num f = Json.Num f in
+  let outcome = function
+    | Ran -> Json.Str "ran"
+    | Cache_hit -> Json.Str "cached"
+    | Replayed -> Json.Str "replayed"
+    | Failed msg -> Json.Obj [ ("failed", Json.Str msg) ]
+  in
+  Json.Obj
+    [
+      ("schema_version", int schema_version);
+      ("jobs", int s.jobs);
+      ("tasks_total", int s.total);
+      ("tasks_ran", int s.ran);
+      ("tasks_cached", int s.cached);
+      ("tasks_replayed", int s.replayed);
+      ("tasks_retried", int s.retried);
+      ("tasks_failed", int s.failed);
+      ("wall_s", num s.wall_s);
+      ("busy_s", num s.busy_s);
+      ("speedup_estimate", num s.speedup_estimate);
+      ("max_queue_depth", int s.max_queue_depth);
+      ( "cache",
+        Json.Obj
+          [
+            ("hits", int s.cache.Cache.hits);
+            ("misses", int s.cache.Cache.misses);
+            ("stores", int s.cache.Cache.stores);
+            ("errors", int s.cache.Cache.errors);
+            ("verify_failures", int s.cache.Cache.verify_failures);
+            ("pruned", int s.cache.Cache.pruned);
+          ] );
+      ( "exploration",
+        match s.exploration with
+        | None -> Json.Null
+        | Some e ->
+            Json.Obj
+              [
+                ("explored", int e.explored);
+                ("pruned", int e.pruned);
+                ("consistent", int e.consistent);
+                ("revisits", int e.revisits);
+                ("symmetry_skips", int e.symmetry_skips);
+                ("wall_s", num e.explore_wall_s);
+              ] );
+      ( "server",
+        match s.server with None -> Json.Null | Some sv -> Json.Obj (server_fields sv) );
+      ( "tasks",
+        Json.Arr
+          (List.map
+             (fun r ->
+               Json.Obj
+                 [
+                   ("label", Json.Str r.label);
+                   ("wall_s", num r.wall_s);
+                   ("queue_depth", int r.queue_depth);
+                   ("attempts", int r.attempts);
+                   ("outcome", outcome r.outcome);
+                 ])
+             rs) );
+    ]
 
 let write_json ~path s rs =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (to_json s rs))
+    (fun () ->
+      output_string oc (Json.to_string (to_json s rs));
+      output_char oc '\n')

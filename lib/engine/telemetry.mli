@@ -36,35 +36,46 @@ type exploration = {
     telemetry by the harness that drove the engine. *)
 
 type server = {
-  requests : int;
-  ok : int;
-  errors : int;
-  overloaded : int;  (** Requests shed with a structured reply. *)
-  computed : int;  (** Requests that ran their computation. *)
-  cache_hits : int;  (** Requests answered from the result cache. *)
-  journal_hits : int;  (** Requests answered from the resume journal. *)
-  dedup_joined : int;
+  mutable requests : int;
+  mutable ok : int;
+  mutable request_errors : int;
+  mutable overloaded : int;  (** Requests shed with a structured reply. *)
+  mutable computed : int;  (** Requests that ran their computation. *)
+  mutable cache_hits : int;  (** Requests answered from the result cache. *)
+  mutable journal_hits : int;  (** Requests answered from the resume journal. *)
+  mutable dedup_joined : int;
       (** Requests that joined an identical in-flight computation. *)
-  streamed_items : int;  (** Response objects written (>= requests). *)
-  clients : int;  (** Connections accepted over the lifetime. *)
-  hit_wall_total_s : float;  (** Latency over cache/journal/dedup answers. *)
-  hit_wall_max_s : float;
-  compute_wall_total_s : float;  (** Latency over computed answers. *)
-  compute_wall_max_s : float;
-  max_pending : int;  (** Peak admitted-but-unfinished requests. *)
-  max_client_queue : int;  (** Peak per-client response backlog. *)
-  deadline_exceeded : int;
+  mutable streamed_items : int;  (** Response objects written (>= requests). *)
+  mutable clients : int;  (** Connections accepted over the lifetime. *)
+  mutable hit_wall_total_s : float;
+      (** Latency over cache/journal/dedup answers. *)
+  mutable hit_wall_max_s : float;
+  mutable compute_wall_total_s : float;  (** Latency over computed answers. *)
+  mutable compute_wall_max_s : float;
+  mutable max_pending : int;  (** Peak admitted-but-unfinished requests. *)
+  mutable max_client_queue : int;  (** Peak per-client response backlog. *)
+  mutable deadline_exceeded : int;
       (** Requests answered with a structured [deadline_exceeded] frame. *)
-  executor_recycles : int;
+  mutable executor_recycles : int;
       (** Executor threads quarantined after overrunning a deadline and
           replaced with a fresh one. *)
-  client_retries : int;
+  mutable client_retries : int;
       (** Requests that arrived marked as client-side retries
           (an envelope [retry] count > 0). *)
 }
 (** Request counters from the served daemon ({!Wmm_served}), attached
     to its engine's telemetry so one JSON dump describes both the
-    request traffic and the task work it caused. *)
+    request traffic and the task work it caused.  The daemon counts
+    into one record under its own lock and attaches a copy. *)
+
+val create_server : unit -> server
+(** All counters zero. *)
+
+val server_fields : server -> (string * Wmm_util.Json.t) list
+(** The counters under the served [stats] op's names and units, in
+    declaration order; each [*_s] latency becomes whole microseconds
+    under [*_us].  The [stats] answer and the dump's [server] object
+    both render the counters through this list. *)
 
 type t
 
@@ -112,18 +123,12 @@ val summary : jobs:int -> cache:Cache.stats -> t -> summary
 val render_summary : summary -> string
 (** Multi-line human-readable block, e.g. for stderr. *)
 
-val json_escape : string -> string
-(** Escape a string for inclusion in a JSON double-quoted literal
-    (also used by {!Journal} for its JSONL run journals). *)
-
 val schema_version : int
-(** Version of the JSON layout emitted by {!to_json}, included as the
+(** Version of the JSON layout written by {!write_json}, included as the
     dump's [schema_version] field; bumped on layout changes so
     downstream parsers can evolve safely. *)
 
-val to_json : summary -> record list -> string
-(** The full run as a JSON object: the [schema_version], the summary
-    fields, plus a [tasks] array with per-task label, wall-clock,
-    queue depth and outcome. *)
-
 val write_json : path:string -> summary -> record list -> unit
+(** Write the full run as one line of JSON: the [schema_version], the
+    summary fields, plus a [tasks] array with per-task label,
+    wall-clock, queue depth, attempts and outcome. *)

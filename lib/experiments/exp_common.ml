@@ -40,8 +40,6 @@ let nop_uop arch ~light =
 
 let jvm_nop_base arch = jvm_platform ~inject_all:[ nop_uop arch ~light:(light_for arch) ] arch
 
-let kernel_nop_base arch = kernel_platform ~inject_all:[ nop_uop arch ~light:false ] arch
-
 let fmt_fit (fit : Sensitivity.fit) =
   if not (Sensitivity.available fit) then "(no fit: insufficient points)"
   else Printf.sprintf "k=%.5f +-%.1f%%" fit.Sensitivity.k fit.Sensitivity.k_error_percent

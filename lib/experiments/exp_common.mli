@@ -43,8 +43,6 @@ val jvm_nop_base : Arch.t -> Generate.platform
 (** The paper's base case: every elemental barrier padded with a nop
     sequence the size of the cost function. *)
 
-val kernel_nop_base : Arch.t -> Generate.platform
-
 val nop_uop : Arch.t -> light:bool -> Uop.t
 
 val fmt_fit : Sensitivity.fit -> string

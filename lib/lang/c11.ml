@@ -61,17 +61,6 @@ let exchange ~status ~old ~desired ~loc ~mode_r ~mode_w =
       { status; src = Instr.Imm desired; addr = Instr.Imm loc; order = mode_w };
   ]
 
-(* Single-attempt fetch-add: [old] gets the previous value, [tmp] the
-   incremented one. *)
-let fetch_add ~status ~old ~tmp ~amount ~loc ~mode_r ~mode_w =
-  [
-    Instr.Mov { dst = status; src = Instr.Imm 1 };
-    Instr.Load_exclusive { dst = old; addr = Instr.Imm loc; order = mode_r };
-    Instr.Op { op = Instr.Add; dst = tmp; a = Instr.Reg old; b = Instr.Imm amount };
-    Instr.Store_exclusive
-      { status; src = Instr.Reg tmp; addr = Instr.Imm loc; order = mode_w };
-  ]
-
 (* ------------------------------------------------------------------ *)
 (* Lifting the hardware litmus library to the language tier.           *)
 (* ------------------------------------------------------------------ *)

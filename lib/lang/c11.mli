@@ -49,16 +49,6 @@ val exchange :
   mode_w:Instr.order ->
   Instr.t list
 
-val fetch_add :
-  status:Instr.reg ->
-  old:Instr.reg ->
-  tmp:Instr.reg ->
-  amount:Instr.value ->
-  loc:Instr.loc ->
-  mode_r:Instr.order ->
-  mode_w:Instr.order ->
-  Instr.t list
-
 val lift_barrier : Instr.barrier -> Instr.barrier
 val lift_instr : Instr.t -> Instr.t
 

@@ -64,10 +64,6 @@ let scheme_arch = function
   | Arm_native | Arm_fenced -> Arch.Armv8
   | Power_sync -> Arch.Power7
 
-let default_scheme_for = function
-  | Arch.Armv8 -> Arm_native
-  | Arch.Power7 -> Power_sync
-
 let fake_ctrl dst = Instr.Cbnz { src = dst; offset = 0 }
 
 let compile_fence scheme b =

@@ -19,7 +19,6 @@ val all_schemes : scheme list
 val scheme_name : scheme -> string
 val scheme_of_string : string -> scheme option
 val scheme_arch : scheme -> Arch.t
-val default_scheme_for : Arch.t -> scheme
 
 val compile_instr : scheme -> Instr.t -> Instr.t list
 

@@ -11,8 +11,6 @@ let model_name = function
   | Power -> "POWER"
   | Rc11 -> "RC11"
 
-let hardware_models = [ Sc; Tso; Arm; Power ]
-
 let model_for_arch = function Arch.Armv8 -> Arm | Arch.Power7 -> Power
 
 module B = Bitrel

@@ -31,10 +31,6 @@ type model = Sc | Tso | Arm | Power | Rc11
 
 val all_models : model list
 
-val hardware_models : model list
-(** The models a machine can implement directly: everything but the
-    language-tier [Rc11]. *)
-
 val model_name : model -> string
 
 val model_for_arch : Arch.t -> model

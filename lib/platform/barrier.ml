@@ -10,15 +10,6 @@ let elemental_name = function
 
 type composite = Volatile | Acquire | Release | Load_fence | Store_fence
 
-let all_composites = [ Volatile; Acquire; Release; Load_fence; Store_fence ]
-
-let composite_name = function
-  | Volatile -> "Volatile"
-  | Acquire -> "Acquire"
-  | Release -> "Release"
-  | Load_fence -> "LoadFence"
-  | Store_fence -> "StoreFence"
-
 let elementals_of_composite = function
   | Volatile -> [ Load_load; Load_store; Store_load; Store_store ]
   | Acquire | Load_fence -> [ Load_load; Load_store ]

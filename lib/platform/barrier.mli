@@ -15,10 +15,6 @@ val elemental_name : elemental -> string
 
 type composite = Volatile | Acquire | Release | Load_fence | Store_fence
 
-val all_composites : composite list
-
-val composite_name : composite -> string
-
 val elementals_of_composite : composite -> elemental list
 (** [Volatile] is all four; [Acquire]/[LoadFence] combine [LoadLoad]
     and [LoadStore]; [Release]/[StoreFence] combine [LoadStore] and

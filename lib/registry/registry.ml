@@ -85,8 +85,6 @@ let arches =
     { arch = Arch.Power7; arch_wire = "power7"; arch_display = "POWER7" };
   ]
 
-let arch_of_string s = Arch.of_string s
-
 let arch_wire_names = List.map (fun i -> i.arch_wire) arches
 
 let valid_arches_sentence =

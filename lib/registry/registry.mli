@@ -39,8 +39,6 @@ type arch_info = { arch : Arch.t; arch_wire : string; arch_display : string }
 
 val arches : arch_info list
 
-val arch_of_string : string -> Arch.t option
-
 val arch_wire_names : string list
 
 val valid_arches_sentence : string

@@ -31,85 +31,6 @@ let default_config ~socket_path =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Request metrics, mirrored into Telemetry.server on every dump.     *)
-(* ------------------------------------------------------------------ *)
-
-type metrics = {
-  m_lock : Mutex.t;
-  mutable requests : int;
-  mutable ok : int;
-  mutable errors : int;
-  mutable overloaded : int;
-  mutable computed : int;
-  mutable cache_hits : int;
-  mutable journal_hits : int;
-  mutable dedup_joined : int;
-  mutable streamed_items : int;
-  mutable clients : int;
-  mutable hit_wall_total_s : float;
-  mutable hit_wall_max_s : float;
-  mutable compute_wall_total_s : float;
-  mutable compute_wall_max_s : float;
-  mutable max_pending : int;
-  mutable max_client_queue : int;
-  mutable deadline_exceeded : int;
-  mutable executor_recycles : int;
-  mutable client_retries : int;
-}
-
-let metrics_create () =
-  {
-    m_lock = Mutex.create ();
-    requests = 0;
-    ok = 0;
-    errors = 0;
-    overloaded = 0;
-    computed = 0;
-    cache_hits = 0;
-    journal_hits = 0;
-    dedup_joined = 0;
-    streamed_items = 0;
-    clients = 0;
-    hit_wall_total_s = 0.;
-    hit_wall_max_s = 0.;
-    compute_wall_total_s = 0.;
-    compute_wall_max_s = 0.;
-    max_pending = 0;
-    max_client_queue = 0;
-    deadline_exceeded = 0;
-    executor_recycles = 0;
-    client_retries = 0;
-  }
-
-let with_metrics m f =
-  Mutex.lock m.m_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m.m_lock) (fun () -> f m)
-
-let metrics_snapshot m : Telemetry.server =
-  with_metrics m (fun m ->
-      {
-        Telemetry.requests = m.requests;
-        ok = m.ok;
-        errors = m.errors;
-        overloaded = m.overloaded;
-        computed = m.computed;
-        cache_hits = m.cache_hits;
-        journal_hits = m.journal_hits;
-        dedup_joined = m.dedup_joined;
-        streamed_items = m.streamed_items;
-        clients = m.clients;
-        hit_wall_total_s = m.hit_wall_total_s;
-        hit_wall_max_s = m.hit_wall_max_s;
-        compute_wall_total_s = m.compute_wall_total_s;
-        compute_wall_max_s = m.compute_wall_max_s;
-        max_pending = m.max_pending;
-        max_client_queue = m.max_client_queue;
-        deadline_exceeded = m.deadline_exceeded;
-        executor_recycles = m.executor_recycles;
-        client_retries = m.client_retries;
-      })
-
-(* ------------------------------------------------------------------ *)
 (* Clients.                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -166,7 +87,8 @@ type t = {
   cache : Cache.t;
   journal : Journal.t option;
   inflight : (string * string list) Inflight.t;
-  metrics : metrics;
+  m_lock : Mutex.t;  (* guards [metrics] *)
+  metrics : Telemetry.server;
   s_lock : Mutex.t;
   s_ready : Condition.t;  (* work admitted, or stopping *)
   rr : client Queue.t;  (* round-robin: clients with a non-empty inbox *)
@@ -183,6 +105,13 @@ type t = {
 let log t fmt =
   Printf.ksprintf (fun s -> if t.cfg.verbose then Printf.eprintf "wmm_served: %s\n%!" s) fmt
 
+let with_metrics t f =
+  Mutex.lock t.m_lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.m_lock) (fun () -> f t.metrics)
+
+(* A copy of the counters, for the [stats] op and the telemetry dump. *)
+let metrics_copy t = with_metrics t (fun m -> { m with Telemetry.requests = m.requests })
+
 (* Enqueue one response line for a client.  Blocks while the queue is
    at the bound - this is the back-pressure path: a slow reader stalls
    the executor streaming to it, not the whole server (other clients
@@ -195,7 +124,7 @@ let enqueue_out t client line =
   if not client.c_dead then begin
     Queue.push line client.c_out;
     let depth = Queue.length client.c_out in
-    with_metrics t.metrics (fun m ->
+    with_metrics t (fun m ->
         m.streamed_items <- m.streamed_items + 1;
         if depth > m.max_client_queue then m.max_client_queue <- depth);
     Condition.signal client.c_out_nonempty
@@ -321,7 +250,7 @@ let stream_items t client ~id ~op ~served_from ~wall_us items =
 (* Count one answered request by provenance and stream its items. *)
 let deliver t client ~id ~op ~served_from ~t0 items =
   let wall = Unix.gettimeofday () -. t0 in
-  with_metrics t.metrics (fun m ->
+  with_metrics t (fun m ->
       m.ok <- m.ok + 1;
       match served_from with
       | "computed" ->
@@ -381,14 +310,14 @@ let execute t running =
            watchdog stays the backstop (with quarantine) for tasks
            stuck in code that never polls. *)
         if Wmm_util.Cancel.cancelled running.r_token <> None then begin
-          with_metrics t.metrics (fun m ->
+          with_metrics t (fun m ->
               m.deadline_exceeded <- m.deadline_exceeded + 1);
           log t "client %d: %s cancelled at deadline" client.c_id op;
           enqueue_out t client (deadline_frame running.r_work)
         end
         else begin
           let msg = match e with Failure m -> m | e -> Printexc.to_string e in
-          with_metrics t.metrics (fun m -> m.errors <- m.errors + 1);
+          with_metrics t (fun m -> m.request_errors <- m.request_errors + 1);
           log t "client %d: %s failed: %s" client.c_id op msg;
           enqueue_out t client (Protocol.error_response ~id ~op msg)
         end
@@ -423,7 +352,7 @@ let rec executor_loop t slot_idx my_gen =
         | Some d when now > d ->
             (* Expired while queued: answer without computing. *)
             t.pending <- t.pending - 1;
-            with_metrics t.metrics (fun m ->
+            with_metrics t (fun m ->
                 m.deadline_exceeded <- m.deadline_exceeded + 1);
             Mutex.unlock t.s_lock;
             enqueue_out t client (deadline_frame work);
@@ -480,7 +409,7 @@ let watchdog_thread t =
               let gen = slot.x_gen in
               slot.x_thread <-
                 Some (Thread.create (fun () -> executor_loop t i gen) ());
-              with_metrics t.metrics (fun m ->
+              with_metrics t (fun m ->
                   m.deadline_exceeded <- m.deadline_exceeded + 1;
                   m.executor_recycles <- m.executor_recycles + 1);
               replies := (r.r_client, deadline_frame r.r_work) :: !replies
@@ -496,7 +425,7 @@ let watchdog_thread t =
                 match work.w_deadline with
                 | Some d when now > d ->
                     t.pending <- t.pending - 1;
-                    with_metrics t.metrics (fun m ->
+                    with_metrics t (fun m ->
                         m.deadline_exceeded <- m.deadline_exceeded + 1);
                     replies := (client, deadline_frame work) :: !replies
                 | _ -> Queue.push work keep)
@@ -553,41 +482,22 @@ let cache_stats_payload t =
   @ disk
 
 let stats_payload t =
-  let s = metrics_snapshot t.metrics in
-  let fl f = Json.Num (Float.round (f *. 1e6)) in
+  let counters = Telemetry.server_fields (metrics_copy t) in
   Mutex.lock t.s_lock;
   let pending = t.pending in
   Mutex.unlock t.s_lock;
-  [
-    ("requests", Json.of_int s.Telemetry.requests);
-    ("ok", Json.of_int s.Telemetry.ok);
-    ("request_errors", Json.of_int s.Telemetry.errors);
-    ("overloaded", Json.of_int s.Telemetry.overloaded);
-    ("computed", Json.of_int s.Telemetry.computed);
-    ("cache_hits", Json.of_int s.Telemetry.cache_hits);
-    ("journal_hits", Json.of_int s.Telemetry.journal_hits);
-    ("dedup_joined", Json.of_int s.Telemetry.dedup_joined);
-    ("streamed_items", Json.of_int s.Telemetry.streamed_items);
-    ("clients", Json.of_int s.Telemetry.clients);
-    ("hit_wall_total_us", fl s.Telemetry.hit_wall_total_s);
-    ("hit_wall_max_us", fl s.Telemetry.hit_wall_max_s);
-    ("compute_wall_total_us", fl s.Telemetry.compute_wall_total_s);
-    ("compute_wall_max_us", fl s.Telemetry.compute_wall_max_s);
-    ("pending", Json.of_int pending);
-    ("max_pending", Json.of_int s.Telemetry.max_pending);
-    ("max_client_queue", Json.of_int s.Telemetry.max_client_queue);
-    ("deadline_exceeded", Json.of_int s.Telemetry.deadline_exceeded);
-    ("executor_recycles", Json.of_int s.Telemetry.executor_recycles);
-    ("client_retries", Json.of_int s.Telemetry.client_retries);
-    ("jobs", Json.of_int (Workqueue.jobs t.pool));
-    ("pool_depth", Json.of_int (Workqueue.depth t.pool));
-    ("pool_submitted", Json.of_int (Workqueue.submitted t.pool));
-    ( "models",
-      Json.Arr
-        (List.map
-           (fun s -> Json.Str s)
-           Wmm_registry.Registry.model_wire_names) );
-  ]
+  counters
+  @ [
+      ("pending", Json.of_int pending);
+      ("jobs", Json.of_int (Workqueue.jobs t.pool));
+      ("pool_depth", Json.of_int (Workqueue.depth t.pool));
+      ("pool_submitted", Json.of_int (Workqueue.submitted t.pool));
+      ( "models",
+        Json.Arr
+          (List.map
+             (fun s -> Json.Str s)
+             Wmm_registry.Registry.model_wire_names) );
+    ]
 
 let request_shutdown t =
   Mutex.lock t.s_lock;
@@ -610,7 +520,7 @@ let request_shutdown t =
 let suggested_retry_after_ms t =
   let pending = t.pending in
   let computed, total_s =
-    with_metrics t.metrics (fun m -> (m.computed, m.compute_wall_total_s))
+    with_metrics t (fun m -> (m.computed, m.compute_wall_total_s))
   in
   let mean_ms =
     if computed = 0 then 50. else 1e3 *. total_s /. float_of_int computed
@@ -634,13 +544,13 @@ let admit t client ~id ~op request ~deadline_ms =
   if t.stopping || t.pending >= t.cfg.queue_bound then begin
     let retry_after_ms = suggested_retry_after_ms t in
     Mutex.unlock t.s_lock;
-    with_metrics t.metrics (fun m -> m.overloaded <- m.overloaded + 1);
+    with_metrics t (fun m -> m.overloaded <- m.overloaded + 1);
     log t "client %d: %s shed (queue full, retry in %dms)" client.c_id op retry_after_ms;
     enqueue_out t client (Protocol.overloaded_response ~id ~op ~retry_after_ms)
   end
   else begin
     t.pending <- t.pending + 1;
-    with_metrics t.metrics (fun m ->
+    with_metrics t (fun m ->
         if t.pending > m.max_pending then m.max_pending <- t.pending);
     let now = Unix.gettimeofday () in
     let work =
@@ -663,11 +573,11 @@ let admit t client ~id ~op request ~deadline_ms =
 let handle_request t client envelope =
   let { Protocol.req_id = id; request; deadline_ms; retry } = envelope in
   let op = Protocol.op_name request in
-  with_metrics t.metrics (fun m ->
+  with_metrics t (fun m ->
       m.requests <- m.requests + 1;
       if retry > 0 then m.client_retries <- m.client_retries + 1);
   let reply payload =
-    with_metrics t.metrics (fun m -> m.ok <- m.ok + 1);
+    with_metrics t (fun m -> m.ok <- m.ok + 1);
     enqueue_out t client (Protocol.response ~id ~op ~seq:0 ~final:true payload)
   in
   match request with
@@ -694,18 +604,18 @@ let handle_line t client line =
   if String.trim line <> "" then
     match Json.parse line with
     | Error e ->
-        with_metrics t.metrics (fun m ->
+        with_metrics t (fun m ->
             m.requests <- m.requests + 1;
-            m.errors <- m.errors + 1);
+            m.request_errors <- m.request_errors + 1);
         enqueue_out t client (Protocol.error_response ~id:Json.Null ~op:"?" e)
     | Ok v -> (
         match Protocol.parse_request v with
         | Error e ->
             let id = Option.value ~default:Json.Null (Json.member "id" v) in
             let op = Option.value ~default:"?" (Json.str_member "op" v) in
-            with_metrics t.metrics (fun m ->
+            with_metrics t (fun m ->
                 m.requests <- m.requests + 1;
-                m.errors <- m.errors + 1);
+                m.request_errors <- m.request_errors + 1);
             enqueue_out t client (Protocol.error_response ~id ~op e)
         | Ok envelope -> handle_request t client envelope)
 
@@ -729,7 +639,7 @@ let reader_thread t client =
 let spawn_client t fd =
   let client =
     Mutex.lock t.s_lock;
-    let id = with_metrics t.metrics (fun m ->
+    let id = with_metrics t (fun m ->
         m.clients <- m.clients + 1;
         m.clients)
     in
@@ -807,7 +717,8 @@ let serve cfg =
       cache;
       journal;
       inflight = Inflight.create ();
-      metrics = metrics_create ();
+      m_lock = Mutex.create ();
+      metrics = Telemetry.create_server ();
       s_lock = Mutex.create ();
       s_ready = Condition.create ();
       rr = Queue.create ();
@@ -873,7 +784,7 @@ let serve cfg =
   (try Unix.close stop_w with Unix.Unix_error _ -> ());
   (try Sys.remove cfg.socket_path with Sys_error _ -> ());
   Workqueue.shutdown pool;
-  Engine.set_server engine (metrics_snapshot t.metrics);
+  Engine.set_server engine (metrics_copy t);
   Option.iter Journal.close journal;
   prerr_endline (Engine.render_summary engine);
   Option.iter

@@ -150,6 +150,3 @@ let huber_fit ~f ~xs ~ys ~init () =
     end
   done;
   !result
-
-let relative_error_percent result i =
-  100. *. Stats.relative_std_error ~value:result.params.(i) ~error:result.std_errors.(i)

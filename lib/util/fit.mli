@@ -49,8 +49,3 @@ val huber_fit :
     Outlier points therefore pull on the fit with bounded force
     instead of quadratically.  Degenerates to {!curve_fit} when all
     residuals are small. *)
-
-val relative_error_percent : result -> int -> float
-(** [relative_error_percent r i] is parameter [i]'s standard error as
-    a percentage of its value, the "k = 0.00277 +- 2.5%" form used in
-    the paper's figures. *)

@@ -1,11 +1,14 @@
-(** A minimal JSON value type with a parser and printer.
+(** A minimal JSON value type with a parser and printer: the one JSON
+    codec of the program.  Served frames, telemetry dumps, resume
+    journal lines and the exploration report are all built as a {!t}
+    and printed by {!to_string}; frames and journal lines are read
+    back through {!parse}.
 
-    The served protocol is newline-delimited JSON; requests are small
-    and flat, so a purpose-built recursive-descent parser over the
-    full JSON grammar (objects, arrays, strings with escapes, numbers,
-    booleans, null) beats pulling in a dependency the toolchain does
-    not ship.  Numbers are held as OCaml floats ({!int_member} rounds
-    when a field is semantically integral). *)
+    A purpose-built recursive-descent parser over the full JSON
+    grammar (objects, arrays, strings with escapes, numbers, booleans,
+    null) beats pulling in a dependency the toolchain does not ship.
+    Numbers are held as OCaml floats ({!int_member} rounds when a
+    field is semantically integral). *)
 
 type t =
   | Null
@@ -25,8 +28,10 @@ val parse : string -> (t, string) result
 
 val to_string : t -> string
 (** Compact single-line rendering (never contains a raw newline, so a
-    rendered value is always a valid NDJSON frame).  Integral numbers
-    print without a decimal point. *)
+    rendered value is always a valid NDJSON frame).  Members and
+    elements are separated by [", "], names from values by [": "].
+    Integral numbers print without a decimal point, others with six
+    significant digits; non-finite numbers print as [null]. *)
 
 val of_int : int -> t
 

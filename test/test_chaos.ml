@@ -26,14 +26,7 @@ let with_temp_dir f =
       (Printf.sprintf "wmm_chaos_test_%d_%.0f" (Unix.getpid ())
          (Unix.gettimeofday () *. 1e6))
   in
-  let rec rm_rf path =
-    if Sys.is_directory path then begin
-      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-      Unix.rmdir path
-    end
-    else Sys.remove path
-  in
-  Fun.protect ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir) (fun () -> f dir)
+  Fun.protect ~finally:(fun () -> Wmm_util.Fs.rm_rf dir) (fun () -> f dir)
 
 let small_config dir =
   {

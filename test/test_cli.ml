@@ -8,14 +8,6 @@ let temp_path suffix =
   Sys.remove path;
   path
 
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-
 (* Run the binary with [args]; returns its exit code, stdout and stderr. *)
 let run args =
   let out = Filename.temp_file "wmm_cli" ".out" in
@@ -54,7 +46,7 @@ let test_litmus_missing_file () =
 let test_litmus_unparsable_file () =
   let path = Filename.temp_file "wmm_cli" ".litmus" in
   Fun.protect
-    ~finally:(fun () -> rm_rf path)
+    ~finally:(fun () -> Wmm_util.Fs.rm_rf path)
     (fun () ->
       Out_channel.with_open_text path (fun oc -> output_string oc "no litmus here\n");
       ignore (check_usage_error [ "litmus"; "--file"; path ]))
@@ -65,7 +57,7 @@ let test_litmus_unparsable_file () =
 let lang_usage_error args =
   let dir = temp_path "" in
   Fun.protect
-    ~finally:(fun () -> rm_rf dir)
+    ~finally:(fun () -> Wmm_util.Fs.rm_rf dir)
     (fun () ->
       let err = check_usage_error (("lang" :: args) @ [ "--cache-dir"; dir ]) in
       if Test_cert.contains ~sub:"journal:" err then Alcotest.failf "a journal was opened:\n%s" err;

@@ -64,20 +64,13 @@ let test_sequential_vs_parallel () =
   Alcotest.(check bool) "jobs=4 sweep structurally equal to jobs=1" true (seq = par);
   Alcotest.(check bool) "deferred sweep equals direct sweep" true (seq = direct_sweep ())
 
-let rec rm_rf path =
-  if Sys.is_directory path then begin
-    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-    Unix.rmdir path
-  end
-  else Sys.remove path
-
 let with_temp_cache f =
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "wmm_engine_test_%d_%.0f" (Unix.getpid ()) (Unix.gettimeofday () *. 1e6))
   in
   Fun.protect
-    ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir)
+    ~finally:(fun () -> Wmm_util.Fs.rm_rf dir)
     (fun () -> f dir)
 
 let test_cache_hit_on_second_run () =
@@ -141,8 +134,18 @@ let test_task_rng_deterministic () =
     (List.init 8 (fun _ -> Wmm_util.Rng.int64 a)
     <> List.init 8 (fun _ -> Wmm_util.Rng.int64 c))
 
+(* The served [stats] op's counter names, which the benchmark ladder,
+   the chaos harness and CI read. *)
+let stats_counter_names =
+  [
+    "requests"; "ok"; "request_errors"; "overloaded"; "computed"; "cache_hits";
+    "journal_hits"; "dedup_joined"; "streamed_items"; "clients"; "hit_wall_total_us";
+    "hit_wall_max_us"; "compute_wall_total_us"; "compute_wall_max_us"; "max_pending";
+    "max_client_queue"; "deadline_exceeded"; "executor_recycles"; "client_retries";
+  ]
+
 let test_telemetry_json () =
-  Alcotest.(check int) "telemetry schema version" 7 Telemetry.schema_version;
+  Alcotest.(check int) "telemetry schema version" 8 Telemetry.schema_version;
   let engine = Engine.create ~jobs:1 () in
   ignore (Engine.run_all engine [| Task.pure ~key:"t" (fun () -> ()) |]);
   Engine.set_exploration engine
@@ -179,7 +182,31 @@ let test_telemetry_json () =
           "\"outcome\": \"ran\"";
           "\"exploration\": {\"explored\": 42, \"pruned\": 7, \"consistent\": 17, \
            \"revisits\": 3, \"symmetry_skips\": 2,";
-        ])
+        ];
+      let parse () =
+        match Wmm_util.Json.parse (In_channel.with_open_bin path In_channel.input_all) with
+        | Ok v -> v
+        | Error e -> Alcotest.failf "telemetry dump does not parse: %s" e
+      in
+      let dump = parse () in
+      Alcotest.(check (option int)) "parsed schema version" (Some 8)
+        (Wmm_util.Json.int_member "schema_version" dump);
+      Alcotest.(check bool) "no server object without a daemon" true
+        (Wmm_util.Json.member "server" dump = Some Wmm_util.Json.Null);
+      let sv = Telemetry.create_server () in
+      sv.Telemetry.requests <- 3;
+      sv.Telemetry.hit_wall_max_s <- 0.25;
+      Engine.set_server engine sv;
+      Engine.write_telemetry engine path;
+      match Wmm_util.Json.member "server" (parse ()) with
+      | Some (Wmm_util.Json.Obj fields as server) ->
+          Alcotest.(check (list string)) "server keys are the stats counters"
+            stats_counter_names (List.map fst fields);
+          Alcotest.(check (option int)) "counts carried" (Some 3)
+            (Wmm_util.Json.int_member "requests" server);
+          Alcotest.(check (option int)) "latency in whole microseconds" (Some 250_000)
+            (Wmm_util.Json.int_member "hit_wall_max_us" server)
+      | _ -> Alcotest.fail "server object missing after set_server")
 
 (* ------------------------------------------------------------------ *)
 (* Resilience: fault injection, retry recovery, checkpoint/resume,
@@ -207,7 +234,7 @@ let with_temp_dir f =
          (Unix.gettimeofday () *. 1e6))
   in
   Unix.mkdir dir 0o755;
-  Fun.protect ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir) (fun () -> f dir)
+  Fun.protect ~finally:(fun () -> Wmm_util.Fs.rm_rf dir) (fun () -> f dir)
 
 let plan spec =
   match Fault.parse spec with
@@ -351,6 +378,38 @@ let test_journal_skips_failed_and_torn_entries () =
       Alcotest.(check (option int)) "its value is intact" (Some 8)
         (Journal.replay again ~key:"after");
       Alcotest.(check int) "only the torn line is dropped" 1 (Journal.dropped again))
+
+(* The journal's on-disk format, pinned byte for byte: a key and a
+   message holding a quote, a backslash, a newline and a control byte
+   are escaped exactly so, and read back intact. *)
+let test_journal_line_bytes () =
+  with_temp_dir (fun dir ->
+      let key = "k\"ey\\with\nnewline\001end" in
+      let j = Journal.open_ ~dir ~run_id:"escapes" () in
+      Journal.record_ok j ~key (42, "forty-two");
+      Journal.record_failed j ~key ~msg:"boom \"quoted\"\n\001";
+      Journal.close j;
+      Alcotest.(check string) "journal bytes"
+        "{\"key\": \"k\\\"ey\\\\with\\nnewline\\u0001end\", \"status\": \"ok\", \
+         \"digest\": \"93f282b064d67425ef6b6ff8b44f7b8d\", \"value\": \
+         \"8495a6be0000000c000000020000000700000006a06a29666f7274792d74776f\"}\n\
+         {\"key\": \"k\\\"ey\\\\with\\nnewline\\u0001end\", \"status\": \"failed\", \
+         \"msg\": \"boom \\\"quoted\\\"\\n\\u0001\"}\n"
+        (read_file (Journal.path j));
+      let reopened = Journal.open_ ~dir ~run_id:"escapes" () in
+      Alcotest.(check int) "one replayable entry" 1 (Journal.loaded reopened);
+      Alcotest.(check int) "nothing dropped" 0 (Journal.dropped reopened);
+      Alcotest.(check (option (pair int string))) "value replays under the key"
+        (Some (42, "forty-two")) (Journal.replay reopened ~key);
+      (* An ok line without a digest cannot be verified: it is dropped. *)
+      Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 (Journal.path j)
+        (fun oc ->
+          output_string oc
+            (Printf.sprintf "{\"key\": \"bare\", \"status\": \"ok\", \"value\": \"%s\"}\n"
+               (Journal.hex_encode (Marshal.to_string 5 []))));
+      let again = Journal.open_ ~dir ~run_id:"escapes" () in
+      Alcotest.(check int) "digest-less line dropped" 1 (Journal.dropped again);
+      Alcotest.(check (option int)) "and never replayed" None (Journal.replay again ~key:"bare"))
 
 let test_journal_hex_codec () =
   (* Every byte value encodes exactly as "%02x" did, and decodes back,
@@ -690,14 +749,12 @@ let test_cache_sharded_layout_and_legacy () =
                else [])
       in
       Alcotest.(check (list string)) "no tmp files left behind" [] (tmp_files dir);
-      (* A flat pre-sharding entry is still served: move the file to
-         where the old layout kept it and read through a fresh cache. *)
+      (* A flat entry at the top level, where older builds kept them,
+         is still counted, so clear and prune can remove it. *)
       let shard = Filename.concat dir (List.hd (shard_dirs ())) in
       let file = (Sys.readdir shard).(0) in
       Sys.rename (Filename.concat shard file) (Filename.concat dir file);
       let fresh = Cache.create ~dir () in
-      Alcotest.(check (option int)) "legacy flat entry found" (Some 99)
-        (Cache.find fresh ~key:"shard-me");
       match Cache.disk_usage fresh with
       | Some (count, _) -> Alcotest.(check int) "accounting spans both layouts" 1 count
       | None -> Alcotest.fail "disk usage unavailable")
@@ -819,6 +876,7 @@ let suite =
       test_journal_resume_recomputes_only_missing;
     Alcotest.test_case "journal skips failed and torn entries" `Quick
       test_journal_skips_failed_and_torn_entries;
+    Alcotest.test_case "journal line bytes" `Quick test_journal_line_bytes;
     Alcotest.test_case "journal hex codec" `Quick test_journal_hex_codec;
     Alcotest.test_case "journal append: two concurrent writers" `Quick
       test_journal_append_two_concurrent_writers;

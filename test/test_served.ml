@@ -7,6 +7,7 @@ let () = Unix.putenv "WMM_FAST" "1"
 
 open Wmm_served
 open Wmm_litmus
+module Json = Wmm_util.Json
 
 let with_temp_dir f =
   let dir =
@@ -15,14 +16,7 @@ let with_temp_dir f =
          (Unix.gettimeofday () *. 1e6))
   in
   Unix.mkdir dir 0o755;
-  let rec rm_rf path =
-    if Sys.is_directory path then begin
-      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-      Unix.rmdir path
-    end
-    else Sys.remove path
-  in
-  Fun.protect ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir) (fun () -> f dir)
+  Fun.protect ~finally:(fun () -> Wmm_util.Fs.rm_rf dir) (fun () -> f dir)
 
 (* ------------------------------------------------------------------ *)
 (* JSON *)
@@ -206,15 +200,7 @@ let one_shot_describes name =
     (fun m ->
       if Test.expected_under test m = None then None
       else
-        let config =
-          match m with
-          | Wmm_model.Axiomatic.Sc -> Wmm_machine.Relaxed.sc_config
-          | Wmm_model.Axiomatic.Tso -> Wmm_machine.Relaxed.tso_config
-          | Wmm_model.Axiomatic.Arm | Wmm_model.Axiomatic.Power ->
-              Wmm_machine.Relaxed.relaxed_config
-          | Wmm_model.Axiomatic.Rc11 -> Wmm_machine.Relaxed.sc_config
-        in
-        Some (Check.describe (Check.run_exhaustive m config test)))
+        Some (Check.describe (Check.run_exhaustive m (Check.machine_config m) test)))
     Wmm_model.Axiomatic.all_models
 
 let test_server_verdicts_match_one_shot () =
