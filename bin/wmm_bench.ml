@@ -247,12 +247,6 @@ let litmus_cmd =
       & opt (some string) None
       & info [ "file" ] ~doc:"Run a test from a litmus-format file")
   in
-  let exhaustive_arg =
-    Arg.(value & flag & info [ "exhaustive" ] ~doc:"Exhaustive state-space exploration")
-  in
-  let iterations_arg =
-    Arg.(value & opt int 2000 & info [ "iterations" ] ~doc:"Random-run count")
-  in
   let certify_arg =
     Arg.(
       value & flag
@@ -267,7 +261,7 @@ let litmus_cmd =
       value & opt string "_wmm_certs"
       & info [ "cert-dir" ] ~docv:"DIR" ~doc:"Directory certificates are written to")
   in
-  let run test_name file exhaustive iterations certify cert_dir =
+  let run test_name file certify cert_dir =
     let tests =
       match (test_name, file) with
       | _, Some path -> (
@@ -282,10 +276,9 @@ let litmus_cmd =
       (fun test ->
         List.iter
           (fun model ->
-            let config = Check.machine_config model in
             let v =
-              if exhaustive then Check.run_exhaustive model config test
-              else Check.run_random ~iterations model config test
+              try Check.run_exhaustive model (Check.machine_config model) test
+              with Failure msg -> die "%s: %s" test.Test.name msg
             in
             (* File-loaded tests have a placeholder annotation:
                only forbidden-observed counts as unsound there. *)
@@ -318,8 +311,7 @@ let litmus_cmd =
   Cmd.v
     (Cmd.info "litmus" ~doc:"Run litmus tests on the operational machine and the models")
     Term.(
-      const run $ test_arg $ file_arg $ exhaustive_arg $ iterations_arg $ certify_arg
-      $ cert_dir_arg)
+      const run $ test_arg $ file_arg $ certify_arg $ cert_dir_arg)
 
 (* ------------------------------------------------------------------ *)
 (* litmus-table                                                        *)
@@ -1044,17 +1036,6 @@ let query_cmd =
       & info [ "model" ] ~docv:"MODEL"
           ~doc:"Restrict litmus checking to one model (see `wmm_bench list` models)")
   in
-  let random_arg =
-    Arg.(
-      value & flag
-      & info [ "random" ]
-          ~doc:"Random-scheduling litmus runs instead of exhaustive exploration")
-  in
-  let iterations_arg =
-    Arg.(
-      value & opt int 2000
-      & info [ "iterations" ] ~docv:"N" ~doc:"Random-run count (with --random)")
-  in
   let arch_s_arg =
     Arg.(
       value & opt string "arm"
@@ -1115,8 +1096,8 @@ let query_cmd =
       value & opt_all string []
       & info [ "scheme" ] ~docv:"SCHEME" ~doc:"Compilation scheme (repeatable; lang)")
   in
-  let run socket op stdin_mode tests file model random iterations arch_s cost
-      max_edges limit infer_limit action schemes retries retry_seed deadline_ms =
+  let run socket op stdin_mode tests file model arch_s cost max_edges limit
+      infer_limit action schemes retries retry_seed deadline_ms =
     if retries < 0 then die "--retries must be non-negative";
     Option.iter
       (fun m ->
@@ -1151,10 +1132,6 @@ let query_cmd =
                     | text -> [ ("program", Str text) ]
                     | exception Sys_error e -> die "%s" e))
               @ (match model with None -> [] | Some m -> [ ("model", Str m) ])
-              @
-              if random then
-                [ ("mode", Str "random"); ("iterations", of_int iterations) ]
-              else [ ("mode", Str "exhaustive") ]
           | "analyze" ->
               (if tests = [] then [] else [ ("tests", str_list tests) ])
               @ [ ("arch", Str arch_s); ("cost", Bool cost) ]
@@ -1224,8 +1201,8 @@ let query_cmd =
           after the retry budget, 4 transport failure")
     Term.(
       const run $ socket_arg $ op_arg $ stdin_arg $ tests_arg $ file_arg $ model_arg
-      $ random_arg $ iterations_arg $ arch_s_arg $ cost_arg $ max_edges_arg
-      $ limit_arg $ infer_limit_arg $ action_arg $ schemes_arg
+      $ arch_s_arg $ cost_arg $ max_edges_arg $ limit_arg $ infer_limit_arg
+      $ action_arg $ schemes_arg
       $ retries_arg $ retry_seed_arg $ deadline_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -1378,12 +1355,6 @@ let chaos_cmd =
       & info [ "deadline-probes" ] ~docv:"N"
           ~doc:"Doomed requests that must be answered 'deadline_exceeded'")
   in
-  let slow_arg =
-    Arg.(
-      value & opt int 20_000
-      & info [ "slow-iterations" ] ~docv:"N"
-          ~doc:"Iterations of the slow requests kept in flight across kills")
-  in
   let jobs_arg =
     Arg.(value & opt int 2 & info [ "jobs"; "j" ] ~docv:"N" ~doc:"Daemon worker domains")
   in
@@ -1393,8 +1364,8 @@ let chaos_cmd =
   let verbose_arg =
     Arg.(value & flag & info [ "verbose" ] ~doc:"Pass the daemon's stderr through")
   in
-  let run seed dir bin battery kills corruptions disconnects probes slow jobs
-      executors verbose =
+  let run seed dir bin battery kills corruptions disconnects probes jobs executors
+      verbose =
     if kills < 1 && corruptions > 0 then
       die "--corruptions needs --kills >= 1 (a live daemon's in-memory journal \
            shadows corrupted cache entries)";
@@ -1408,7 +1379,6 @@ let chaos_cmd =
         corruptions;
         disconnects;
         deadline_probes = probes;
-        slow_iterations = slow;
         jobs;
         executors;
         verbose;
@@ -1429,8 +1399,8 @@ let chaos_cmd =
           fixed seed and binary; exits 1 on any mismatch or accounting gap")
     Term.(
       const run $ seed_arg $ dir_arg $ bin_arg $ battery_arg $ kills_arg
-      $ corruptions_arg $ disconnects_arg $ probes_arg $ slow_arg $ jobs_arg
-      $ executors_arg $ verbose_arg)
+      $ corruptions_arg $ disconnects_arg $ probes_arg $ jobs_arg $ executors_arg
+      $ verbose_arg)
 
 let () =
   let default = Term.(ret (const (`Help (`Pager, None)))) in

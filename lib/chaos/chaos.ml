@@ -27,7 +27,6 @@ type config = {
   corruptions : int;
   disconnects : int;
   deadline_probes : int;
-  slow_iterations : int;
   jobs : int;
   executors : int;
   verbose : bool;
@@ -44,7 +43,6 @@ let default_config ~bin ~dir =
     corruptions = 2;
     disconnects = 2;
     deadline_probes = 1;
-    slow_iterations = 20_000;
     jobs = 2;
     executors = 2;
     verbose = false;
@@ -135,25 +133,27 @@ let battery_of cfg =
                [
                  ("op", Json.Str "litmus");
                  ("tests", Json.Arr [ Json.Str name ]);
-                 ("mode", Json.Str "exhaustive");
                  ("id", Json.Str id);
                ]);
         b_req =
           Protocol.Litmus
-            { tests = [ name ]; program = None; model = None;
-              mode = Protocol.Exhaustive; certify = false };
+            { tests = [ name ]; program = None; model = None; certify = false };
       })
     names
 
-(* A whole-library random-mode run: slow enough to still be computing
-   when a fault lands.  Ids are prefixed "slow:" - never compared. *)
-let slow_line ~id ~iterations ?deadline_ms () =
+(* A bound-6 ARMv8 conformance run over the first [limit] tests of the
+   family: slow enough to still be computing when a fault lands, and
+   cancellable between its per-test tasks.  Those tasks are cached, so
+   a slow request costs only the tests no earlier one reached.  Ids
+   are prefixed "slow:" - never compared. *)
+let slow_line ~id ~limit ?deadline_ms () =
   Json.to_string
     (Json.Obj
        ([
-          ("op", Json.Str "litmus");
-          ("mode", Json.Str "random");
-          ("iterations", Json.of_int iterations);
+          ("op", Json.Str "conform");
+          ("arch", Json.Str "arm");
+          ("max_edges", Json.of_int 6);
+          ("limit", Json.of_int limit);
           ("id", Json.Str id);
         ]
        @
@@ -498,12 +498,14 @@ let run cfg =
     List.init (min chunk_size n) (fun j ->
         List.nth battery (((i * chunk_size) + j) mod n))
   in
+  (* The k-th kill wave to run sends a slow request over the first
+     300 (k + 1) tests, so each wave adds about 300 uncached ones. *)
+  let kills_done = ref 0 in
   let do_kill i =
     let chunk = chunk_of i in
+    incr kills_done;
     let slow =
-      slow_line
-        ~id:(Printf.sprintf "slow:kill%d" i)
-        ~iterations:(cfg.slow_iterations + i) ()
+      slow_line ~id:(Printf.sprintf "slow:kill%d" i) ~limit:(300 * !kills_done) ()
     in
     logf "wave kill%d: %d battery requests + 1 slow request, then kill -9" i
       (List.length chunk);
@@ -552,11 +554,7 @@ let run cfg =
         Client.send_line c
           (Json.to_string
              (Json.Obj
-                [
-                  ("op", Json.Str "litmus");
-                  ("mode", Json.Str "exhaustive");
-                  ("id", Json.Str id);
-                ]));
+                [ ("op", Json.Str "litmus"); ("id", Json.Str id) ]));
         let reads = 1 + Rng.int rng 3 in
         for _ = 1 to reads do
           ignore (Client.recv_line c)
@@ -576,10 +574,8 @@ let run cfg =
     | Ok doomed -> (
         Client.set_timeout doomed 120.;
         let id = Printf.sprintf "slow:probe%d" i in
-        Client.send_line doomed
-          (slow_line ~id
-             ~iterations:((cfg.slow_iterations * 50) + i)
-             ~deadline_ms:250 ());
+        (* The whole family, 2,667 tests: seconds of work. *)
+        Client.send_line doomed (slow_line ~id ~limit:5000 ~deadline_ms:250 ());
         let bystander_ok =
           match Client.connect ~socket_path:cfg.socket_path with
           | Error _ -> false

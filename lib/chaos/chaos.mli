@@ -38,9 +38,6 @@ type config = {
   disconnects : int;  (** Clients dropped mid-stream. *)
   deadline_probes : int;
       (** Doomed requests that must die by [deadline_ms]. *)
-  slow_iterations : int;
-      (** Iteration count of the slow random-mode requests kept in
-          flight across kills (bigger = safer overlap, slower run). *)
   jobs : int;  (** Worker domains of the spawned daemon. *)
   executors : int;  (** Executor threads of the spawned daemon. *)
   verbose : bool;  (** Pass the daemon's stderr through. *)
@@ -48,8 +45,8 @@ type config = {
 
 val default_config : bin:string -> dir:string -> config
 (** Seed 7; socket and cache under [dir]; whole library; 3 kills, 2
-    corruptions, 2 disconnects, 1 deadline probe; 100k-iteration slow
-    requests; 2 worker domains, 2 executors; quiet. *)
+    corruptions, 2 disconnects, 1 deadline probe; 2 worker domains,
+    2 executors; quiet. *)
 
 type report = {
   r_battery : int;  (** Requests in the battery. *)

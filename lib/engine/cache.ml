@@ -119,8 +119,8 @@ let read_entry ~key file =
   | exception _ -> `Corrupt
 
 (* Move a damaged entry out of the lookup path but keep the evidence:
-   <hex>.cache becomes <hex>.corrupt, which no maintenance or lookup
-   code ever reads ([entries] filters on the .cache suffix). *)
+   <hex>.cache becomes <hex>.corrupt, which no lookup and no fsck ever
+   reads.  Maintenance counts it, and [clear] and [prune] remove it. *)
 let quarantine_path file =
   (try Filename.chop_suffix file ".cache" with Invalid_argument _ -> file)
   ^ ".corrupt"
@@ -178,11 +178,11 @@ let store t ~key value =
 (* Maintenance: listing, clearing, LRU pruning.                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Every entry this module writes ends in ".cache"; anything else in
-   the directory (journals, tmp files of live writers) is left alone.
-   The top level is walked as well as the two-hex-character shard
-   subdirectories, so [clear] and [prune] also remove the flat entries
-   of older builds. *)
+(* Every entry this module writes ends in ".cache", and a quarantined
+   one in ".corrupt"; anything else in the directory (journals, tmp
+   files of live writers) is left alone.  The top level is walked as
+   well as the two-hex-character shard subdirectories, so [clear] and
+   [prune] also remove the flat entries of older builds. *)
 let is_shard_dir name =
   String.length name = 2
   && String.for_all (function 'a' .. 'f' | '0' .. '9' -> true | _ -> false) name
@@ -193,7 +193,8 @@ let entries_in dirname =
   | names ->
       Array.to_list names
       |> List.filter_map (fun name ->
-             if Filename.check_suffix name ".cache" then
+             if Filename.check_suffix name ".cache" || Filename.check_suffix name ".corrupt"
+             then
                let file = Filename.concat dirname name in
                match Unix.stat file with
                | { Unix.st_kind = Unix.S_REG; st_size; st_mtime; _ } ->
@@ -284,7 +285,9 @@ let fsck t =
                 if quarantine file then { r with f_quarantined = r.f_quarantined + 1 }
                 else r)
           { f_scanned = 0; f_ok = 0; f_quarantined = 0 }
-          (entries a.a_dir)
+          (List.filter
+             (fun (file, _, _) -> Filename.check_suffix file ".cache")
+             (entries a.a_dir))
       in
       bump a (fun a ->
           a.verify_failures <- a.verify_failures + report.f_quarantined;

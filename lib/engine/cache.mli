@@ -33,11 +33,11 @@ type stats = {
   verify_failures : int;
 }
 (** [errors] counts unreadable or corrupt entries (treated as
-    misses) and failed writes; [pruned] counts entries deleted by
-    {!clear} or {!prune} through this handle; [verify_failures]
-    counts entries whose stored payload digest did not match on read
-    (a subset of [errors]) — each one was quarantined to a
-    [.corrupt] file and reported as a miss. *)
+    misses) and failed writes; [pruned] counts files (entries and
+    quarantined entries) deleted by {!clear} or {!prune} through this
+    handle; [verify_failures] counts entries whose stored payload
+    digest did not match on read (a subset of [errors]) — each one was
+    quarantined to a [.corrupt] file and reported as a miss. *)
 
 val default_dir : string
 (** ["_wmm_cache"]. *)
@@ -69,19 +69,22 @@ val stats : t -> stats
 (** {1 Maintenance}
 
     Offline housekeeping for the [wmm_bench cache] subcommand.  Only
-    files ending in [.cache] are touched; journals and in-flight
-    temporaries are left alone. *)
+    entries ([.cache] files) and quarantined entries ([.corrupt]
+    files) are touched; journals and in-flight temporaries are left
+    alone. *)
 
 val disk_usage : t -> (int * int) option
-(** [(entry count, total bytes)] currently on disk; [None] for the
-    disabled cache. *)
+(** [(file count, total bytes)] of the entries and quarantined
+    entries currently on disk; [None] for the disabled cache. *)
 
 val clear : t -> int
-(** Delete every cache entry; returns how many were removed. *)
+(** Delete every entry and quarantined entry; returns how many files
+    were removed. *)
 
 val prune : t -> max_bytes:int -> int
-(** Evict oldest-first (by mtime, i.e. store order) until the cache
-    fits in [max_bytes]; returns how many entries were removed. *)
+(** Evict entries and quarantined entries oldest-first (by mtime,
+    i.e. store or quarantine order) until they fit in [max_bytes];
+    returns how many files were removed. *)
 
 type fsck_report = {
   f_scanned : int;      (** entries examined *)

@@ -99,6 +99,11 @@ let run_all t tasks =
             attempts;
           }
       in
+      (* Once the batch is cancelled (a served request's deadline), a
+         task not yet started is skipped with no journal or cache
+         traffic: the batch raises below instead of returning. *)
+      if Wmm_util.Cancel.cancelled t.cancel <> None then ()
+      else
       match Option.bind t.journal (fun j -> Journal.replay j ~key) with
       | Some v ->
           results.(i) <- Replayed v;
@@ -166,6 +171,9 @@ let run_all t tasks =
   | Some wq when n >= 1 -> Workqueue.run_indexed wq n exec
   | Some _ | None -> Workqueue.run ~jobs:t.jobs n exec);
   Telemetry.add_batch_wall t.telemetry (Unix.gettimeofday () -. batch_start);
+  (* A cancelled batch has no answer: its caller stops here instead of
+     reading the failures as results. *)
+  Wmm_util.Cancel.check t.cancel;
   results
 
 let run t task = (run_all t [| task |]).(0)

@@ -95,7 +95,9 @@ val with_cancel : t -> Wmm_util.Cancel.t -> t
 val run_all : t -> 'a Task.t array -> 'a outcome array
 (** Execute one batch.  Result [i] corresponds to task [i].  Per
     task: journal replay is consulted first, then the cache, then up
-    to [1 + retries] attempts run. *)
+    to [1 + retries] attempts run.  Once the token of {!with_cancel}
+    has fired, tasks not yet started are skipped, and the batch raises
+    {!Wmm_util.Cancel.Cancelled} when the running ones have settled. *)
 
 val run : t -> 'a Task.t -> 'a outcome
 

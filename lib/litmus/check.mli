@@ -12,8 +12,10 @@ type verdict = {
           the test condition. *)
   expected : bool option;  (** The library's annotation, if any. *)
   observed : bool;  (** Whether the operational machine reached it. *)
-  observations : int;  (** How many runs / states reached it. *)
-  total : int;  (** Runs or states explored. *)
+  observations : int;
+      (** How many of the machine's reachable final states satisfy
+          the test condition. *)
+  total : int;  (** How many final states the machine can reach. *)
 }
 
 val axiomatic_allowed : Axiomatic.model -> Test.t -> bool
@@ -30,13 +32,11 @@ val models_for : parsed:bool -> Test.t -> Axiomatic.model list
     ARMv8 and POWER for a [parsed] test (from a litmus file or an
     inline program), which carries no annotations. *)
 
-val run_random :
-  ?iterations:int -> ?seed:int -> Axiomatic.model -> Relaxed.config -> Test.t -> verdict
-(** Randomly scheduled executions (default 2000). *)
-
-val run_exhaustive :
-  ?max_states:int -> Axiomatic.model -> Relaxed.config -> Test.t -> verdict
-(** Exhaustive state-space exploration of the operational machine. *)
+val run_exhaustive : Axiomatic.model -> Relaxed.config -> Test.t -> verdict
+(** Every reachable final state of the operational machine
+    ({!Relaxed.enumerate}), then the axiomatic verdict.  Raises
+    [Failure] when the machine search visits more than 500,000
+    states; the axiomatic search has not started then. *)
 
 val sound : verdict -> bool
 (** No forbidden outcome was observed, and the axiomatic verdict

@@ -683,27 +683,22 @@ let outcome_of_state (program : Program.t) state =
   in
   { registers; memory }
 
-let run_internal ?emit config ~seed (program : Program.t) =
+let run_traced config ~seed (program : Program.t) =
   (match Program.validate program with Ok () -> () | Error m -> invalid_arg m);
+  let traces = Array.map (fun _ -> ref []) program.Program.threads in
+  let emit ~tid ~eid action = traces.(tid) := (eid, action) :: !(traces.(tid)) in
   let rng = Rng.create seed in
   let rec go state steps =
-    if steps > 100_000 then failwith "Relaxed.run: step limit exceeded";
+    if steps > 100_000 then failwith "Relaxed.run_traced: step limit exceeded";
     match enabled_moves config state with
     | [] ->
         if finished state then outcome_of_state program state
-        else failwith "Relaxed.run: machine deadlocked"
+        else failwith "Relaxed.run_traced: machine deadlocked"
     | moves ->
         let m = Rng.choose rng (Array.of_list moves) in
-        go (apply_action ?emit config program state m.act) (steps + 1)
+        go (apply_action ~emit config program state m.act) (steps + 1)
   in
-  go (initial_state program config) 0
-
-let run config ~seed program = run_internal config ~seed program
-
-let run_traced config ~seed (program : Program.t) =
-  let traces = Array.map (fun _ -> ref []) program.Program.threads in
-  let emit ~tid ~eid action = traces.(tid) := (eid, action) :: !(traces.(tid)) in
-  let outcome = run_internal ~emit config ~seed program in
+  let outcome = go (initial_state program config) 0 in
   let per_thread =
     Array.map
       (fun entries ->
@@ -711,17 +706,6 @@ let run_traced config ~seed (program : Program.t) =
       traces
   in
   (outcome, per_thread)
-
-let collect config ~seed ~iterations program =
-  let table = Hashtbl.create 64 in
-  for i = 0 to iterations - 1 do
-    if i land 63 = 0 then Cancel.check_ambient ();
-    let o = run config ~seed:(seed + (i * 7919)) program in
-    let current = try Hashtbl.find table o with Not_found -> 0 in
-    Hashtbl.replace table o (current + 1)
-  done;
-  Hashtbl.fold (fun o n acc -> (o, n) :: acc) table []
-  |> List.sort (fun (a, _) (b, _) -> compare_outcome a b)
 
 (* ------------------------------------------------------------------ *)
 (* Exhaustive exploration: a sleep-set search over compact state keys. *)

@@ -44,23 +44,16 @@ type outcome = {
 
 val compare_outcome : outcome -> outcome -> int
 
-val run : config -> seed:int -> Program.t -> outcome
-(** One execution with uniformly random scheduling. *)
-
 val run_traced :
   config -> seed:int -> Program.t -> outcome * Wmm_cert.Trace.action list array
-(** [run], additionally returning the canonical per-thread
-    memory-event trace of the execution: reads with the value they
+(** One execution with uniformly random scheduling, and the canonical
+    per-thread memory-event trace of it: reads with the value they
     observed, globally visible writes (successful store-exclusives
     flagged as rmw; failed ones emit nothing), and fences, in program
     order regardless of the order the window executed them in.  The
     traces replay cleanly through {!Wmm_cert.Replay.replay_thread},
     which is how the certificate tests cross-validate the machine's
     thread-local semantics against the checker's. *)
-
-val collect : config -> seed:int -> iterations:int -> Program.t -> (outcome * int) list
-(** Outcome histogram over randomly scheduled executions, sorted by
-    outcome. *)
 
 val enumerate : ?max_states:int -> config -> Program.t -> outcome list
 (** All reachable final states, by a depth-first search over memoised

@@ -48,7 +48,7 @@ let verdict_item ?certificate v =
     ]
     @ cert_fields)
 
-let run_litmus ~engine ~tests ~program ~model ~mode ~certify =
+let run_litmus ~engine ~tests ~program ~model ~certify =
   let selected = resolve_litmus_tests ~tests ~program in
   let pairs =
     List.concat_map
@@ -60,11 +60,6 @@ let run_litmus ~engine ~tests ~program ~model ~mode ~certify =
           | None -> Check.models_for ~parsed:from_program test))
       selected
   in
-  let mode_key =
-    match mode with
-    | Protocol.Exhaustive -> "exhaustive"
-    | Protocol.Random n -> Printf.sprintf "random:%d" n
-  in
   let task_of (test, m, from_program) =
     let content =
       (* Library tests are keyed by unique name; inline programs by a
@@ -74,17 +69,13 @@ let run_litmus ~engine ~tests ~program ~model ~mode ~certify =
     in
     let key =
       (* v2: the certify flag entered the key (certified and plain
-         results have different payloads and must not alias). *)
-      Printf.sprintf "served/litmus/v2|%s|%s|%s|certify=%b" content
-        (Protocol.model_wire_name m) mode_key certify
+         results have different payloads and must not alias); v3: the
+         machine mode left it (the exhaustive search is the only one). *)
+      Printf.sprintf "served/litmus/v3|%s|%s|certify=%b" content
+        (Protocol.model_wire_name m) certify
     in
     Task.pure ~key ~label:("litmus " ^ test.Test.name) (fun () ->
-        let config = Check.machine_config m in
-        let v =
-          match mode with
-          | Protocol.Exhaustive -> Check.run_exhaustive m config test
-          | Protocol.Random iterations -> Check.run_random ~iterations m config test
-        in
+        let v = Check.run_exhaustive m (Check.machine_config m) test in
         let certificate =
           if certify then
             Some
@@ -252,8 +243,8 @@ let run_lang ~engine ~action ~tests ~schemes ~limit =
 (* ------------------------------------------------------------------ *)
 
 let compute ~engine = function
-  | Protocol.Litmus { tests; program; model; mode; certify } ->
-      run_litmus ~engine ~tests ~program ~model ~mode ~certify
+  | Protocol.Litmus { tests; program; model; certify } ->
+      run_litmus ~engine ~tests ~program ~model ~certify
   | Protocol.Analyze { tests; arch; cost } -> run_analyze ~engine ~tests ~arch ~cost
   | Protocol.Conform { arch; max_edges; limit; infer_limit } ->
       run_conform ~engine ~arch ~max_edges ~limit ~infer_limit

@@ -9,10 +9,10 @@ open Wmm_isa
    field carrying a proof-carrying certificate for the axiomatic
    verdict; v5 dropped the conform "engine" field with the second
    and third exploration engines (a request still carrying it has it
-   ignored like any unknown key). *)
-let schema_version = 5
-
-type litmus_mode = Exhaustive | Random of int
+   ignored like any unknown key); v6 dropped the litmus "mode" and
+   "iterations" fields with random machine scheduling (a request still
+   carrying them has them ignored like any unknown key). *)
+let schema_version = 6
 
 type lang_action = L_explore | L_conform | L_rank
 
@@ -21,7 +21,6 @@ type request =
       tests : string list;
       program : string option;
       model : Axiomatic.model option;
-      mode : litmus_mode;
       certify : bool;
     }
   | Analyze of { tests : string list; arch : Arch.t; cost : bool }
@@ -101,18 +100,8 @@ let parse_litmus v =
         | None -> Error (Printf.sprintf "unknown model %S" s))
     | Some _ -> Error "field \"model\" must be a string"
   in
-  let* mode =
-    match Json.str_member "mode" v with
-    | None | Some "exhaustive" ->
-        Ok Exhaustive
-    | Some "random" ->
-        let* iters = int_field v "iterations" 2000 in
-        if iters <= 0 then Error "field \"iterations\" must be positive"
-        else Ok (Random iters)
-    | Some m -> Error (Printf.sprintf "unknown litmus mode %S" m)
-  in
   let* certify = bool_field v "certify" false in
-  Ok (Litmus { tests; program; model; mode; certify })
+  Ok (Litmus { tests; program; model; certify })
 
 let parse_analyze v =
   let* tests = tests_field v in
@@ -209,17 +198,14 @@ let op_name = function
    program text is digested so keys stay bounded. *)
 let canonical_key req =
   match req with
-  | Litmus { tests; program; model; mode; certify } ->
-      Printf.sprintf "served/v%d|litmus|tests=%s|program=%s|model=%s|mode=%s|certify=%b"
+  | Litmus { tests; program; model; certify } ->
+      Printf.sprintf "served/v%d|litmus|tests=%s|program=%s|model=%s|certify=%b"
         schema_version
         (String.concat "," tests)
         (match program with
         | None -> "-"
         | Some p -> Digest.to_hex (Digest.string p))
         (match model with None -> "all" | Some m -> model_wire_name m)
-        (match mode with
-        | Exhaustive -> "exhaustive"
-        | Random n -> Printf.sprintf "random:%d" n)
         certify
   | Analyze { tests; arch; cost } ->
       Printf.sprintf "served/v%d|analyze|tests=%s|arch=%s|cost=%b" schema_version

@@ -17,8 +17,6 @@ val schema_version : int
     Bumped on any incompatible change to request or response
     shapes. *)
 
-type litmus_mode = Exhaustive | Random of int  (** iterations *)
-
 type lang_action = L_explore | L_conform | L_rank
 
 type request =
@@ -27,7 +25,6 @@ type request =
       program : string option;
           (** Litmus-format source text; overrides [tests]. *)
       model : Axiomatic.model option;  (** [None] = every annotated model. *)
-      mode : litmus_mode;
       certify : bool;
           (** Attach a proof-carrying certificate (checkable with
               [wmm_bench check]) to every axiomatic verdict. *)

@@ -4,9 +4,8 @@
    - The fixtures (data/cert_golden.txt) hold the full text of a few
      certificates: one "== <test> <model> ==" section per case.
    - The digests (data/cert_digests.txt) pin every certificate that
-     `litmus --exhaustive --certify` writes for the library, then every
-     bound-4 ARMv8 and POWER test under its verdict models, one line
-     each:
+     `litmus --certify` writes for the library, then every bound-4
+     ARMv8 and POWER test under its verdict models, one line each:
        <family> <test> <model> <md5 of the certificate text>
      A verdict with no certificate prints "skipped" in place of the
      digest. *)

@@ -1,7 +1,8 @@
 (* The wmm_bench command line as a user meets it: a usage error exits 2
    with a `wmm_bench: ` message rather than an uncaught exception, a
-   rejected request opens no journal, and `figure` with several ids
-   prints exactly what the single-id runs print. *)
+   rejected request opens no journal, `litmus` prints the machine
+   search's verdicts, and `figure` with several ids prints exactly what
+   the single-id runs print. *)
 
 let temp_path suffix =
   let path = Filename.temp_file "wmm_cli" suffix in
@@ -51,6 +52,46 @@ let test_litmus_unparsable_file () =
       Out_channel.with_open_text path (fun oc -> output_string oc "no litmus here\n");
       ignore (check_usage_error [ "litmus"; "--file"; path ]))
 
+(* The machine search is the only machine mode: `litmus` prints what
+   [Check.run_exhaustive] gives, one line per checked model. *)
+let test_litmus_default_is_exhaustive () =
+  let open Wmm_litmus in
+  let sb = Option.get (Library.by_name "SB") in
+  let code, out, _ = run [ "litmus"; "--test"; "SB" ] in
+  Alcotest.(check int) "exit code" 0 code;
+  Alcotest.(check string) "the exhaustive verdicts"
+    (String.concat ""
+       (List.map
+          (fun m -> Check.describe (Check.run_exhaustive m (Check.machine_config m) sb) ^ "\n")
+          (Check.models_for ~parsed:false sb)))
+    out
+
+(* A program whose machine state space exceeds the search's bound is
+   reported as an error naming the test, before any axiomatic search
+   (which would take minutes on this program). *)
+let too_large_for_the_machine =
+  {|AArch64 BIG
+{ x=0; y=0; z=0 }
+P0         | P1         | P2         | P3         ;
+str #1, &x | str #1, &y | str #1, &z | ldr x1, &x ;
+str #2, &y | str #2, &z | str #2, &x | ldr x2, &y ;
+str #3, &z | str #3, &x | str #3, &y | ldr x3, &z ;
+ldr x1, &x | ldr x1, &y | ldr x1, &z | ldr x4, &x ;
+ldr x2, &y | ldr x2, &z | ldr x2, &x | ldr x5, &y ;
+ldr x3, &z | ldr x3, &x | ldr x3, &y | ldr x6, &z ;
+exists (3:x1=1 /\ 3:x2=0)
+|}
+
+let test_litmus_too_large_for_the_machine () =
+  let path = Filename.temp_file "wmm_cli" ".litmus" in
+  Fun.protect
+    ~finally:(fun () -> Wmm_util.Fs.rm_rf path)
+    (fun () ->
+      Out_channel.with_open_text path (fun oc -> output_string oc too_large_for_the_machine);
+      let err = check_usage_error [ "litmus"; "--file"; path ] in
+      if not (String.starts_with ~prefix:"wmm_bench: BIG: " err) then
+        Alcotest.failf "stderr does not name the test:\n%s" err)
+
 (* Names are resolved before the engine exists: the error comes
    before any journal is opened under the cache directory.  Returns
    the error text. *)
@@ -98,6 +139,10 @@ let suite =
       test_litmus_missing_file;
     Alcotest.test_case "usage error: litmus --file (unparsable)" `Quick
       test_litmus_unparsable_file;
+    Alcotest.test_case "litmus default is exhaustive" `Quick
+      test_litmus_default_is_exhaustive;
+    Alcotest.test_case "litmus --file too large for the machine" `Slow
+      test_litmus_too_large_for_the_machine;
     usage_error [ "asm"; "NOPE" ];
     usage_error [ "sensitivity"; "--bench"; "nope" ];
     usage_error [ "sensitivity"; "--path"; "nope" ];

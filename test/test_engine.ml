@@ -545,7 +545,15 @@ let test_cache_verify_quarantine () =
       Alcotest.(check int) "fsck verifies the clean entry" 1 r.Cache.f_ok;
       Alcotest.(check int) "fsck quarantines nothing further" 0 r.Cache.f_quarantined;
       Alcotest.(check bool) "corrupting a missing key reports false" false
-        (Cache.corrupt cache ~key:"never-stored"))
+        (Cache.corrupt cache ~key:"never-stored");
+      (* The quarantined file is counted beside the entry, and clear
+         removes both. *)
+      (match Cache.disk_usage cache with
+      | Some (count, _) -> Alcotest.(check int) "entry and quarantined file counted" 2 count
+      | None -> Alcotest.fail "disk usage unavailable for a real cache");
+      Alcotest.(check int) "clear removes the entry and the quarantined file" 2
+        (Cache.clear cache);
+      Alcotest.(check int) "no quarantined file left" 0 (count_corrupt_files dir))
 
 let test_soft_deadline_cancels_mid_task () =
   (* A task that never returns on its own but polls the ambient

@@ -33,17 +33,20 @@ let test_condition_matching () =
     (Test.condition_matches [ ((1, 3), 1) ] [ ((0, 1), 1) ])
 
 let test_random_runs_sound () =
-  (* Random scheduling across the whole battery: cheap smoke that
-     still exercises every test. *)
+  (* Random scheduling across the whole battery: every randomly
+     scheduled run of every machine lands in the outcome set its
+     exhaustive search reports. *)
   List.iter
     (fun (t : Test.t) ->
       List.iter
-        (fun model ->
-          if Test.expected_under t model <> None then begin
-            let v = Check.run_random ~iterations:300 model (Check.machine_config model) t in
-            if not (Check.sound v) then Alcotest.failf "unsound: %s" (Check.describe v)
-          end)
-        Axiomatic.all_models)
+        (fun config ->
+          let reachable = Relaxed.enumerate config t.Test.program in
+          for seed = 1 to 20 do
+            let o, _ = Relaxed.run_traced config ~seed t.Test.program in
+            if not (List.exists (fun o' -> Relaxed.compare_outcome o o' = 0) reachable)
+            then Alcotest.failf "%s: seed %d reached an unlisted outcome" t.Test.name seed
+          done)
+        [ Relaxed.sc_config; Relaxed.tso_config; Relaxed.relaxed_config ])
     Library.all
 
 let test_exhaustive_battery_sound () =
@@ -73,7 +76,7 @@ let test_weak_outcomes_actually_observed () =
 
 let test_describe_format () =
   let t = Option.get (Library.by_name "SB") in
-  let v = Check.run_random ~iterations:50 Axiomatic.Arm Relaxed.relaxed_config t in
+  let v = Check.run_exhaustive Axiomatic.Arm Relaxed.relaxed_config t in
   let s = Check.describe v in
   Alcotest.(check bool) "mentions test name" true
     (String.length s > 2 && String.sub s 0 2 = "SB")

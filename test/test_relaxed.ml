@@ -7,8 +7,8 @@ let program_of name = (Option.get (Library.by_name name)).Test.program
 
 let test_determinism () =
   let p = program_of "SB" in
-  let a = Relaxed.run Relaxed.relaxed_config ~seed:5 p in
-  let b = Relaxed.run Relaxed.relaxed_config ~seed:5 p in
+  let a, _ = Relaxed.run_traced Relaxed.relaxed_config ~seed:5 p in
+  let b, _ = Relaxed.run_traced Relaxed.relaxed_config ~seed:5 p in
   Alcotest.(check int) "same outcome" 0 (Relaxed.compare_outcome a b)
 
 let test_single_thread_sequential () =
@@ -45,7 +45,7 @@ let test_registers_computed () =
         |];
       ]
   in
-  let o = Relaxed.run Relaxed.relaxed_config ~seed:1 p in
+  let o, _ = Relaxed.run_traced Relaxed.relaxed_config ~seed:1 p in
   Alcotest.(check int) "mov" 5 (List.assoc (0, 1) o.Relaxed.registers);
   Alcotest.(check int) "add" 8 (List.assoc (0, 2) o.Relaxed.registers);
   Alcotest.(check int) "xor self" 0 (List.assoc (0, 3) o.Relaxed.registers)
@@ -64,7 +64,7 @@ let test_branch_loop () =
         |];
       ]
   in
-  let o = Relaxed.run Relaxed.relaxed_config ~seed:2 p in
+  let o, _ = Relaxed.run_traced Relaxed.relaxed_config ~seed:2 p in
   Alcotest.(check int) "loop exited with r1=0" 0 (List.assoc (0, 1) o.Relaxed.registers);
   Alcotest.(check int) "store after loop" 9 (List.assoc 0 o.Relaxed.memory)
 
@@ -119,11 +119,20 @@ let test_store_buffering_observed () =
   Alcotest.(check bool) "SB weak outcome reachable" true weak
 
 let test_collect_histogram () =
+  (* 500 randomly scheduled runs of SB reach several outcomes, each
+     one the exhaustive search also reaches. *)
   let p = program_of "SB" in
-  let hist = Relaxed.collect Relaxed.relaxed_config ~seed:3 ~iterations:500 p in
-  let total = List.fold_left (fun acc (_, n) -> acc + n) 0 hist in
-  Alcotest.(check int) "histogram sums to iterations" 500 total;
-  Alcotest.(check bool) "several distinct outcomes" true (List.length hist >= 3)
+  let reachable = Relaxed.enumerate Relaxed.relaxed_config p in
+  let seen =
+    List.init 500 (fun i -> fst (Relaxed.run_traced Relaxed.relaxed_config ~seed:(3 + i) p))
+    |> List.sort_uniq Relaxed.compare_outcome
+  in
+  Alcotest.(check bool) "several distinct outcomes" true (List.length seen >= 3);
+  List.iter
+    (fun o ->
+      if not (List.exists (fun o' -> Relaxed.compare_outcome o o' = 0) reachable) then
+        Alcotest.fail "a random run reached an outcome the search does not list")
+    seen
 
 let test_full_fence_drains () =
   (* dmb between store and load: the load cannot see a stale remote
@@ -143,7 +152,7 @@ let prop_random_runs_within_enumerated =
     QCheck.small_int (fun seed ->
       let p = program_of "MP" in
       let enumerated = Relaxed.enumerate Relaxed.relaxed_config p in
-      let o = Relaxed.run Relaxed.relaxed_config ~seed p in
+      let o, _ = Relaxed.run_traced Relaxed.relaxed_config ~seed p in
       List.exists (fun o' -> Relaxed.compare_outcome o o' = 0) enumerated)
 
 (* A store must wait for an older load barrier ([dmb ishld],

@@ -80,19 +80,15 @@ let test_protocol_requests () =
   Alcotest.(check bool) "ping parsed" true (env.Protocol.request = Protocol.Ping);
   Alcotest.(check bool) "ping not cacheable" false
     (Protocol.cacheable Protocol.Ping);
-  let env =
-    parse_request_ok
-      {|{"op": "litmus", "tests": ["SB"], "model": "tso", "mode": "random", "iterations": 50}|}
-  in
+  let env = parse_request_ok {|{"op": "litmus", "tests": ["SB"], "model": "tso"}|} in
   (match env.Protocol.request with
   | Protocol.Litmus { tests = [ "SB" ]; model = Some Wmm_model.Axiomatic.Tso;
-                      mode = Protocol.Random 50; program = None; certify = false } ->
+                      program = None; certify = false } ->
       ()
   | _ -> Alcotest.fail "litmus fields mis-parsed");
   ignore (parse_request_err {|{"tests": ["SB"]}|});
   ignore (parse_request_err {|{"op": "frobnicate"}|});
   ignore (parse_request_err {|{"op": "litmus", "model": "weird"}|});
-  ignore (parse_request_err {|{"op": "litmus", "mode": "random", "iterations": -3}|});
   ignore (parse_request_err {|{"op": "analyze", "arch": "mips"}|});
   ignore (parse_request_err {|{"op": "conform", "max_edges": 0}|})
 
@@ -104,9 +100,6 @@ let test_canonical_key_field_order_and_id () =
   Alcotest.(check bool) "different queries, different keys" true
     (key {|{"op": "litmus", "tests": ["SB"]}|}
     <> key {|{"op": "litmus", "tests": ["MP"]}|});
-  Alcotest.(check bool) "mode is part of the key" true
-    (key {|{"op": "litmus", "tests": ["SB"], "mode": "random"}|}
-    <> key {|{"op": "litmus", "tests": ["SB"], "mode": "exhaustive"}|});
   match Protocol.canonical_key Protocol.Ping with
   | _ -> Alcotest.fail "non-cacheable op should have no key"
   | exception Invalid_argument _ -> ()
@@ -240,6 +233,39 @@ let test_server_verdicts_match_one_shot () =
             (int_stat frames "stores" > 0);
           Client.close c))
 
+(* Protocol v6 dropped the litmus "mode" and "iterations" fields with
+   random scheduling: a request that still sends them has the key of
+   the request without them, and a daemon answers it with the
+   exhaustive item. *)
+let test_litmus_mode_fields_ignored () =
+  let plain = {|{"op": "litmus", "tests": ["SB"], "model": "arm"}|} in
+  let old =
+    {|{"op": "litmus", "tests": ["SB"], "model": "arm", "mode": "random", "iterations": 5}|}
+  in
+  let request s = (parse_request_ok s).Protocol.request in
+  Alcotest.(check string) "mode and iterations do not change the key"
+    (Protocol.canonical_key (request plain))
+    (Protocol.canonical_key (request old));
+  let expected =
+    List.map
+      (fun item -> Json.to_string (parse_ok item))
+      (Ops.compute ~engine:(Wmm_engine.Engine.sequential ()) (request plain))
+  in
+  with_temp_dir (fun dir ->
+      let socket = Filename.concat dir "s.sock" in
+      let cfg = quiet_cfg dir socket in
+      with_server cfg (fun _ ->
+          let c = connect cfg in
+          let frames = roundtrip_ok c old in
+          Alcotest.(check bool) "answered ok" true
+            (statuses frames <> [] && List.for_all (fun s -> s = "ok") (statuses frames));
+          Alcotest.(check (list string)) "the item of the request without the fields"
+            expected
+            (List.filter_map
+               (fun v -> Option.map Json.to_string (Json.member "item" v))
+               frames);
+          Client.close c))
+
 let test_server_dedup_and_stats () =
   with_temp_dir (fun dir ->
       let socket = Filename.concat dir "s.sock" in
@@ -330,13 +356,14 @@ let test_server_deadline_exceeded () =
       let socket = Filename.concat dir "s.sock" in
       let cfg = quiet_cfg dir socket in
       with_server cfg (fun _ ->
-          (* A doomed request: random-mode exploration sized to run for
-             tens of seconds, with a 250ms deadline.  The cooperative
-             cancellation token must kill it mid-task and the reply
-             must be a structured deadline_exceeded frame - while a
-             bystander on another connection keeps getting answers. *)
+          (* A doomed request: conformance over the whole bound-6
+             ARMv8 family, seconds of work, with a 250ms deadline.
+             The cooperative cancellation token must kill it mid-task
+             and the reply must be a structured deadline_exceeded
+             frame - while a bystander on another connection keeps
+             getting answers. *)
           let doomed =
-            {|{"op": "litmus", "tests": ["SB"], "mode": "random", "iterations": 50000000, "deadline_ms": 250, "id": "doomed"}|}
+            {|{"op": "conform", "arch": "arm", "max_edges": 6, "limit": 5000, "deadline_ms": 250, "id": "doomed"}|}
           in
           let c = connect cfg in
           Client.send_line c doomed;
@@ -443,7 +470,7 @@ let test_journal_hit_overtakes_a_miss () =
           match
             Client.run_batch c
               [
-                {|{"op": "litmus", "tests": ["SB"], "mode": "random", "iterations": 50000000, "deadline_ms": 1000, "id": "miss"}|};
+                {|{"op": "conform", "arch": "arm", "max_edges": 6, "limit": 5000, "deadline_ms": 1000, "id": "miss"}|};
                 hit;
               ]
           with
@@ -516,6 +543,8 @@ let suite =
       test_canonical_key_field_order_and_id;
     Alcotest.test_case "conform engine field is ignored" `Quick
       test_conform_engine_field_ignored;
+    Alcotest.test_case "litmus mode fields are ignored" `Quick
+      test_litmus_mode_fields_ignored;
     Alcotest.test_case "server verdicts match one-shot" `Quick
       test_server_verdicts_match_one_shot;
     Alcotest.test_case "server dedups identical queries" `Quick
