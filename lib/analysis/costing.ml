@@ -143,7 +143,7 @@ let rank_deferred ~batch arch g strategies =
                 if List.length points >= 2 then (
                   let xs = Array.of_list (List.map fst points) in
                   let ys = Array.of_list (List.map snd points) in
-                  try Sensitivity.fit_k ~xs ~ys with _ -> Sensitivity.unavailable)
+                  Sensitivity.fit_k ~xs ~ys)
                 else Sensitivity.unavailable
               in
               let inferred_ns =

@@ -44,9 +44,10 @@ val fit_k : xs:float array -> ys:float array -> fit
 
 val fit_k_robust : xs:float array -> ys:float array -> fit
 (** Like {!fit_k} but with Huber-weighted iteratively reweighted
-    least squares ({!Wmm_util.Fit.huber_fit}): sweep points corrupted
-    by outlier samples pull on [k] with bounded force.  Identical to
-    {!fit_k} on clean data. *)
+    least squares (delta 1.345): sweep points corrupted by outlier
+    samples pull on [k] with bounded force.  The error and residual
+    sum are those of the last weighted solve.  Identical to {!fit_k}
+    on clean data. *)
 
 val well_suited : fit -> bool
 (** The paper's usefulness criterion: a benchmark suits a code path

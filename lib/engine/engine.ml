@@ -99,6 +99,12 @@ let run_all t tasks =
             attempts;
           }
       in
+      (* An attempt stopped by the batch's cancellation leaves no
+         journal record: the batch raises below and has no answer. *)
+      let journal_failed msg =
+        if Wmm_util.Cancel.cancelled t.cancel = None then
+          Option.iter (fun j -> Journal.record_failed j ~key ~msg) t.journal
+      in
       (* Once the batch is cancelled (a served request's deadline), a
          task not yet started is skipped with no journal or cache
          traffic: the batch raises below instead of returning. *)
@@ -147,7 +153,7 @@ let run_all t tasks =
                       record wall attempts Telemetry.Ran)
               | Error (msg, attempts) ->
                   let wall = Unix.gettimeofday () -. t0 in
-                  Option.iter (fun j -> Journal.record_failed j ~key ~msg) t.journal;
+                  journal_failed msg;
                   results.(i) <- Failed msg;
                   record wall attempts (Telemetry.Failed msg)
               | exception e ->
@@ -155,7 +161,7 @@ let run_all t tasks =
                      here (re-raised by attempt_task's last round). *)
                   let wall = Unix.gettimeofday () -. t0 in
                   let msg = Printexc.to_string e in
-                  Option.iter (fun j -> Journal.record_failed j ~key ~msg) t.journal;
+                  journal_failed msg;
                   results.(i) <- Failed msg;
                   record wall (1 + t.retries) (Telemetry.Failed msg)))
   in

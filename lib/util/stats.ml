@@ -48,26 +48,6 @@ let percentile samples p =
 
 let median samples = percentile samples 50.
 
-let median_of_means ?buckets samples =
-  check_nonempty "Stats.median_of_means" samples;
-  let n = Array.length samples in
-  let b =
-    match buckets with
-    | Some b when b < 1 -> invalid_arg "Stats.median_of_means: buckets must be positive"
-    | Some b -> min b n
-    | None -> max 1 (int_of_float (sqrt (float_of_int n)))
-  in
-  let means =
-    Array.init b (fun i ->
-        let lo = i * n / b and hi = (i + 1) * n / b in
-        let acc = ref 0. in
-        for j = lo to hi - 1 do
-          acc := !acc +. samples.(j)
-        done;
-        !acc /. float_of_int (hi - lo))
-  in
-  median means
-
 let mad samples =
   check_nonempty "Stats.mad" samples;
   let m = median samples in
@@ -242,7 +222,3 @@ let ratio_summary ~test ~base =
     smin = test.smin /. base.smax;
     smax = test.smax /. base.smin;
   }
-
-let relative_std_error ~value ~error =
-  if value = 0. then invalid_arg "Stats.relative_std_error: zero value";
-  abs_float (error /. value)

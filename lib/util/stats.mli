@@ -28,13 +28,6 @@ val percentile : float array -> float -> float
 (** [percentile samples p] with [p] in [\[0, 100\]], linear
     interpolation between order statistics. *)
 
-val median_of_means : ?buckets:int -> float array -> float
-(** Robust location estimate: partition the samples into [buckets]
-    contiguous groups (default [sqrt n]), take each group's mean, and
-    return the median of those means.  A bounded number of corrupted
-    samples can poison at most their own buckets, which the median
-    then discards. *)
-
 val mad : float array -> float
 (** Median absolute deviation from the median (unscaled).  Multiply
     by 1.4826 for a robust standard-deviation estimate under
@@ -74,15 +67,13 @@ val confidence_interval : ?confidence:float -> float array -> interval
 (** Two-sided Student-t confidence interval on the arithmetic mean
     (default 95%).  Needs two or more samples. *)
 
-val geometric_confidence_interval : ?confidence:float -> float array -> interval
-(** Confidence interval on the geometric mean, computed in log space
-    as the paper's tooling does. *)
-
 type summary = {
   n : int;
   gmean : float;
   amean : float;
-  ci : interval;  (** 95% CI on the geometric mean. *)
+  ci : interval;
+      (** 95% CI on the geometric mean, computed in log space as the
+          paper's tooling does. *)
   smin : float;
   smax : float;
 }
@@ -95,7 +86,3 @@ val ratio_summary : test:summary -> base:summary -> summary
     ratio of geometric means; errors compound pessimistically per the
     paper: minimum = test minimum / base maximum, maximum = test
     maximum / base minimum, and the CI compounds likewise. *)
-
-val relative_std_error : value:float -> error:float -> float
-(** [error / |value|]; the paper reports fit variance as a percentage
-    of the fitted parameter (e.g. "k = 0.00277 +- 2.5%"). *)

@@ -66,8 +66,6 @@ let percent_cell ?(decimals = 1) v =
 
 let scientific_cell v = Printf.sprintf "%.3e" v
 
-let value_pm_percent ~value ~percent = Printf.sprintf "%.5f +- %.1f%%" value percent
-
 let series ~name ~xs ~ys =
   if Array.length xs <> Array.length ys then invalid_arg "Table.series: xs/ys length mismatch";
   let buffer = Buffer.create 128 in

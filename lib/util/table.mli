@@ -32,9 +32,6 @@ val percent_cell : ?decimals:int -> float -> string
 
 val scientific_cell : float -> string
 
-val value_pm_percent : value:float -> percent:float -> string
-(** The paper's "0.00277 +- 2.5%" notation. *)
-
 val series : name:string -> xs:float array -> ys:float array -> string
 (** Render an (x, y) data series, one point per line, prefixed by the
     series name: suitable for regenerating a figure's underlying

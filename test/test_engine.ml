@@ -582,6 +582,37 @@ let test_soft_deadline_cancels_mid_task () =
   Alcotest.(check int) "cancelled task counted as failed" 1
     (Engine.summary engine).Telemetry.failed
 
+(* A batch cancelled through [Engine.with_cancel] (a served request's
+   deadline) publishes nothing: the attempt it stops mid-task settles
+   without a failed record in the journal. *)
+let test_cancelled_attempt_not_journaled () =
+  with_temp_dir (fun dir ->
+      let journal = Journal.open_ ~dir ~run_id:"cancelled" () in
+      let token = Wmm_util.Cancel.create () in
+      let engine = Engine.with_cancel (Engine.create ~jobs:1 ~journal ()) token in
+      let t0 = Unix.gettimeofday () in
+      let canceller =
+        Thread.create
+          (fun () ->
+            Unix.sleepf 0.05;
+            Wmm_util.Cancel.cancel token ~reason:"test")
+          ()
+      in
+      let spin =
+        Task.pure ~key:"cancelled-spin" (fun () ->
+            while Unix.gettimeofday () -. t0 < 10. do
+              Wmm_util.Cancel.check_ambient ()
+            done;
+            Alcotest.fail "cancellation never fired")
+      in
+      (match Engine.run_all engine [| spin |] with
+      | _ -> Alcotest.fail "a cancelled batch must raise"
+      | exception Wmm_util.Cancel.Cancelled _ -> ());
+      Thread.join canceller;
+      Journal.close journal;
+      let r = Journal.fsck ~dir ~run_id:"cancelled" () in
+      Alcotest.(check int) "no failed record" 0 r.Journal.j_failed)
+
 let test_corrupted_cache_entry_recomputed () =
   with_temp_dir (fun dir ->
       let p = plan "seed=1,corrupt=1" in
@@ -894,6 +925,8 @@ let suite =
       test_cache_verify_quarantine;
     Alcotest.test_case "soft deadline cancels mid-task" `Quick
       test_soft_deadline_cancels_mid_task;
+    Alcotest.test_case "cancelled attempt is not journaled" `Quick
+      test_cancelled_attempt_not_journaled;
     Alcotest.test_case "corrupted cache entry recomputed" `Quick
       test_corrupted_cache_entry_recomputed;
     Alcotest.test_case "cache prune and clear" `Quick test_cache_prune_and_clear;

@@ -52,17 +52,15 @@ let test_fig4_shapes () =
       Alcotest.(check bool) "nostack <= stack" true (t' <= t +. 1e-9))
     arm nostack
 
+let fault_plan spec =
+  match Wmm_engine.Fault.parse spec with Ok p -> p | Error e -> Alcotest.fail e
+
 (* Every sample task fails (an injected transient failure on each
    attempt, and no retries): each engine-backed report must still
    render, marking its cells failed or its fits degraded, instead of
    raising.  No sample simulates, so this is quick. *)
 let test_all_samples_failed () =
-  let plan =
-    match Wmm_engine.Fault.parse "seed=1,transient=1x5" with
-    | Ok p -> p
-    | Error e -> Alcotest.fail e
-  in
-  Wmm_engine.Fault.with_ambient plan (fun () ->
+  Wmm_engine.Fault.with_ambient (fault_plan "seed=1,transient=1x5") (fun () ->
       List.iter
         (fun (id, report, marker) ->
           let engine = Wmm_engine.Engine.create ~retries:0 ~backoff_s:0. () in
@@ -106,4 +104,10 @@ let slow_suite =
     Alcotest.test_case "jvm_tables report (fast, 2 jobs)" `Slow
       (check_report "jvm_tables" (fun () ->
            Jvm_tables.report ~engine:(Wmm_engine.Engine.create ~jobs:2 ()) ()));
+    (* `figure fig5 --robust-fit --inject-faults 'seed=2,outlier=0.05x10'`:
+       the Huber fit on outlier-corrupted sweeps, pinned byte for byte. *)
+    Alcotest.test_case "fig5 report (fast, robust, outliers)" `Slow
+      (check_report "fig5_robust" (fun () ->
+           Wmm_engine.Fault.with_ambient (fault_plan "seed=2,outlier=0.05x10") (fun () ->
+               Fig5.report ~robust:true ())));
   ]

@@ -1,129 +1,48 @@
 open Wmm_util
 
-(* Linear algebra --------------------------------------------------- *)
+(* Eq. 1 least-squares fits --------------------------------------- *)
 
-let test_solve_known () =
-  (* [2 1; 1 3] x = [3; 5] -> x = [0.8; 1.4] *)
-  let a = [| [| 2.; 1. |]; [| 1.; 3. |] |] in
-  let x = Linalg.solve a [| 3.; 5. |] in
-  Alcotest.(check bool) "x0" true (abs_float (x.(0) -. 0.8) < 1e-12);
-  Alcotest.(check bool) "x1" true (abs_float (x.(1) -. 1.4) < 1e-12)
+let true_k = 0.004
 
-let test_solve_singular () =
-  let a = [| [| 1.; 2. |]; [| 2.; 4. |] |] in
-  Alcotest.check_raises "singular" (Failure "Linalg.solve: singular matrix") (fun () ->
-      ignore (Linalg.solve a [| 1.; 1. |]))
+(* Cost-function sizes 2^0 .. 2^(n-1) ns, as the figures sweep them. *)
+let sizes n = Array.init n (fun i -> float_of_int (1 lsl i))
 
-let test_invert_identity () =
-  let a = [| [| 4.; 7. |]; [| 2.; 6. |] |] in
-  let inv = Linalg.invert a in
-  let product = Linalg.mat_mul a inv in
-  let id = Linalg.identity 2 in
-  for i = 0 to 1 do
-    for j = 0 to 1 do
-      Alcotest.(check bool) "identity" true (abs_float (product.(i).(j) -. id.(i).(j)) < 1e-10)
-    done
-  done
+let exact_ys xs = Array.map (fun a -> Wmm_core.Sensitivity.performance ~k:true_k ~a) xs
 
-let prop_solve_round_trip =
-  (* Generate a diagonally dominant (hence nonsingular) system and
-     check a @ solve(a, b) = b. *)
-  QCheck.Test.make ~name:"solve round trip" ~count:100
-    QCheck.(pair small_int (int_range 1 5))
-    (fun (seed, n) ->
-      let rng = Rng.create (seed + 1) in
-      let a =
-        Array.init n (fun i ->
-            Array.init n (fun j ->
-                if i = j then 10. +. Rng.float rng 5. else Rng.float rng 2. -. 1.))
-      in
-      let b = Array.init n (fun _ -> Rng.float rng 10. -. 5.) in
-      let x = Linalg.solve a b in
-      let back = Linalg.mat_vec a x in
-      Array.for_all2 (fun u v -> abs_float (u -. v) < 1e-8) back b)
-
-let prop_transpose_involution =
-  QCheck.Test.make ~name:"transpose involution" ~count:100
-    QCheck.(pair (int_range 1 4) (int_range 1 4))
-    (fun (r, c) ->
-      let m = Array.init r (fun i -> Array.init c (fun j -> float_of_int ((i * 7) + j))) in
-      Linalg.transpose (Linalg.transpose m) = m)
-
-(* Curve fitting ---------------------------------------------------- *)
-
-let test_fit_linear () =
-  (* y = 3x + 2, exact. *)
-  let f params x = (params.(0) *. x) +. params.(1) in
-  let xs = Array.init 10 float_of_int in
-  let ys = Array.map (fun x -> (3. *. x) +. 2.) xs in
-  let r = Fit.curve_fit ~f ~xs ~ys ~init:[| 1.; 0. |] () in
-  Alcotest.(check bool) "slope" true (abs_float (r.Fit.params.(0) -. 3.) < 1e-6);
-  Alcotest.(check bool) "intercept" true (abs_float (r.Fit.params.(1) -. 2.) < 1e-6);
-  Alcotest.(check bool) "rss ~ 0" true (r.Fit.residual_ss < 1e-10)
-
-let test_fit_exponential () =
-  let f params x = params.(0) *. exp (-.params.(1) *. x) in
-  let xs = Array.init 20 (fun i -> float_of_int i /. 2.) in
-  let ys = Array.map (fun x -> 5. *. exp (-0.7 *. x)) xs in
-  let r = Fit.curve_fit ~f ~xs ~ys ~init:[| 1.; 0.1 |] () in
-  Alcotest.(check bool) "amplitude" true (abs_float (r.Fit.params.(0) -. 5.) < 1e-4);
-  Alcotest.(check bool) "decay" true (abs_float (r.Fit.params.(1) -. 0.7) < 1e-4)
+let off (fit : Wmm_core.Sensitivity.fit) = abs_float (fit.k -. true_k) /. true_k
 
 let test_fit_with_noise_recovers () =
   let rng = Rng.create 99 in
-  let true_k = 0.004 in
-  let f params a = 1. /. ((1. -. params.(0)) +. (params.(0) *. a)) in
-  let xs = Array.init 12 (fun i -> float_of_int (1 lsl i)) in
+  let xs = sizes 12 in
   let ys =
-    Array.map (fun a -> f [| true_k |] a *. exp (Rng.gaussian rng ~mean:0. ~std:0.01)) xs
+    Array.map (fun y -> y *. exp (Rng.gaussian rng ~mean:0. ~std:0.01)) (exact_ys xs)
   in
-  let r = Fit.curve_fit ~f ~xs ~ys ~init:[| 1e-3 |] () in
-  Alcotest.(check bool) "k recovered within 10%" true
-    (abs_float (r.Fit.params.(0) -. true_k) /. true_k < 0.1);
+  let fit = Wmm_core.Sensitivity.fit_k ~xs ~ys in
+  Alcotest.(check bool) "k recovered within 10%" true (off fit < 0.1);
   Alcotest.(check bool) "std error sane" true
-    (Float.is_finite r.Fit.std_errors.(0) && r.Fit.std_errors.(0) > 0.)
+    (Float.is_finite fit.k_error_percent && fit.k_error_percent > 0.)
 
 let test_fit_rejects_mismatched () =
   Alcotest.check_raises "length mismatch"
-    (Invalid_argument "Fit.curve_fit: xs/ys length mismatch") (fun () ->
-      ignore
-        (Fit.curve_fit ~f:(fun p x -> p.(0) *. x) ~xs:[| 1.; 2. |] ~ys:[| 1. |]
-           ~init:[| 1. |] ()))
+    (Invalid_argument "Sensitivity.fit_k: xs/ys length mismatch") (fun () ->
+      ignore (Wmm_core.Sensitivity.fit_k ~xs:[| 1.; 2. |] ~ys:[| 1. |]));
+  Alcotest.check_raises "one point"
+    (Invalid_argument "Sensitivity.fit_k: needs at least two points") (fun () ->
+      ignore (Wmm_core.Sensitivity.fit_k ~xs:[| 1. |] ~ys:[| 1. |]))
 
-let test_weighted_fit_ignores_zero_weight () =
-  (* y = 2x everywhere except one wildly wrong point; zero-weighting
-     that point must recover the exact slope. *)
-  let f params x = params.(0) *. x in
-  let xs = [| 1.; 2.; 3.; 4.; 5. |] in
-  let ys = [| 2.; 4.; 6.; 8.; 500. |] in
-  let weights = [| 1.; 1.; 1.; 1.; 0. |] in
-  let r = Fit.curve_fit ~weights ~f ~xs ~ys ~init:[| 1. |] () in
-  Alcotest.(check bool) "slope from weighted points only" true
-    (abs_float (r.Fit.params.(0) -. 2.) < 1e-9);
-  (* Unweighted, the bad point drags the slope far away. *)
-  let plain = Fit.curve_fit ~f ~xs ~ys ~init:[| 1. |] () in
-  Alcotest.(check bool) "unweighted fit is polluted" true
-    (abs_float (plain.Fit.params.(0) -. 2.) > 1.)
-
-let test_huber_fit_resists_outlier () =
-  let f params x = (params.(0) *. x) +. params.(1) in
-  let xs = Array.init 12 float_of_int in
-  let ys = Array.map (fun x -> (3. *. x) +. 2.) xs in
+let test_huber_resists_outlier () =
+  let xs = sizes 12 in
+  let ys = exact_ys xs in
   ys.(7) <- ys.(7) *. 8.;
-  let robust = Fit.huber_fit ~f ~xs ~ys ~init:[| 1.; 0. |] () in
-  let plain = Fit.curve_fit ~f ~xs ~ys ~init:[| 1.; 0. |] () in
-  Alcotest.(check bool) "huber slope within 2%" true
-    (abs_float (robust.Fit.params.(0) -. 3.) /. 3. < 0.02);
-  Alcotest.(check bool) "plain slope degraded" true
-    (abs_float (plain.Fit.params.(0) -. 3.) /. 3. > 0.1)
+  Alcotest.(check bool) "huber k within 2%" true
+    (off (Wmm_core.Sensitivity.fit_k_robust ~xs ~ys) < 0.02);
+  Alcotest.(check bool) "plain k degraded" true (off (Wmm_core.Sensitivity.fit_k ~xs ~ys) > 0.1)
 
-let test_huber_fit_matches_on_clean_data () =
-  let f params x = params.(0) *. exp (-.params.(1) *. x) in
-  let xs = Array.init 20 (fun i -> float_of_int i /. 2.) in
-  let ys = Array.map (fun x -> 5. *. exp (-0.7 *. x)) xs in
-  let robust = Fit.huber_fit ~f ~xs ~ys ~init:[| 1.; 0.1 |] () in
-  Alcotest.(check bool) "amplitude" true (abs_float (robust.Fit.params.(0) -. 5.) < 1e-4);
-  Alcotest.(check bool) "decay" true (abs_float (robust.Fit.params.(1) -. 0.7) < 1e-4)
+let test_huber_matches_on_clean_data () =
+  let xs = sizes 12 in
+  let ys = exact_ys xs in
+  Alcotest.(check bool) "robust fit = plain fit" true
+    (Wmm_core.Sensitivity.fit_k_robust ~xs ~ys = Wmm_core.Sensitivity.fit_k ~xs ~ys)
 
 (* Sensitivity model ------------------------------------------------ *)
 
@@ -161,20 +80,11 @@ let test_fit_k_on_model () =
 
 let suite =
   [
-    Alcotest.test_case "solve known system" `Quick test_solve_known;
-    Alcotest.test_case "solve singular" `Quick test_solve_singular;
-    Alcotest.test_case "invert identity" `Quick test_invert_identity;
-    QCheck_alcotest.to_alcotest prop_solve_round_trip;
-    QCheck_alcotest.to_alcotest prop_transpose_involution;
-    Alcotest.test_case "fit linear" `Quick test_fit_linear;
-    Alcotest.test_case "fit exponential" `Quick test_fit_exponential;
     Alcotest.test_case "fit with noise" `Quick test_fit_with_noise_recovers;
     Alcotest.test_case "fit rejects mismatch" `Quick test_fit_rejects_mismatched;
-    Alcotest.test_case "weighted fit ignores zero weight" `Quick
-      test_weighted_fit_ignores_zero_weight;
-    Alcotest.test_case "huber fit resists outlier" `Quick test_huber_fit_resists_outlier;
+    Alcotest.test_case "huber fit resists outlier" `Quick test_huber_resists_outlier;
     Alcotest.test_case "huber fit matches on clean data" `Quick
-      test_huber_fit_matches_on_clean_data;
+      test_huber_matches_on_clean_data;
     Alcotest.test_case "eq1 baseline" `Quick test_eq1_baseline;
     Alcotest.test_case "eq2 known value" `Quick test_eq2_known;
     QCheck_alcotest.to_alcotest prop_eq2_inverts_eq1;

@@ -34,18 +34,6 @@ let test_min_max () =
   close "min" 1. (Stats.minimum [| 3.; 1.; 2. |]);
   close "max" 3. (Stats.maximum [| 3.; 1.; 2. |])
 
-let test_median_of_means () =
-  (* One bucket per element degenerates to the median; a single
-     bucket degenerates to the mean. *)
-  close "b=n is median" 3. (Stats.median_of_means ~buckets:5 [| 1.; 2.; 3.; 4.; 100. |]);
-  close "b=1 is mean" 22. (Stats.median_of_means ~buckets:1 [| 1.; 2.; 3.; 4.; 100. |]);
-  (* Default bucketing bounds the influence of a single outlier:
-     closer to the typical value than the mean is. *)
-  let samples = Array.append (Array.make 15 10.) [| 1000. |] in
-  let mom = Stats.median_of_means samples in
-  Alcotest.(check bool) "outlier influence bounded" true
-    (abs_float (mom -. 10.) < abs_float (Stats.mean samples -. 10.))
-
 let test_mad () =
   close "mad" 1. (Stats.mad [| 1.; 2.; 3.; 4.; 5. |]);
   close "mad constant" 0. (Stats.mad [| 7.; 7.; 7. |]);
@@ -151,7 +139,6 @@ let suite =
     Alcotest.test_case "variance" `Quick test_variance;
     Alcotest.test_case "median and percentiles" `Quick test_median_percentile;
     Alcotest.test_case "min max" `Quick test_min_max;
-    Alcotest.test_case "median of means" `Quick test_median_of_means;
     Alcotest.test_case "mad" `Quick test_mad;
     Alcotest.test_case "reject outliers" `Quick test_reject_outliers;
     Alcotest.test_case "log gamma" `Quick test_log_gamma;

@@ -28,9 +28,7 @@ let test_cells () =
   Alcotest.(check string) "float" "1.2346" (Table.float_cell 1.23456);
   Alcotest.(check string) "float decimals" "1.2" (Table.float_cell ~decimals:1 1.23456);
   Alcotest.(check string) "percent positive" "+3.1%" (Table.percent_cell 0.031);
-  Alcotest.(check string) "percent negative" "-12.5%" (Table.percent_cell (-0.125));
-  Alcotest.(check string) "value pm" "0.00277 +- 2.5%"
-    (Table.value_pm_percent ~value:0.00277 ~percent:2.5)
+  Alcotest.(check string) "percent negative" "-12.5%" (Table.percent_cell (-0.125))
 
 let test_series () =
   let s = Table.series ~name:"spark" ~xs:[| 1.; 2. |] ~ys:[| 0.9; 0.8 |] in
