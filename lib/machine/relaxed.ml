@@ -806,33 +806,35 @@ let independent a b =
    no visit has explored from it yet; a revisit explores those the
    current path has woken, and keeps the intersection.  A state whose
    enabled actions are all asleep is not final: only one with no
-   enabled action is. *)
-let enumerate ?(max_states = 500_000) config (program : Program.t) =
+   enabled action is.  [final] sees every final state reached; a state
+   for which [pruned] holds is neither explored nor cached, so the
+   search over the other states is the one it would be without it. *)
+let search ~who ~max_states ~pruned ~final config (program : Program.t) =
   (match Program.validate program with Ok () -> () | Error m -> invalid_arg m);
   let seen : (string, move list ref) Hashtbl.t = Hashtbl.create 256 in
-  let outcomes = Hashtbl.create 64 in
   let visited = ref 0 in
   let buf = Buffer.create 256 in
   let rec explore state sleep =
-    let key = state_key buf state in
-    match Hashtbl.find_opt seen key with
-    | Some unexplored ->
-        let woken = List.filter (fun m -> not (asleep sleep m)) !unexplored in
-        if woken <> [] then begin
-          let sleep = List.filter (asleep sleep) !unexplored in
-          unexplored := sleep;
-          branch state sleep woken
-        end
-    | None -> (
-        incr visited;
-        if !visited land 1023 = 0 then Cancel.check_ambient ();
-        if !visited > max_states then failwith "Relaxed.enumerate: state limit exceeded";
-        Hashtbl.add seen key (ref sleep);
-        match enabled_moves config state with
-        | [] ->
-            if finished state then Hashtbl.replace outcomes (outcome_of_state program state) ()
-            else failwith "Relaxed.enumerate: machine deadlocked"
-        | moves -> branch state sleep (List.filter (fun m -> not (asleep sleep m)) moves))
+    if not (pruned state) then
+      let key = state_key buf state in
+      match Hashtbl.find_opt seen key with
+      | Some unexplored ->
+          let woken = List.filter (fun m -> not (asleep sleep m)) !unexplored in
+          if woken <> [] then begin
+            let sleep = List.filter (asleep sleep) !unexplored in
+            unexplored := sleep;
+            branch state sleep woken
+          end
+      | None -> (
+          incr visited;
+          if !visited land 1023 = 0 then Cancel.check_ambient ();
+          if !visited > max_states then failwith (who ^ ": state limit exceeded");
+          Hashtbl.add seen key (ref sleep);
+          match enabled_moves config state with
+          | [] ->
+              if finished state then final (outcome_of_state program state)
+              else failwith (who ^ ": machine deadlocked")
+          | moves -> branch state sleep (List.filter (fun m -> not (asleep sleep m)) moves))
   (* Explore [todo] from [state] in order; each action then sleeps in
      the subtrees of its later siblings that it is independent of. *)
   and branch state sleep todo =
@@ -843,5 +845,50 @@ let enumerate ?(max_states = 500_000) config (program : Program.t) =
            m :: sleep)
          sleep todo)
   in
-  explore (initial_state program config) [];
+  explore (initial_state program config) []
+
+let default_max_states = 500_000
+
+let enumerate ?(max_states = default_max_states) config program =
+  let outcomes = Hashtbl.create 64 in
+  search ~who:"Relaxed.enumerate" ~max_states
+    ~pruned:(fun _ -> false)
+    ~final:(fun o -> Hashtbl.replace outcomes o ())
+    config program;
   Hashtbl.fold (fun o () acc -> o :: acc) outcomes [] |> List.sort compare_outcome
+
+exception Reached
+
+(* A thread that has finished (empty window, [pc] past its code) never
+   changes its registers again, so once one of them differs from the
+   value [condition] names for it, or was never written, no final state
+   below satisfies the condition.  With an empty window every fetched
+   write has retired, so the bindings hold exactly the written
+   registers, each as a [Value]. *)
+let exists_outcome config (program : Program.t) ~condition accept =
+  let code = program.Program.threads in
+  let wanted = Array.map (fun _ -> []) code in
+  List.iter
+    (fun ((tid, r), v) ->
+      if tid >= 0 && tid < Array.length code then wanted.(tid) <- (r, v) :: wanted.(tid))
+    condition;
+  let contradicts tid t =
+    wanted.(tid) <> []
+    && t.window = []
+    && t.pc >= Array.length code.(tid)
+    && List.exists
+         (fun (r, v) ->
+           match IM.find_opt r t.bindings with Some (Value v') -> v' <> v | _ -> true)
+         wanted.(tid)
+  in
+  let pruned state =
+    let rec any tid = tid < Array.length code && (contradicts tid state.threads.(tid) || any (tid + 1)) in
+    any 0
+  in
+  match
+    search ~who:"Relaxed.exists_outcome" ~max_states:default_max_states ~pruned
+      ~final:(fun o -> if accept o then raise_notrace Reached)
+      config program
+  with
+  | () -> false
+  | exception Reached -> true

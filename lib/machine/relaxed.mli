@@ -62,3 +62,21 @@ val enumerate : ?max_states:int -> config -> Program.t -> outcome list
     locations, or only read the same one).  Raises [Failure] if the
     number of distinct states visited exceeds [max_states] (default
     500_000). *)
+
+val exists_outcome :
+  config ->
+  Program.t ->
+  condition:((int * Instr.reg) * Instr.value) list ->
+  (outcome -> bool) ->
+  bool
+(** Whether some reachable final state satisfies the predicate: the
+    search of {!enumerate}, stopped at the first final state the
+    predicate accepts.  [condition] lists register values the
+    predicate requires of every state it accepts (a register it names
+    must have been written and hold that value).  The search skips any
+    state in which a finished thread (empty window, [pc] past its code)
+    already contradicts it; a finished thread's registers never change,
+    so no satisfying final state lies below such a state.  When no
+    final state satisfies the predicate the search still runs to the
+    end.  Raises [Failure] past 500_000 distinct states, as
+    {!enumerate} does by default. *)
