@@ -11,8 +11,10 @@ open Wmm_isa
    and third exploration engines (a request still carrying it has it
    ignored like any unknown key); v6 dropped the litmus "mode" and
    "iterations" fields with random machine scheduling (a request still
-   carrying them has them ignored like any unknown key). *)
-let schema_version = 6
+   carrying them has them ignored like any unknown key); v7 dropped the
+   litmus item's "observations" and "total" counts, because the machine
+   search stops at the first final state that satisfies the condition. *)
+let schema_version = 7
 
 type lang_action = L_explore | L_conform | L_rank
 
