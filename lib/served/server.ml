@@ -49,7 +49,12 @@ type client = {
   c_out : string Queue.t;  (* response lines awaiting the writer *)
   c_out_nonempty : Condition.t;
   c_out_nonfull : Condition.t;
-  c_out_drained : Condition.t;  (* broadcast whenever c_out empties *)
+  c_out_drained : Condition.t;
+      (* broadcast whenever c_out is empty and no line is being written *)
+  mutable c_writing : bool;
+      (* a thread is writing to c_fd: the writer, or the reader sending
+         a journal hit itself; one writer at a time keeps lines whole
+         and in order *)
   c_inbox : work Queue.t;  (* admitted requests awaiting an executor *)
   mutable c_drain_deadline : float option;
       (* set by close_client; the watchdog kills the client past it *)
@@ -140,44 +145,69 @@ let mark_dead client =
   Condition.broadcast client.c_out_drained;
   Mutex.unlock client.c_lock
 
+(* Write lines to the socket on behalf of a thread that has set
+   [c_writing]; [Unix.write] repeats until every byte is out.  Then
+   hand the socket back: to the writer if lines queued meanwhile, to
+   [close_client] if none did. *)
+let write_lines client lines =
+  (try
+     List.iter
+       (fun line ->
+         let payload = line ^ "\n" in
+         ignore (Unix.write_substring client.c_fd payload 0 (String.length payload)))
+       lines
+   with _ -> mark_dead client);
+  Mutex.lock client.c_lock;
+  client.c_writing <- false;
+  if Queue.is_empty client.c_out then Condition.broadcast client.c_out_drained
+  else Condition.signal client.c_out_nonempty;
+  Mutex.unlock client.c_lock
+
 let writer_thread client =
   let rec loop () =
     Mutex.lock client.c_lock;
-    while Queue.is_empty client.c_out && not client.c_dead do
+    while (Queue.is_empty client.c_out || client.c_writing) && not client.c_dead do
       Condition.wait client.c_out_nonempty client.c_lock
     done;
     if client.c_dead then Mutex.unlock client.c_lock
     else begin
       let line = Queue.pop client.c_out in
+      client.c_writing <- true;
       Condition.signal client.c_out_nonfull;
-      if Queue.is_empty client.c_out then Condition.broadcast client.c_out_drained;
       Mutex.unlock client.c_lock;
-      let payload = Bytes.of_string (line ^ "\n") in
-      (match
-         let rec write_all off =
-           if off < Bytes.length payload then
-             let n = Unix.write client.c_fd payload off (Bytes.length payload - off) in
-             write_all (off + n)
-         in
-         write_all 0
-       with
-      | () -> ()
-      | exception _ -> mark_dead client);
+      write_lines client [ line ];
       loop ()
     end
   in
   loop ()
 
+(* Send the frames of a journal hit from the client's reader thread.
+   With nothing queued and nothing being written, the reader writes
+   them itself, with no hand-off to the writer thread; blocking on its
+   own client's socket is the back-pressure that client should get.
+   Otherwise they queue behind what is already there.  Executors and
+   the watchdog serve every client, so they always queue. *)
+let send_from_reader t client lines =
+  Mutex.lock client.c_lock;
+  let direct = Queue.is_empty client.c_out && not (client.c_writing || client.c_dead) in
+  if direct then client.c_writing <- true;
+  Mutex.unlock client.c_lock;
+  if direct then begin
+    with_metrics t (fun m -> m.streamed_items <- m.streamed_items + List.length lines);
+    write_lines client lines
+  end
+  else List.iter (enqueue_out t client) lines
+
 (* Wait (bounded) for a client's output queue to drain, then close the
    connection: used on shutdown so the final frames reach the peer.
-   The wait parks on [c_out_drained] (the writer broadcasts it when
-   the queue empties, [mark_dead] when the client dies); the 5s bound
+   The wait parks on [c_out_drained] (broadcast when the queue is empty
+   and the last line is written, and by [mark_dead]); the 5s bound
    is enforced by the watchdog, which kills any client still
    undrained past [c_drain_deadline] — no thread spins. *)
 let close_client client =
   Mutex.lock client.c_lock;
   client.c_drain_deadline <- Some (Unix.gettimeofday () +. 5.);
-  while not (Queue.is_empty client.c_out || client.c_dead) do
+  while not ((Queue.is_empty client.c_out && not client.c_writing) || client.c_dead) do
     Condition.wait client.c_out_drained client.c_lock
   done;
   let first = not client.c_closed in
@@ -226,29 +256,25 @@ let resolve t ~token req =
   in
   ((if joined then "inflight" else origin), items)
 
-let stream_items t client ~id ~op ~served_from ~wall_us items =
+let item_frames ~id ~op ~served_from ~wall_us items =
   match items with
   | [] ->
-      enqueue_out t client
-        (Protocol.response ~id ~op ~seq:0 ~final:true ~served_from ~wall_us
-           [ ("items", Json.of_int 0) ])
+      [
+        Protocol.response ~id ~op ~seq:0 ~final:true ~served_from ~wall_us
+          [ ("items", Json.of_int 0) ];
+      ]
   | items ->
       let k = List.length items in
-      List.iteri
+      List.mapi
         (fun i item ->
-          let final = i = k - 1 in
-          let line =
-            if final then
-              Protocol.response ~id ~op ~seq:i ~final ~served_from ~wall_us
-                [ ("item", Json.Raw item); ("items", Json.of_int k) ]
-            else
-              Protocol.response ~id ~op ~seq:i ~final [ ("item", Json.Raw item) ]
-          in
-          enqueue_out t client line)
+          if i = k - 1 then
+            Protocol.response ~id ~op ~seq:i ~final:true ~served_from ~wall_us
+              [ ("item", Json.Raw item); ("items", Json.of_int k) ]
+          else Protocol.response ~id ~op ~seq:i ~final:false [ ("item", Json.Raw item) ])
         items
 
-(* Count one answered request by provenance and stream its items. *)
-let deliver t client ~id ~op ~served_from ~t0 items =
+(* Count one answered request by provenance; its frames, one per item. *)
+let answer t client ~id ~op ~served_from ~t0 items =
   let wall = Unix.gettimeofday () -. t0 in
   with_metrics t (fun m ->
       m.ok <- m.ok + 1;
@@ -266,7 +292,7 @@ let deliver t client ~id ~op ~served_from ~t0 items =
           if wall > m.hit_wall_max_s then m.hit_wall_max_s <- wall);
   log t "client %d: %s served from %s in %.1f ms (%d items)" client.c_id op served_from
     (wall *. 1e3) (List.length items);
-  stream_items t client ~id ~op ~served_from ~wall_us:(wall *. 1e6) items
+  item_frames ~id ~op ~served_from ~wall_us:(wall *. 1e6) items
 
 let deadline_frame work =
   let elapsed_ms =
@@ -300,7 +326,8 @@ let execute t running =
   in
   match resolve t ~token req with
   | served_from, items ->
-      if claim_answer () then deliver t client ~id ~op ~served_from ~t0 items
+      if claim_answer () then
+        List.iter (enqueue_out t client) (answer t client ~id ~op ~served_from ~t0 items)
   | exception e ->
       if claim_answer () then
         (* A task that died because its own deadline token fired is a
@@ -590,14 +617,15 @@ let handle_request t client envelope =
   | Protocol.Litmus _ | Protocol.Analyze _ | Protocol.Conform _ | Protocol.Lang _ -> (
       let t0 = Unix.gettimeofday () in
       (* A request the journal already answered is served right here:
-         no admission, no queue slot, no executor hand-off.  Misses,
-         cache-only hits (disk I/O stays off this thread), joins of
-         in-flight work and a stopping daemon take the executor path. *)
+         no admission, no queue slot, no executor or writer hand-off.
+         Misses, cache-only hits (disk I/O stays off this thread), joins
+         of in-flight work and a stopping daemon take the executor path. *)
       match
         if is_stopping t then None
         else journal_lookup t ~key:(Protocol.canonical_key request)
       with
-      | Some items -> deliver t client ~id ~op ~served_from:"journal" ~t0 items
+      | Some items ->
+          send_from_reader t client (answer t client ~id ~op ~served_from:"journal" ~t0 items)
       | None -> admit t client ~id ~op request ~deadline_ms)
 
 let handle_line t client line =
@@ -652,6 +680,7 @@ let spawn_client t fd =
         c_out_nonempty = Condition.create ();
         c_out_nonfull = Condition.create ();
         c_out_drained = Condition.create ();
+        c_writing = false;
         c_inbox = Queue.create ();
         c_drain_deadline = None;
         c_dead = false;

@@ -514,6 +514,125 @@ let test_server_restart_resumes_from_journal () =
           Client.close c;
           shutdown ()))
 
+(* One request per library test, for a journal to hold. *)
+let library_requests n =
+  List.filteri (fun i _ -> i < n) Library.all
+  |> List.map (fun (t : Test.t) ->
+         Json.to_string
+           (Json.Obj [ ("op", Json.Str "litmus"); ("tests", Json.Arr [ Json.Str t.Test.name ]) ]))
+
+let with_id id request =
+  match parse_ok request with
+  | Json.Obj fields -> Json.to_string (Json.Obj (("id", Json.Str id) :: fields))
+  | _ -> Alcotest.failf "request %S is not an object" request
+
+(* Journal hits are written by the reader thread while an executor's
+   frames go through the writer thread; on one pipelined connection no
+   line may tear and every request's frames stay in order. *)
+let test_pipelined_frames_stay_whole () =
+  with_temp_dir (fun dir ->
+      let socket = Filename.concat dir "s.sock" in
+      let cfg = quiet_cfg dir socket in
+      with_server cfg (fun _ ->
+          let hits = library_requests 20 in
+          let warm = connect cfg in
+          List.iter (fun r -> ignore (roundtrip_ok warm r)) hits;
+          Client.close warm;
+          let program =
+            "AArch64 PIPE\n{ x=0; y=0 }\nP0 | P1 ;\nstr #1, &x | ldr x1, &y ;\n\
+             str #1, &y | ldr x2, &x ;\nexists (1:x1=1 /\\ 1:x2=0)\n"
+          in
+          let inline =
+            Json.to_string (Json.Obj [ ("op", Json.Str "litmus"); ("program", Json.Str program) ])
+          in
+          let requests =
+            (("miss", inline) :: List.mapi (fun i r -> (Printf.sprintf "h%d" i, r)) hits)
+            @ [ ("again", inline) ]
+          in
+          let c = connect cfg in
+          List.iter (fun (id, r) -> Client.send_line c (with_id id r)) requests;
+          let frames = Hashtbl.create 32 in
+          let rec read pending =
+            if pending > 0 then
+              match Client.recv_line c with
+              | None -> Alcotest.failf "connection closed with %d answers pending" pending
+              | Some line ->
+                  let v = parse_ok line in
+                  let id = Option.value (Json.str_member "id" v) ~default:"?" in
+                  Hashtbl.replace frames id (v :: Option.value (Hashtbl.find_opt frames id) ~default:[]);
+                  read (if Json.bool_member "final" v = Some true then pending - 1 else pending)
+          in
+          read (List.length requests);
+          let items id =
+            List.filter_map
+              (fun v -> Option.map Json.to_string (Json.member "item" v))
+              (List.rev (Hashtbl.find frames id))
+          in
+          List.iter
+            (fun (id, _) ->
+              let fs = List.rev (Option.value (Hashtbl.find_opt frames id) ~default:[]) in
+              Alcotest.(check (list int)) (id ^ ": seq runs 0..k-1")
+                (List.init (List.length fs) Fun.id)
+                (List.map (fun v -> Option.value (Json.int_member "seq" v) ~default:(-1)) fs);
+              Alcotest.(check (list bool)) (id ^ ": exactly one final, the last frame")
+                (List.init (List.length fs) (fun i -> i = List.length fs - 1))
+                (List.map (fun v -> Json.bool_member "final" v = Some true) fs);
+              Alcotest.(check bool) (id ^ ": ok") true
+                (List.for_all (fun st -> st = "ok") (statuses fs)))
+            requests;
+          Alcotest.(check int) "no stray ids" (List.length requests) (Hashtbl.length frames);
+          Alcotest.(check bool) "the inline program has items" true (items "miss" <> []);
+          Alcotest.(check (list string)) "both inline answers carry equal items" (items "miss")
+            (items "again");
+          Client.close c))
+
+(* A client that sends without reading blocks its own reader thread
+   once the daemon's writes to it block; another client's journal hit
+   is still answered, and after the stalled client leaves the daemon
+   shuts down. *)
+let test_stalled_reader_stalls_only_itself () =
+  with_temp_dir (fun dir ->
+      let socket = Filename.concat dir "s.sock" in
+      let cfg = quiet_cfg dir socket in
+      with_server cfg (fun shutdown ->
+          let hit = List.hd (library_requests 1) in
+          let b = connect cfg in
+          ignore (roundtrip_ok b hit);
+          let a = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          Unix.connect a (Unix.ADDR_UNIX socket);
+          Unix.set_nonblock a;
+          let line = hit ^ "\n" in
+          (* Send until the daemon has stopped reading A for 200 ms. *)
+          let give_up = Unix.gettimeofday () +. 20. in
+          let rec flood off blocked_since =
+            if Unix.gettimeofday () > give_up then
+              Alcotest.fail "the daemon kept reading a client that never reads";
+            match Unix.write_substring a line off (String.length line - off) with
+            | n -> flood ((off + n) mod String.length line) None
+            | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> (
+                let now = Unix.gettimeofday () in
+                match blocked_since with
+                | Some t0 when now -. t0 > 0.2 -> ()
+                | _ ->
+                    Unix.sleepf 0.01;
+                    flood off (Some (Option.value blocked_since ~default:now)))
+          in
+          flood 0 None;
+          let t0 = Unix.gettimeofday () in
+          Client.set_timeout b 5.;
+          Alcotest.(check (list string)) "B's hit is answered from the journal" [ "journal" ]
+            (served_from (roundtrip_ok b hit));
+          let waited = Unix.gettimeofday () -. t0 in
+          if waited > 1. then Alcotest.failf "B waited %.2f s behind a stalled client" waited;
+          Client.close b;
+          Unix.close a;
+          shutdown ();
+          let deadline = Unix.gettimeofday () +. 10. in
+          while Sys.file_exists socket && Unix.gettimeofday () < deadline do
+            Unix.sleepf 0.02
+          done;
+          Alcotest.(check bool) "shutdown completed" false (Sys.file_exists socket)))
+
 (* An unknown compilation scheme is answered with one error frame
    naming it; the connection stays usable. *)
 let test_lang_unknown_scheme () =
@@ -561,4 +680,7 @@ let suite =
       test_server_restart_resumes_from_journal;
     Alcotest.test_case "lang unknown scheme is an error frame" `Quick
       test_lang_unknown_scheme;
+    Alcotest.test_case "pipelined frames stay whole" `Quick test_pipelined_frames_stay_whole;
+    Alcotest.test_case "a client that stops reading stalls only itself" `Quick
+      test_stalled_reader_stalls_only_itself;
   ]
