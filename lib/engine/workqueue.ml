@@ -119,26 +119,33 @@ let () =
     | Multiple_failures msg -> Some ("Workqueue.Multiple_failures: " ^ msg)
     | _ -> None)
 
-(* The batch raise policy: one failure re-raises the original
-   exception (original backtrace), several aggregate so no cause is
-   silently swallowed. *)
+(* One job per worker, not one per task: the jobs claim indices from a
+   shared counter, so a batch costs [jobs] submissions whatever its
+   size, and a batch whose tasks return at once (a cancelled engine
+   batch skips its unstarted tasks) drains without a queue round trip
+   per task.  The raise policy: one failure re-raises the original
+   exception (original backtrace), several aggregate in index order so
+   no cause is silently swallowed. *)
 let run_indexed t n f =
-  let handles = Array.init n (fun i -> submit t (fun () -> f i)) in
-  let failures = ref [] in
-  Array.iter
-    (fun h ->
-      match await h with
-      | () -> ()
-      | exception e -> failures := (e, Printexc.get_raw_backtrace ()) :: !failures)
-    handles;
-  match List.rev !failures with
+  let next = Atomic.make 0 in
+  let rec claim failed =
+    let i = Atomic.fetch_and_add next 1 in
+    if i >= n then failed
+    else
+      match f i with
+      | () -> claim failed
+      | exception e -> claim ((i, e, Printexc.get_raw_backtrace ()) :: failed)
+  in
+  let handles = List.init (min n t.n_jobs) (fun _ -> submit t (fun () -> claim [])) in
+  let by_index (i, _, _) (j, _, _) = Int.compare i j in
+  match List.sort by_index (List.concat_map await handles) with
   | [] -> ()
-  | [ (e, bt) ] -> Printexc.raise_with_backtrace e bt
-  | (e, bt) :: rest ->
+  | [ (_, e, bt) ] -> Printexc.raise_with_backtrace e bt
+  | (_, e, bt) :: rest ->
       let msg =
         Printf.sprintf "%d tasks failed; first: %s; also: %s"
           (List.length rest + 1) (Printexc.to_string e)
-          (String.concat "; " (List.map (fun (e, _) -> Printexc.to_string e) rest))
+          (String.concat "; " (List.map (fun (_, e, _) -> Printexc.to_string e) rest))
       in
       Printexc.raise_with_backtrace (Multiple_failures msg) bt
 

@@ -30,7 +30,8 @@ val depth : t -> int
     point-in-time load signal for telemetry and overload decisions. *)
 
 val submitted : t -> int
-(** Total tasks submitted over the queue's lifetime. *)
+(** Total closures submitted over the queue's lifetime ({!run_indexed}
+    submits one per worker it uses, not one per index). *)
 
 type 'a handle
 
@@ -49,10 +50,12 @@ exception Multiple_failures of string
     the others in index order, so no failure is silently swallowed. *)
 
 val run_indexed : t -> int -> (int -> unit) -> unit
-(** [run_indexed t n f] submits [f 0 .. f (n-1)] and awaits them all;
-    the calling thread blocks but performs no work itself.  When tasks
-    raise, every task still runs; then exactly one failure re-raises
-    the original exception (original backtrace) and several raise
+(** [run_indexed t n f] runs [f 0 .. f (n-1)] on the pool and awaits
+    them all: it submits [min n (jobs t)] closures, each claiming the
+    next unclaimed index until none is left, and the calling thread
+    blocks but performs no work itself.  When tasks raise, every task
+    still runs; then exactly one failure re-raises the original
+    exception (original backtrace) and several raise
     {!Multiple_failures}. *)
 
 val shutdown : t -> unit

@@ -696,6 +696,29 @@ let test_workqueue_submit_await () =
   | _ -> Alcotest.fail "submit after shutdown should raise"
   | exception Invalid_argument _ -> ()
 
+(* A batch costs one submission per worker, however many tasks it has;
+   every index still runs exactly once, and failures aggregate in index
+   order. *)
+let test_run_indexed_one_job_per_worker () =
+  let wq = Workqueue.create ~jobs:2 () in
+  Fun.protect
+    ~finally:(fun () -> Workqueue.shutdown wq)
+    (fun () ->
+      let before = Workqueue.submitted wq in
+      let runs = Array.init 1000 (fun _ -> Atomic.make 0) in
+      Workqueue.run_indexed wq 1000 (fun i -> Atomic.incr runs.(i));
+      Alcotest.(check int) "two submissions for 1,000 tasks" 2
+        (Workqueue.submitted wq - before);
+      Alcotest.(check bool) "every index ran once" true
+        (Array.for_all (fun r -> Atomic.get r = 1) runs);
+      match
+        Workqueue.run_indexed wq 6 (fun i ->
+            if i = 4 || i = 1 then failwith (Printf.sprintf "task %d" i))
+      with
+      | () -> Alcotest.fail "failures should raise"
+      | exception Workqueue.Multiple_failures msg ->
+          check_contains "index order" msg "first: Failure(\"task 1\"); also: Failure(\"task 4\")")
+
 let test_shared_pool_bit_identical () =
   (* The daemon's execution shape: several submitters race batches
      into one warm pool.  Every one of them must get results
@@ -932,6 +955,8 @@ let suite =
     Alcotest.test_case "cache prune and clear" `Quick test_cache_prune_and_clear;
     Alcotest.test_case "pool aggregates failures" `Quick test_pool_aggregates_failures;
     Alcotest.test_case "workqueue submit and await" `Quick test_workqueue_submit_await;
+    Alcotest.test_case "run_indexed submits one job per worker" `Quick
+      test_run_indexed_one_job_per_worker;
     Alcotest.test_case "shared warm pool bit-identical" `Quick
       test_shared_pool_bit_identical;
     Alcotest.test_case "inflight dedup computes once" `Quick
