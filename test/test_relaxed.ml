@@ -218,14 +218,45 @@ let reaches (t : Test.t) (o : Relaxed.outcome) =
        (fun (l, v) -> Option.value (List.assoc_opt l o.Relaxed.memory) ~default:0 = v)
        t.Test.mem_condition
 
+(* The stopping search answers what the full enumeration answers: a
+   verdict's [observed] is whether some enumerated final state
+   satisfies the condition. *)
+let check_stop_agrees what triples =
+  List.iter
+    (fun ((t : Test.t), model, outs) ->
+      let enumerated = List.exists (reaches t) outs in
+      if Check.machine_observes (Check.machine_config model) t <> enumerated then
+        Alcotest.failf "%s: %s under %s: the stopping search says %b, the enumeration %b"
+          what t.Test.name (Axiomatic.model_name model) (not enumerated) enumerated)
+    triples
+
+let test_stop_agrees_with_enumeration () =
+  List.iter
+    (fun (t : Test.t) ->
+      List.iter
+        (fun model ->
+          let v = Check.run_exhaustive model (Check.machine_config model) t in
+          let enumerated = List.exists (reaches t) (Machine_golden.outcomes model t) in
+          if v.Check.observed <> enumerated then
+            Alcotest.failf "library: %s under %s: observed %b, the enumeration %b"
+              t.Test.name (Axiomatic.model_name model) v.Check.observed enumerated)
+        Axiomatic.all_models)
+    Library.all;
+  List.iter
+    (fun arch ->
+      check_stop_agrees ("bound-4 " ^ Arch.name arch) (Machine_golden.family ~max_edges:4 arch))
+    Machine_golden.archs
+
 (* Soundness at the full synthesized bound: on both bound-6 families,
    under every verdict model, the machine never reaches a condition
-   the model forbids, and its outcome sets match the golden. *)
+   the model forbids, its outcome sets match the golden, and the
+   stopping search agrees with the enumeration. *)
 let test_bound6_sound_and_golden () =
   let golden = golden_lines () in
   List.iter
     (fun arch ->
       let triples = Machine_golden.family arch in
+      check_stop_agrees ("bound-6 " ^ Arch.name arch) triples;
       let unsound =
         List.filter_map
           (fun ((t : Test.t), model, outs) ->
@@ -261,4 +292,6 @@ let suite =
       test_golden_library_bound4;
     Alcotest.test_case "bound-6 soundness and machine golden" `Slow
       test_bound6_sound_and_golden;
+    Alcotest.test_case "stopping search agrees with enumeration" `Slow
+      test_stop_agrees_with_enumeration;
   ]
