@@ -882,7 +882,9 @@ let exists_outcome config (program : Program.t) ~condition accept =
          wanted.(tid)
   in
   let pruned state =
-    let rec any tid = tid < Array.length code && (contradicts tid state.threads.(tid) || any (tid + 1)) in
+    let rec any tid =
+      tid < Array.length code && (contradicts tid state.threads.(tid) || any (tid + 1))
+    in
     any 0
   in
   match

@@ -717,7 +717,8 @@ let test_run_indexed_one_job_per_worker () =
       with
       | () -> Alcotest.fail "failures should raise"
       | exception Workqueue.Multiple_failures msg ->
-          check_contains "index order" msg "first: Failure(\"task 1\"); also: Failure(\"task 4\")")
+          check_contains "index order" msg
+            "first: Failure(\"task 1\"); also: Failure(\"task 4\")")
 
 let test_shared_pool_bit_identical () =
   (* The daemon's execution shape: several submitters race batches
