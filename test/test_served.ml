@@ -514,17 +514,12 @@ let test_server_restart_resumes_from_journal () =
           Client.close c;
           shutdown ()))
 
-(* One request per library test, for a journal to hold. *)
-let library_requests n =
-  List.filteri (fun i _ -> i < n) Library.all
-  |> List.map (fun (t : Test.t) ->
-         Json.to_string
-           (Json.Obj [ ("op", Json.Str "litmus"); ("tests", Json.Arr [ Json.Str t.Test.name ]) ]))
+let litmus_request fields = Json.to_string (Json.Obj (("op", Json.Str "litmus") :: fields))
 
-let with_id id request =
-  match parse_ok request with
-  | Json.Obj fields -> Json.to_string (Json.Obj (("id", Json.Str id) :: fields))
-  | _ -> Alcotest.failf "request %S is not an object" request
+(* The fields of one request per library test, for a journal to hold. *)
+let library_fields n =
+  List.filteri (fun i _ -> i < n) Library.all
+  |> List.map (fun (t : Test.t) -> [ ("tests", Json.Arr [ Json.Str t.Test.name ]) ])
 
 (* Journal hits are written by the reader thread while an executor's
    frames go through the writer thread; on one pipelined connection no
@@ -534,23 +529,23 @@ let test_pipelined_frames_stay_whole () =
       let socket = Filename.concat dir "s.sock" in
       let cfg = quiet_cfg dir socket in
       with_server cfg (fun _ ->
-          let hits = library_requests 20 in
+          let hits = library_fields 20 in
           let warm = connect cfg in
-          List.iter (fun r -> ignore (roundtrip_ok warm r)) hits;
+          List.iter (fun f -> ignore (roundtrip_ok warm (litmus_request f))) hits;
           Client.close warm;
           let program =
             "AArch64 PIPE\n{ x=0; y=0 }\nP0 | P1 ;\nstr #1, &x | ldr x1, &y ;\n\
              str #1, &y | ldr x2, &x ;\nexists (1:x1=1 /\\ 1:x2=0)\n"
           in
-          let inline =
-            Json.to_string (Json.Obj [ ("op", Json.Str "litmus"); ("program", Json.Str program) ])
-          in
+          let inline = [ ("program", Json.Str program) ] in
           let requests =
-            (("miss", inline) :: List.mapi (fun i r -> (Printf.sprintf "h%d" i, r)) hits)
+            (("miss", inline) :: List.mapi (fun i f -> (Printf.sprintf "h%d" i, f)) hits)
             @ [ ("again", inline) ]
           in
           let c = connect cfg in
-          List.iter (fun (id, r) -> Client.send_line c (with_id id r)) requests;
+          List.iter
+            (fun (id, f) -> Client.send_line c (litmus_request (("id", Json.Str id) :: f)))
+            requests;
           let rec read pending acc =
             if pending = 0 then List.rev acc
             else
@@ -595,7 +590,7 @@ let test_stalled_reader_stalls_only_itself () =
       let socket = Filename.concat dir "s.sock" in
       let cfg = quiet_cfg dir socket in
       with_server cfg (fun shutdown ->
-          let hit = List.hd (library_requests 1) in
+          let hit = litmus_request (List.hd (library_fields 1)) in
           let b = connect cfg in
           ignore (roundtrip_ok b hit);
           let a = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
