@@ -41,7 +41,9 @@ val machine_observes : Relaxed.config -> Test.t -> bool
 val run_exhaustive : Axiomatic.model -> Relaxed.config -> Test.t -> verdict
 (** The machine's answer ({!machine_observes}), then the axiomatic
     verdict.  Raises [Failure] when the machine search visits more
-    than 500,000 states; the axiomatic search has not started then. *)
+    than 500,000 states, before the axiomatic search starts, and when
+    the program has more than 200,000 run combinations, before the
+    axiomatic search lists them ({!Wmm_model.Enumerate}). *)
 
 val sound : verdict -> bool
 (** No forbidden outcome was observed, and the axiomatic verdict

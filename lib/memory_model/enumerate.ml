@@ -45,11 +45,22 @@ type run = {
    fast, with [Failure], instead of hanging. *)
 let fuel = 1024
 
+(* Run combinations per program (one run per thread): a program with
+   more fails with [Failure] before they are listed.  The largest of
+   the litmus library, the language catalogs and the synthesized
+   families up to bound 8, the bakery lock, has 40,000. *)
+let max_combos = 200_000
+
+let too_many_combos () =
+  failwith (Printf.sprintf "Enumerate: more than %d run combinations" max_combos)
+
 (* Interpret one thread, branching over the possible values of every
-   load (drawn from [pool]).  Returns every feasible run. *)
+   load (drawn from [pool]).  Returns every feasible run; a thread with
+   more than [max_combos] alone fails. *)
 let run_thread ~pool (thread : Program.thread) : run list =
   let length = Array.length thread in
   let results = ref [] in
+  let count = ref 0 in
   let module IM = Map.Make (Int) in
   let dedup l = List.sort_uniq compare l in
   let rec step pc steps regs reg_deps ctrl written events next_read monitor =
@@ -58,6 +69,8 @@ let run_thread ~pool (thread : Program.thread) : run list =
       let final_regs =
         List.sort compare (IM.bindings (IM.filter (fun r _ -> List.mem r written) regs))
       in
+      incr count;
+      if !count > max_combos then too_many_combos ();
       results := { events = List.rev events; final_regs } :: !results
     end
     else begin
@@ -876,12 +889,19 @@ let graph_search ~static ~(sym : Symmetry.t) skel ~counters
 let run_combos (p : Program.t) =
   (match Program.validate p with Ok () -> () | Error msg -> invalid_arg msg);
   let pool = value_pool p in
+  let runs = Array.map (fun thread -> run_thread ~pool thread) p.Program.threads in
+  ignore
+    (Array.fold_left
+       (fun combos r ->
+         let k = List.length r in
+         if k > 0 && combos > max_combos / k then too_many_combos ();
+         combos * k)
+       1 runs);
   (* Every choice of one run per thread, the first thread's varying
      slowest. *)
   Array.fold_right
     (fun runs tails -> List.concat_map (fun r -> List.map (fun t -> r :: t) tails) runs)
-    (Array.map (fun thread -> run_thread ~pool thread) p.Program.threads)
-    [ [] ]
+    runs [ [] ]
   |> List.map Array.of_list
 
 (* The vector of values a combo's loads observe, in a fixed event

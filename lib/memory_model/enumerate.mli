@@ -18,7 +18,12 @@ open Wmm_isa
     reached exactly once and no leaf is wasted.  Structurally
     identical threads are quotiented by symmetry ({!Symmetry}) and the
     outcome set re-expanded.  Certificates come from a flat
-    generate-and-test {!walk} over the same run combinations. *)
+    generate-and-test {!walk} over the same run combinations.
+
+    Every search raises [Failure] when a thread runs more than 1024
+    interpreted steps, or when a program has more than 200,000 run
+    combinations (choices of one run per thread), before it lists
+    them. *)
 
 type outcome = {
   registers : ((int * Instr.reg) * Instr.value) list;
@@ -107,8 +112,7 @@ type walk =
 val walk : Axiomatic.model -> Program.t -> (outcome -> bool) -> walk
 (** One pass over the candidates that stops at the first witness.
     Relations are built, and the model consulted, only for candidates
-    whose final state passes.  Raises [Failure] when a thread runs
-    more than 1024 interpreted steps. *)
+    whose final state passes. *)
 
 val filtered_outcomes : Axiomatic.model -> Program.t -> outcome list
 (** Generate and filter over the same walk: the deduplicated, sorted

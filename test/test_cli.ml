@@ -82,15 +82,36 @@ ldr x3, &z | ldr x3, &x | ldr x3, &y | ldr x6, &z ;
 exists (3:x1=1 /\ 3:x2=0)
 |}
 
-let test_litmus_too_large_for_the_machine () =
+(* `litmus --file` on [text] must fail as a usage error naming BIG. *)
+let check_big_refused text =
   let path = Filename.temp_file "wmm_cli" ".litmus" in
   Fun.protect
     ~finally:(fun () -> Wmm_util.Fs.rm_rf path)
     (fun () ->
-      Out_channel.with_open_text path (fun oc -> output_string oc too_large_for_the_machine);
+      Out_channel.with_open_text path (fun oc -> output_string oc text);
       let err = check_usage_error [ "litmus"; "--file"; path ] in
       if not (String.starts_with ~prefix:"wmm_bench: BIG: " err) then
-        Alcotest.failf "stderr does not name the test:\n%s" err)
+        Alcotest.failf "stderr does not name the test:\n%s" err;
+      err)
+
+let test_litmus_too_large_for_the_machine () =
+  ignore (check_big_refused too_large_for_the_machine)
+
+(* The same program under a condition its machine search reaches at
+   the first final state: the axiomatic search then meets about 1.07e9
+   run combinations (64 per writer thread, 4096 for the observer) and
+   must refuse them before listing them. *)
+let test_litmus_too_many_run_combinations () =
+  let reached_at_once =
+    String.split_on_char '\n' too_large_for_the_machine
+    |> List.map (fun line ->
+           if String.starts_with ~prefix:"exists" line then {|exists (3:x1=2 /\ 3:x2=3)|}
+           else line)
+    |> String.concat "\n"
+  in
+  let err = check_big_refused reached_at_once in
+  if not (Test_cert.contains ~sub:"run combinations" err) then
+    Alcotest.failf "stderr does not blame the run combinations:\n%s" err
 
 (* Names are resolved before the engine exists: the error comes
    before any journal is opened under the cache directory.  Returns
@@ -156,4 +177,6 @@ let suite =
     lang_unknown_name [ "rank"; "--test"; "nope" ]
       (List.map (fun (l : Wmm_lang.Locks.t) -> l.Wmm_lang.Locks.name) Wmm_lang.Locks.all);
     Alcotest.test_case "figure with several ids" `Quick test_figure_several_ids;
+    Alcotest.test_case "litmus --file with too many run combinations" `Slow
+      test_litmus_too_many_run_combinations;
   ]
