@@ -38,9 +38,8 @@ let models_for ~parsed test =
     Axiomatic.all_models
 
 let machine_observes config test =
-  Relaxed.exists_outcome config test.Test.program ~condition:test.Test.condition
-    (fun (o : Relaxed.outcome) ->
-      outcome_satisfies test ~registers:o.Relaxed.registers ~memory:o.Relaxed.memory)
+  Relaxed.exists_outcome config test.Test.program ~registers:test.Test.condition
+    ~memory:test.Test.mem_condition
 
 let run_exhaustive model config test =
   (* The machine search comes first: a program too large for it fails

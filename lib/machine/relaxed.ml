@@ -832,7 +832,7 @@ let search ~who ~max_states ~pruned ~final config (program : Program.t) =
           Hashtbl.add seen key (ref sleep);
           match enabled_moves config state with
           | [] ->
-              if finished state then final (outcome_of_state program state)
+              if finished state then final state
               else failwith (who ^ ": machine deadlocked")
           | moves -> branch state sleep (List.filter (fun m -> not (asleep sleep m)) moves))
   (* Explore [todo] from [state] in order; each action then sleeps in
@@ -853,7 +853,7 @@ let enumerate ?(max_states = default_max_states) config program =
   let outcomes = Hashtbl.create 64 in
   search ~who:"Relaxed.enumerate" ~max_states
     ~pruned:(fun _ -> false)
-    ~final:(fun o -> Hashtbl.replace outcomes o ())
+    ~final:(fun state -> Hashtbl.replace outcomes (outcome_of_state program state) ())
     config program;
   Hashtbl.fold (fun o () acc -> o :: acc) outcomes [] |> List.sort compare_outcome
 
@@ -861,35 +861,47 @@ exception Reached
 
 (* A thread that has finished (empty window, [pc] past its code) never
    changes its registers again, so once one of them differs from the
-   value [condition] names for it, or was never written, no final state
+   value [registers] names for it, or was never written, no final state
    below satisfies the condition.  With an empty window every fetched
    write has retired, so the bindings hold exactly the written
-   registers, each as a [Value]. *)
-let exists_outcome config (program : Program.t) ~condition accept =
+   registers, each as a [Value]: the registers [outcome_of_state]
+   reports. *)
+let exists_outcome config (program : Program.t) ~registers ~memory =
   let code = program.Program.threads in
-  let wanted = Array.map (fun _ -> []) code in
+  let n = Array.length code in
+  (* A register of a thread the program lacks is never written. *)
+  let threads_exist = List.for_all (fun ((tid, _), _) -> tid >= 0 && tid < n) registers in
+  let wanted = Array.make n [] in
   List.iter
-    (fun ((tid, r), v) ->
-      if tid >= 0 && tid < Array.length code then wanted.(tid) <- (r, v) :: wanted.(tid))
-    condition;
-  let contradicts tid t =
-    wanted.(tid) <> []
-    && t.window = []
-    && t.pc >= Array.length code.(tid)
-    && List.exists
-         (fun (r, v) ->
-           match IM.find_opt r t.bindings with Some (Value v') -> v' <> v | _ -> true)
-         wanted.(tid)
+    (fun ((tid, r), v) -> if tid >= 0 && tid < n then wanted.(tid) <- (r, v) :: wanted.(tid))
+    registers;
+  let holds tid t =
+    List.for_all
+      (fun (r, v) -> match IM.find_opt r t.bindings with Some (Value v') -> v' = v | _ -> false)
+      wanted.(tid)
   in
   let pruned state =
     let rec any tid =
-      tid < Array.length code && (contradicts tid state.threads.(tid) || any (tid + 1))
+      tid < n
+      &&
+      let t = state.threads.(tid) in
+      (t.window = [] && t.pc >= Array.length code.(tid) && not (holds tid t)) || any (tid + 1)
     in
     any 0
   in
+  (* A location the program never names is 0 in an outcome. *)
+  let locations = Program.locations program in
+  let satisfied state =
+    let rec all tid = tid = n || (holds tid state.threads.(tid) && all (tid + 1)) in
+    threads_exist
+    && all 0
+    && List.for_all
+         (fun (l, v) -> v = if List.mem l locations then read_memory state.memory l else 0)
+         memory
+  in
   match
     search ~who:"Relaxed.exists_outcome" ~max_states:default_max_states ~pruned
-      ~final:(fun o -> if accept o then raise_notrace Reached)
+      ~final:(fun state -> if satisfied state then raise_notrace Reached)
       config program
   with
   | () -> false

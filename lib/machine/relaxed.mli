@@ -66,17 +66,17 @@ val enumerate : ?max_states:int -> config -> Program.t -> outcome list
 val exists_outcome :
   config ->
   Program.t ->
-  condition:((int * Instr.reg) * Instr.value) list ->
-  (outcome -> bool) ->
+  registers:((int * Instr.reg) * Instr.value) list ->
+  memory:(Instr.loc * Instr.value) list ->
   bool
-(** Whether some reachable final state satisfies the predicate: the
-    search of {!enumerate}, stopped at the first final state the
-    predicate accepts.  [condition] lists register values the
-    predicate requires of every state it accepts (a register it names
-    must have been written and hold that value).  The search skips any
-    state in which a finished thread (empty window, [pc] past its code)
-    already contradicts it; a finished thread's registers never change,
-    so no satisfying final state lies below such a state.  When no
-    final state satisfies the predicate the search still runs to the
-    end.  Raises [Failure] past 500_000 distinct states, as
-    {!enumerate} does by default. *)
+(** Whether some reachable final state satisfies the condition: every
+    listed register was written and holds its value, and every listed
+    location holds its value (a location the program never names
+    counts as 0).  It is the search of {!enumerate}, stopped at the
+    first such state.  The search skips any state in which a finished
+    thread (empty window, [pc] past its code) has a listed register
+    unwritten or holding another value; a finished thread's registers
+    never change, so no satisfying final state lies below such a
+    state.  When no final state satisfies the condition the search
+    still runs to the end.  Raises [Failure] past 500_000 distinct
+    states, as {!enumerate} does by default. *)
