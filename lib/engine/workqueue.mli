@@ -26,8 +26,10 @@ val jobs : t -> int
 (** Number of worker domains. *)
 
 val depth : t -> int
-(** Tasks currently queued (not yet claimed by a worker): a
-    point-in-time load signal for telemetry and overload decisions. *)
+(** Closures currently queued (not yet claimed by a worker), at a
+    point in time.  A {!run_indexed} batch queues at most [jobs t]
+    closures however many indices it has, so this counts waiting
+    closures, not waiting tasks. *)
 
 val submitted : t -> int
 (** Total closures submitted over the queue's lifetime ({!run_indexed}
