@@ -892,7 +892,7 @@ let exists_outcome config (program : Program.t) ~registers ~memory =
   (* A location the program never names is 0 in an outcome. *)
   let locations = Program.locations program in
   let satisfied state =
-    let rec all tid = tid = n || (holds tid state.threads.(tid) && all (tid + 1)) in
+    let rec all tid = tid >= n || (holds tid state.threads.(tid) && all (tid + 1)) in
     threads_exist
     && all 0
     && List.for_all

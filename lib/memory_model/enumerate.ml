@@ -46,9 +46,9 @@ type run = {
 let fuel = 1024
 
 (* Run combinations per program (one run per thread): a program with
-   more fails with [Failure] before they are listed.  The largest of
-   the litmus library, the language catalogs and the synthesized
-   families up to bound 8, the bakery lock, has 40,000. *)
+   more fails with [Failure] before they are listed.  The largest
+   program in the litmus library, the language catalogs and the
+   synthesized families up to bound 8 (the bakery lock) has 40,000. *)
 let max_combos = 200_000
 
 let too_many_combos () =
@@ -66,11 +66,11 @@ let run_thread ~pool (thread : Program.thread) : run list =
   let rec step pc steps regs reg_deps ctrl written events next_read monitor =
     if steps > fuel then failwith "Enumerate: thread interpretation fuel exhausted";
     if pc >= length then begin
+      incr count;
+      if !count > max_combos then too_many_combos ();
       let final_regs =
         List.sort compare (IM.bindings (IM.filter (fun r _ -> List.mem r written) regs))
       in
-      incr count;
-      if !count > max_combos then too_many_combos ();
       results := { events = List.rev events; final_regs } :: !results
     end
     else begin
