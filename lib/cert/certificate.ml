@@ -78,65 +78,130 @@ let claim_name = function
 (* Serialization.                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let pairs_tokens pairs =
-  String.concat " " (List.map (fun (a, b) -> Printf.sprintf "%d,%d" a b) pairs)
-
-let triples_tokens triples =
-  String.concat " " (List.map (fun ((a, b), c) -> Printf.sprintf "%d,%d,%d" a b c) triples)
-
-let chains_tokens chains =
-  String.concat " "
-    (List.map
-       (fun (l, chain) ->
-         Printf.sprintf "%d:%s" l (String.concat "," (List.map string_of_int chain)))
-       chains)
-
-let witness_lines w =
-  List.map Trace.event_line w.w_events
-  @ [
-      "rf " ^ pairs_tokens w.w_rf;
-      "co " ^ chains_tokens w.w_co;
-      "regs " ^ triples_tokens w.w_regs;
-      "mem " ^ pairs_tokens w.w_mem;
-    ]
-
-let candidate_line k =
-  let rf = match pairs_tokens k.k_rf with "" -> "-" | s -> String.map (function ' ' -> ';' | c -> c) s in
-  let co = match chains_tokens k.k_co with "" -> "-" | s -> String.map (function ' ' -> '|' | c -> c) s in
-  Printf.sprintf "cand %s %s" rf co
-
-let forbidden_lines f =
-  (Printf.sprintf "count %d" f.f_count)
-  :: List.concat_map
-       (fun x ->
-         ("combo" :: List.map Trace.event_line x.x_events)
-         @ List.map candidate_line x.x_candidates
-         @ [ "endcombo" ])
-       f.f_combos
-
-let to_lines t =
-  [ Printf.sprintf "wmmcert %d" version; "model " ^ Axioms.model_name t.model ]
-  @ Trace.program_lines t.program
-  @ List.map (fun ((tid, r), v) -> Printf.sprintf "cond-reg %d %d %d" tid r v) t.cond.c_regs
-  @ List.map (fun (l, v) -> Printf.sprintf "cond-mem %d %d" l v) t.cond.c_mem
-  @ (match t.claim with
-    | Allowed w -> ("claim allowed" :: witness_lines w) @ [ "endwitness" ]
-    | Forbidden f -> "claim forbidden" :: forbidden_lines f
-    | Minimal m ->
-        ("claim minimal"
-         :: List.map
-              (fun s ->
-                Printf.sprintf "site %d %d %s" s.s_tid s.s_at (Trace.barrier_token s.s_barrier))
-              m.m_sites)
-        @ ("fenced" :: forbidden_lines m.m_fenced)
-        @ [ "endfenced" ]
-        @ List.concat_map
-            (fun (idx, w) ->
-              (Printf.sprintf "refute %d" idx :: witness_lines w) @ [ "endrefute" ])
-            m.m_refutations)
-  @ [ "end" ]
-
-let to_string t = String.concat "\n" (to_lines t) ^ "\n"
+(* One buffer for the whole certificate (see {!Trace.add_int}). *)
+let to_string t =
+  let b = Buffer.create 4096 in
+  let str = Buffer.add_string b and chr = Buffer.add_char b and int = Trace.add_int b in
+  let line s =
+    str s;
+    chr '\n'
+  in
+  (* [sep]-separated items, or [empty] for none. *)
+  let items ~sep ~empty add = function
+    | [] -> str empty
+    | x :: rest ->
+        add x;
+        List.iter
+          (fun y ->
+            chr sep;
+            add y)
+          rest
+  in
+  let pair (x, y) =
+    int x;
+    chr ',';
+    int y
+  in
+  let chain (l, ids) =
+    int l;
+    chr ':';
+    items ~sep:',' ~empty:"" int ids
+  in
+  let event e =
+    Trace.add_event b e;
+    chr '\n'
+  in
+  let witness w =
+    List.iter event w.w_events;
+    str "rf ";
+    items ~sep:' ' ~empty:"" pair w.w_rf;
+    str "\nco ";
+    items ~sep:' ' ~empty:"" chain w.w_co;
+    str "\nregs ";
+    items ~sep:' ' ~empty:""
+      (fun ((tid, r), v) ->
+        int tid;
+        chr ',';
+        pair (r, v))
+      w.w_regs;
+    str "\nmem ";
+    items ~sep:' ' ~empty:"" pair w.w_mem;
+    chr '\n'
+  in
+  let forbidden f =
+    str "count ";
+    int f.f_count;
+    chr '\n';
+    List.iter
+      (fun x ->
+        line "combo";
+        List.iter event x.x_events;
+        List.iter
+          (fun k ->
+            str "cand ";
+            items ~sep:';' ~empty:"-" pair k.k_rf;
+            chr ' ';
+            items ~sep:'|' ~empty:"-" chain k.k_co;
+            chr '\n')
+          x.x_candidates;
+        line "endcombo")
+      f.f_combos
+  in
+  str "wmmcert ";
+  int version;
+  str "\nmodel ";
+  line (Axioms.model_name t.model);
+  Trace.add_program b t.program;
+  List.iter
+    (fun ((tid, r), v) ->
+      str "cond-reg ";
+      int tid;
+      chr ' ';
+      int r;
+      chr ' ';
+      int v;
+      chr '\n')
+    t.cond.c_regs;
+  List.iter
+    (fun (l, v) ->
+      str "cond-mem ";
+      int l;
+      chr ' ';
+      int v;
+      chr '\n')
+    t.cond.c_mem;
+  (match t.claim with
+  | Allowed w ->
+      line "claim allowed";
+      witness w;
+      line "endwitness"
+  | Forbidden f ->
+      line "claim forbidden";
+      forbidden f
+  | Minimal m ->
+      line "claim minimal";
+      List.iter
+        (fun s ->
+          str "site ";
+          int s.s_tid;
+          chr ' ';
+          int s.s_at;
+          chr ' ';
+          line (Trace.barrier_token s.s_barrier))
+        m.m_sites;
+      line "fenced";
+      forbidden m.m_fenced;
+      line "endfenced";
+      List.iter
+        (fun (idx, w) ->
+          str "refute ";
+          int idx;
+          chr '\n';
+          witness w;
+          line "endrefute")
+        m.m_refutations);
+  line "end";
+  Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
 (* Parsing.                                                            *)

@@ -159,6 +159,17 @@ let check_witness model (program : Program.t) cond (w : Certificate.witness) =
 (* Forbidden validation.                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* Run combinations keyed on their canonical events.  The hash folds
+   over every event: one program's combinations share their init
+   writes and their first threads' events, the bounded prefix the
+   polymorphic hash of a list would see. *)
+module Combos = Hashtbl.Make (struct
+  type t = Trace.event list
+
+  let equal = ( = )
+  let hash events = List.fold_left (fun h e -> (h * 31) + Hashtbl.hash e) 0 events
+end)
+
 let check_forbidden model (program : Program.t) cond (f : Certificate.forbidden_body) =
   (* Recount the candidate space from the program alone. *)
   let combos =
@@ -166,57 +177,59 @@ let check_forbidden model (program : Program.t) cond (f : Certificate.forbidden_
     | cs -> cs
     | exception Replay.Fuel -> reject "replay-fuel" "program exhausted interpretation fuel"
   in
-  let expected = Hashtbl.create 16 in
-  (* events-key -> (shape, final registers of each run combination
-     with this key, per-combo candidate count, multiplicity) *)
+  let expected = Combos.create 16 in
+  (* canonical events -> (shape, final registers of each run
+     combination with these events, per-combo candidate count,
+     multiplicity) *)
   let total_expected = ref 0 in
   List.iter
     (fun runs ->
-      let shape = Replay.shape_of_runs program runs in
-      let rf_product =
-        List.fold_left
-          (fun acc r -> acc * List.length (Replay.rf_candidates shape r))
-          1 shape.Replay.reads
-      in
-      let co_product =
-        List.fold_left
-          (fun acc (_, _, others) -> acc * fact (List.length others))
-          1
-          (Replay.co_locations shape)
-      in
-      let count = rf_product * co_product in
-      if count > 0 then begin
+      (* A combination that is not [live] has a read with no rf
+         candidate: its count is 0, and its shape is never built.  A
+         live one has at least one candidate. *)
+      if Replay.live program runs then begin
+        let shape = Replay.shape_of_runs program runs in
+        let rf_product =
+          List.fold_left
+            (fun acc r -> acc * List.length (Replay.rf_candidates shape r))
+            1 shape.Replay.reads
+        in
+        let co_product =
+          List.fold_left
+            (fun acc (_, _, others) -> acc * fact (List.length others))
+            1
+            (Replay.co_locations shape)
+        in
+        let count = rf_product * co_product in
         total_expected := !total_expected + count;
-        let key = Trace.events_key (Array.to_list shape.Replay.events) in
+        let key = Array.to_list shape.Replay.events in
         let regs = Replay.regs_of_runs runs in
-        match Hashtbl.find_opt expected key with
-        | Some (sh, rs, c, mult) -> Hashtbl.replace expected key (sh, regs :: rs, c, mult + 1)
-        | None -> Hashtbl.replace expected key (shape, [ regs ], count, 1)
+        match Combos.find_opt expected key with
+        | Some (sh, rs, c, mult) -> Combos.replace expected key (sh, regs :: rs, c, mult + 1)
+        | None -> Combos.replace expected key (shape, [ regs ], count, 1)
       end)
     combos;
   (* The certificate must list exactly one combo per feasible run
      combination (multiset match on the canonical events). *)
-  let listed =
-    List.map
-      (fun (x : Certificate.combo) -> (Trace.events_key x.Certificate.x_events, x))
-      f.Certificate.f_combos
-  in
-  let seen_mult = Hashtbl.create 16 in
+  let listed = f.Certificate.f_combos in
+  let seen_mult = Combos.create 16 in
   List.iter
-    (fun (key, _) ->
-      Hashtbl.replace seen_mult key (1 + Option.value ~default:0 (Hashtbl.find_opt seen_mult key)))
+    (fun (x : Certificate.combo) ->
+      let key = x.Certificate.x_events in
+      Combos.replace seen_mult key
+        (1 + Option.value ~default:0 (Combos.find_opt seen_mult key)))
     listed;
-  Hashtbl.iter
+  Combos.iter
     (fun key (_, _, _, mult) ->
-      let got = Option.value ~default:0 (Hashtbl.find_opt seen_mult key) in
+      let got = Option.value ~default:0 (Combos.find_opt seen_mult key) in
       if got <> mult then
         reject "combo-set-mismatch"
           "a feasible run combination appears %d time(s) in the certificate, expected %d"
           got mult)
     expected;
-  Hashtbl.iter
+  Combos.iter
     (fun key _ ->
-      if not (Hashtbl.mem expected key) then
+      if not (Combos.mem expected key) then
         reject "combo-set-mismatch" "certificate lists a run combination the program cannot produce")
     seen_mult;
   (* Per combo: every candidate well-formed and distinct, the count
@@ -226,9 +239,11 @@ let check_forbidden model (program : Program.t) cond (f : Certificate.forbidden_
      axioms run only where the condition holds. *)
   let total_listed = ref 0 in
   List.iter
-    (fun (key, (x : Certificate.combo)) ->
+    (fun (x : Certificate.combo) ->
       let shape, regs_list, count, _ =
-        match Hashtbl.find_opt expected key with Some e -> e | None -> assert false
+        match Combos.find_opt expected x.Certificate.x_events with
+        | Some e -> e
+        | None -> assert false
       in
       if List.length x.Certificate.x_candidates <> count then
         reject "candidate-count-mismatch" "combo lists %d candidates, the rf/co space has %d"

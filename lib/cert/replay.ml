@@ -483,6 +483,37 @@ let rf_candidates shape r =
       Trace.same_loc ew er && Trace.value ew = Trace.value er)
     shape.writes
 
+(* [rf_candidates] read off the runs, before any shape exists: a run
+   combination is live exactly when every read's value is its
+   location's initial value (the init write of [shape_of_runs]) or
+   the value of a write event of the combination at that location
+   (any thread's, rmw writes included).  A combination with a read
+   that has no rf candidate has no candidate execution, so the recount
+   counts it as 0 without building its shape.  This is a statement of
+   the program alone, like the rest of the recount. *)
+let live (p : Program.t) (rs : run array) =
+  let written loc value =
+    Array.exists
+      (fun run ->
+        List.exists
+          (fun e ->
+            match e.v_action with
+            | Trace.Write w -> w.loc = loc && w.value = value
+            | Trace.Read _ | Trace.Fence _ -> false)
+          run.r_events)
+      rs
+  in
+  Array.for_all
+    (fun run ->
+      List.for_all
+        (fun e ->
+          match e.v_action with
+          | Trace.Read { loc; value; _ } ->
+              value = Program.initial_value p loc || written loc value
+          | Trace.Write _ | Trace.Fence _ -> true)
+        run.r_events)
+    rs
+
 (* Per-location write sets for coherence orders; init is co-first. *)
 let co_locations shape =
   List.map

@@ -106,28 +106,52 @@ let barrier_of_token = function
   | "fence.sc" -> Some Instr.Fence_sc
   | _ -> None
 
-let action_tokens = function
+(* Serialization writes into one buffer; integers go in digit by
+   digit, as [string_of_int] prints them, without a string each. *)
+let add_int b n =
+  (* The digits of a non-positive [m], so [min_int] needs no case. *)
+  let rec digits m =
+    if m <= -10 then digits (m / 10);
+    Buffer.add_char b (Char.unsafe_chr (48 - (m mod 10)))
+  in
+  if n < 0 then begin
+    Buffer.add_char b '-';
+    digits n
+  end
+  else digits (-n)
+
+(* The event line, without its newline: [e <id> <tid> <po> <action>]. *)
+let add_event b e =
+  Buffer.add_string b "e ";
+  add_int b e.id;
+  Buffer.add_char b ' ';
+  add_int b e.tid;
+  Buffer.add_char b ' ';
+  add_int b e.po;
+  match e.action with
   | Read { loc; value; order } ->
-      [ "R"; string_of_int loc; string_of_int value; order_token order ]
+      Buffer.add_string b " R ";
+      add_int b loc;
+      Buffer.add_char b ' ';
+      add_int b value;
+      Buffer.add_char b ' ';
+      Buffer.add_string b (order_token order)
   | Write { loc; value; order; rmw } ->
-      [
-        "W";
-        string_of_int loc;
-        string_of_int value;
-        order_token order;
-        (if rmw then "x" else "-");
-      ]
-  | Fence b -> [ "F"; barrier_token b ]
+      Buffer.add_string b " W ";
+      add_int b loc;
+      Buffer.add_char b ' ';
+      add_int b value;
+      Buffer.add_char b ' ';
+      Buffer.add_string b (order_token order);
+      Buffer.add_string b (if rmw then " x" else " -")
+  | Fence k ->
+      Buffer.add_string b " F ";
+      Buffer.add_string b (barrier_token k)
 
-let event_tokens e =
-  string_of_int e.id :: string_of_int e.tid :: string_of_int e.po
-  :: action_tokens e.action
-
-let event_line e = String.concat " " ("e" :: event_tokens e)
-
-(* An event list rendered as one token string, used where two event
-   sets must be compared for equality (combo matching). *)
-let events_key events = String.concat ";" (List.map event_line events)
+let event_line e =
+  let b = Buffer.create 32 in
+  add_event b e;
+  Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
 (* Parsing helpers.                                                    *)
@@ -167,8 +191,7 @@ let event_of_tokens = function
    program rides along in full.                                        *)
 (* ------------------------------------------------------------------ *)
 
-let escape s =
-  let b = Buffer.create (String.length s) in
+let add_escaped b s =
   String.iter
     (fun c ->
       match c with
@@ -176,8 +199,7 @@ let escape s =
       | '%' -> Buffer.add_string b "%25"
       | '\n' -> Buffer.add_string b "%0a"
       | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+    s
 
 let unescape s =
   let b = Buffer.create (String.length s) in
@@ -200,9 +222,13 @@ let unescape s =
   go 0;
   Buffer.contents b
 
-let operand_token = function
-  | Instr.Imm v -> "i" ^ string_of_int v
-  | Instr.Reg r -> "r" ^ string_of_int r
+let add_operand b = function
+  | Instr.Imm v ->
+      Buffer.add_char b 'i';
+      add_int b v
+  | Instr.Reg r ->
+      Buffer.add_char b 'r';
+      add_int b r
 
 let operand_of tok =
   if String.length tok < 2 then fail "bad operand %S" tok
@@ -226,22 +252,62 @@ let binop_of = function
   | "and" -> Instr.And
   | tok -> fail "bad binop %S" tok
 
-let instr_tokens = function
+let add_instr b instr =
+  let word w = Buffer.add_string b w in
+  let int n =
+    Buffer.add_char b ' ';
+    add_int b n
+  and operand o =
+    Buffer.add_char b ' ';
+    add_operand b o
+  and token t =
+    Buffer.add_char b ' ';
+    Buffer.add_string b t
+  in
+  match instr with
   | Instr.Load { dst; addr; order } ->
-      [ "ld"; string_of_int dst; operand_token addr; order_token order ]
+      word "ld";
+      int dst;
+      operand addr;
+      token (order_token order)
   | Instr.Store { src; addr; order } ->
-      [ "st"; operand_token src; operand_token addr; order_token order ]
+      word "st";
+      operand src;
+      operand addr;
+      token (order_token order)
   | Instr.Load_exclusive { dst; addr; order } ->
-      [ "ldx"; string_of_int dst; operand_token addr; order_token order ]
+      word "ldx";
+      int dst;
+      operand addr;
+      token (order_token order)
   | Instr.Store_exclusive { status; src; addr; order } ->
-      [ "stx"; string_of_int status; operand_token src; operand_token addr; order_token order ]
-  | Instr.Barrier b -> [ "bar"; barrier_token b ]
-  | Instr.Mov { dst; src } -> [ "mov"; string_of_int dst; operand_token src ]
-  | Instr.Op { op; dst; a; b } ->
-      [ "op"; binop_token op; string_of_int dst; operand_token a; operand_token b ]
-  | Instr.Cbnz { src; offset } -> [ "cbnz"; string_of_int src; string_of_int offset ]
-  | Instr.Cbz { src; offset } -> [ "cbz"; string_of_int src; string_of_int offset ]
-  | Instr.Nop -> [ "nop" ]
+      word "stx";
+      int status;
+      operand src;
+      operand addr;
+      token (order_token order)
+  | Instr.Barrier k ->
+      word "bar";
+      token (barrier_token k)
+  | Instr.Mov { dst; src } ->
+      word "mov";
+      int dst;
+      operand src
+  | Instr.Op { op; dst; a; b = b' } ->
+      word "op";
+      token (binop_token op);
+      int dst;
+      operand a;
+      operand b'
+  | Instr.Cbnz { src; offset } ->
+      word "cbnz";
+      int src;
+      int offset
+  | Instr.Cbz { src; offset } ->
+      word "cbz";
+      int src;
+      int offset
+  | Instr.Nop -> word "nop"
 
 let instr_of_tokens = function
   | [ "ld"; d; a; o ] ->
@@ -262,26 +328,39 @@ let instr_of_tokens = function
   | [ "nop" ] -> Instr.Nop
   | toks -> fail "bad instruction %S" (String.concat " " toks)
 
-let program_lines (p : Program.t) =
-  let name = [ "name " ^ escape p.Program.name ] in
-  let locs =
-    match Array.to_list p.Program.location_names with
-    | [] -> []
-    | names -> [ "locnames " ^ String.concat " " (List.map escape names) ]
-  in
-  let init =
-    List.map (fun (l, v) -> Printf.sprintf "init %d %d" l v) p.Program.init
-  in
-  let threads =
-    Array.to_list
-      (Array.map
-         (fun thread ->
-           "thread "
-           ^ String.concat " | "
-               (Array.to_list (Array.map (fun i -> String.concat " " (instr_tokens i)) thread)))
-         p.Program.threads)
-  in
-  name @ locs @ init @ threads
+(* The program section, one newline-terminated line each: name,
+   location names (when any), initial values, threads. *)
+let add_program b (p : Program.t) =
+  Buffer.add_string b "name ";
+  add_escaped b p.Program.name;
+  Buffer.add_char b '\n';
+  if p.Program.location_names <> [||] then begin
+    Buffer.add_string b "locnames";
+    Array.iter
+      (fun n ->
+        Buffer.add_char b ' ';
+        add_escaped b n)
+      p.Program.location_names;
+    Buffer.add_char b '\n'
+  end;
+  List.iter
+    (fun (l, v) ->
+      Buffer.add_string b "init ";
+      add_int b l;
+      Buffer.add_char b ' ';
+      add_int b v;
+      Buffer.add_char b '\n')
+    p.Program.init;
+  Array.iter
+    (fun thread ->
+      Buffer.add_string b "thread ";
+      Array.iteri
+        (fun i instr ->
+          if i > 0 then Buffer.add_string b " | ";
+          add_instr b instr)
+        thread;
+      Buffer.add_char b '\n')
+    p.Program.threads
 
 (* Consume program lines from [lines]; returns the program and the
    remaining lines.  The section ends at the first line that is not a

@@ -407,6 +407,36 @@ let co_locations skel =
       (l, init_id, others))
     skel.sk_locations
 
+(* A run combination is live when each of its reads has a write to read
+   from: the location's initial value, or a write event of the
+   combination - any thread's, the reading thread's included, and a
+   successful store-exclusive's too.  Exactly when some read of its
+   skeleton has no [rf_candidates], a combination is dead: it has no
+   candidate execution, so the graph search and the candidate walk
+   skip it before building its skeleton. *)
+let live (p : Program.t) (runs : run array) =
+  let written loc value =
+    Array.exists
+      (fun run ->
+        List.exists
+          (fun e ->
+            match e.l_action with
+            | Event.Write w -> w.loc = loc && w.value = value
+            | Event.Read _ | Event.Fence _ -> false)
+          run.events)
+      runs
+  in
+  Array.for_all
+    (fun run ->
+      List.for_all
+        (fun e ->
+          match e.l_action with
+          | Event.Read { loc; value; _ } ->
+              value = Program.initial_value p loc || written loc value
+          | Event.Write _ | Event.Fence _ -> true)
+        run.events)
+    runs
+
 let registers_of_runs (runs : run array) =
   Array.to_list runs
   |> List.mapi (fun tid run -> List.map (fun (r, v) -> ((tid, r), v)) run.final_regs)
@@ -1190,8 +1220,9 @@ let expand_symmetric (sym : Symmetry.t) outcomes =
         end
 
 (* Run the graph engine over every canonical run combo of [p] (the
-   combos [sym] does not fold onto another), passing each canonical
-   outcome to [emit]; callers expand or match them through [sym]. *)
+   combos [sym] does not fold onto another) that is [live], passing
+   each canonical outcome to [emit]; callers expand or match them
+   through [sym]. *)
 let explore_canonical ~counters ~(sym : Symmetry.t) model (p : Program.t) combos emit =
   let tables = combo_canon_tables sym in
   List.iter
@@ -1199,7 +1230,7 @@ let explore_canonical ~counters ~(sym : Symmetry.t) model (p : Program.t) combos
       let reads = combo_reads runs in
       if not (canonical_combo sym tables reads) then
         counters.c_symmetry_skips <- counters.c_symmetry_skips + 1
-      else begin
+      else if live p runs then begin
         let skel = skeleton_of_runs p runs in
         let static = static_for model skel in
         let registers = registers_of_runs runs in
@@ -1279,7 +1310,8 @@ let outcome_allowed model p query =
    of a forbidden certificate and nothing is enumerated twice.  Only a
    combination that has candidates is kept, and of its skeleton only
    the lazily built execution: most run combinations of a program with
-   many runs (392 of CAS+both's 400) have a read no write can feed.  *)
+   many runs (392 of CAS+both's 400) have a read no write can feed, and
+   those are skipped ([live]) before their skeleton is built.          *)
 (* ------------------------------------------------------------------ *)
 
 type candidate = { rf : (int * int) list; co : (Instr.loc * int list) list }
@@ -1313,7 +1345,7 @@ let candidate_walk model (p : Program.t) pred ~on_match =
                 on_match (candidate skel ~rf ~co) o
             end);
         if !listed = [] then None else Some (skel.sk_exec, registers, !listed))
-      (run_combos p)
+      (List.filter (live p) (run_combos p))
   in
   (combos, !count)
 

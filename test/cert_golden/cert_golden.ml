@@ -30,16 +30,22 @@ let fixture_cases =
     (fun t -> List.map (fun m -> (t, m)) Axiomatic.all_models)
     (List.map (fun n -> Option.get (Library.by_name n)) [ "SB"; "MP"; "IRIW" ] @ [ co_storm ])
 
-let digest_line family (t : Test.t) model =
-  Printf.sprintf "%s %s %s %s" family t.Test.name (Axiomatic.model_name model)
-    (match Wmm_certify.Emit.litmus model t with
-    | Ok cert -> Digest.to_hex (Digest.string (Wmm_cert.Certificate.to_string cert))
-    | Error _ -> "skipped")
+(* A digest line and the certificate text it digests ([None] when
+   skipped). *)
+let digest_entry family (t : Test.t) model =
+  let text =
+    match Wmm_certify.Emit.litmus model t with
+    | Ok cert -> Some (Wmm_cert.Certificate.to_string cert)
+    | Error _ -> None
+  in
+  ( Printf.sprintf "%s %s %s %s" family t.Test.name (Axiomatic.model_name model)
+      (match text with Some s -> Digest.to_hex (Digest.string s) | None -> "skipped"),
+    text )
 
-let digest_lines () =
+let digest_entries () =
   let library =
     List.concat_map
-      (fun t -> List.map (digest_line "library" t) (Check.models_for ~parsed:false t))
+      (fun t -> List.map (digest_entry "library" t) (Check.models_for ~parsed:false t))
       Library.all
   in
   let bound4 =
@@ -51,8 +57,10 @@ let digest_lines () =
             (Wmm_synth.Synth.generate ~max_edges:4 arch)
         in
         List.concat_map
-          (fun model -> List.map (fun t -> digest_line ("bound4/" ^ Arch.name arch) t model) tests)
+          (fun model -> List.map (fun t -> digest_entry ("bound4/" ^ Arch.name arch) t model) tests)
           (Wmm_synth.Synth.verdict_models arch))
       Arch.[ Armv8; Power7 ]
   in
   library @ bound4
+
+let digest_lines () = List.map fst (digest_entries ())

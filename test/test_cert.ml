@@ -47,7 +47,8 @@ let contains ~sub s =
 
 let test_library_certificates () =
   let tests =
-    if fast then List.filteri (fun i _ -> i mod 4 = 0) Library.all else Library.all
+    (if fast then List.filteri (fun i _ -> i mod 4 = 0) Library.all else Library.all)
+    @ Test_explore.live_corner_cases
   in
   List.iter
     (fun (t : Test.t) ->
@@ -197,6 +198,27 @@ let test_mutations_forbidden () =
     (with_claim cert
        (Certificate.Forbidden
           { f with Certificate.f_combos = List.tl f.Certificate.f_combos }));
+  (* A read no write feeds leaves its combination without a candidate,
+     so the recount lists no such combination. *)
+  let dead =
+    let bumped = ref false in
+    {
+      Certificate.x_events =
+        List.map
+          (fun (e : Trace.event) ->
+            match e.Trace.action with
+            | Trace.Read { loc; order; _ } when not !bumped ->
+                bumped := true;
+                { e with Trace.action = Trace.Read { loc; value = 7; order } }
+            | _ -> e)
+          (List.hd f.Certificate.f_combos).Certificate.x_events;
+      x_candidates = [];
+    }
+  in
+  expect_reject "listed dead run combination" "combo-set-mismatch"
+    (with_claim cert
+       (Certificate.Forbidden
+          { f with Certificate.f_combos = f.Certificate.f_combos @ [ dead ] }));
   expect_reject "forged candidate count" "count-mismatch"
     (with_claim cert
        (Certificate.Forbidden { f with Certificate.f_count = f.Certificate.f_count + 1 }));
@@ -261,6 +283,38 @@ let test_mutations_forbidden () =
     (padded <> f.Certificate.f_combos);
   expect_reject "duplicated candidate" "duplicate-candidate"
     (with_claim cert (Certificate.Forbidden { f with Certificate.f_combos = padded }))
+
+(* The recount counts a run combination as 0, without its shape, when
+   [Replay.live] says no: that must be exactly when some read of the
+   shape has no rf candidate. *)
+let test_live_rule () =
+  let programs =
+    List.map (fun (t : Test.t) -> t.Test.program) (Library.all @ Test_explore.live_corner_cases)
+    @ List.concat_map
+        (fun arch ->
+          List.map
+            (fun (g : Wmm_synth.Synth.generated) -> g.Wmm_synth.Synth.g_test.Test.program)
+            (Wmm_synth.Synth.generate ~max_edges:4 arch))
+        Arch.[ Armv8; Power7 ]
+  in
+  let live = ref 0 and total = ref 0 in
+  List.iter
+    (fun (p : Program.t) ->
+      List.iteri
+        (fun i runs ->
+          let shape = Replay.shape_of_runs p runs in
+          let fed =
+            List.for_all (fun r -> Replay.rf_candidates shape r <> []) shape.Replay.reads
+          in
+          incr total;
+          if fed then incr live;
+          if Replay.live p runs <> fed then
+            Alcotest.failf "%s, run combination %d: live says %b, rf candidates say %b"
+              p.Program.name i (Replay.live p runs) fed)
+        (Replay.combos ~fuel:Checker.fuel p))
+    programs;
+  Alcotest.(check bool) "some run combinations are dead" true (!live < !total);
+  Alcotest.(check bool) "some run combinations are live" true (!live > 0)
 
 (* Emission decides its claim itself; a caller holding the graph
    engine's verdict turns a disagreement into an error. *)
@@ -453,16 +507,24 @@ let test_golden () =
 
 (* Every library certificate and every bound-4 ARMv8/POWER verdict's,
    pinned by digest (refresh: dune exec test/gen_cert_golden.exe --
-   --digests > test/data/cert_digests.txt). *)
+   --digests > test/data/cert_digests.txt), and each one accepted by
+   the checker. *)
 let test_digests () =
   let golden =
     String.split_on_char '\n' (read_file (data_path "cert_digests.txt"))
     |> List.filter (fun l -> l <> "")
   in
-  let now = Cert_golden.digest_lines () in
+  let now = Cert_golden.digest_entries () in
   Alcotest.(check int) "digest line count" (List.length golden) (List.length now);
   List.iter2
-    (fun g n -> if g <> n then Alcotest.failf "certificate digest differs:\n  golden %s\n  now    %s" g n)
+    (fun g (n, text) ->
+      if g <> n then Alcotest.failf "certificate digest differs:\n  golden %s\n  now    %s" g n;
+      Option.iter
+        (fun text ->
+          match Checker.check_string text with
+          | Ok _ -> ()
+          | Error r -> Alcotest.failf "%s: certificate rejected: %s" n (Checker.reason_string r))
+        text)
     golden now
 
 (* --- the certificate cap ------------------------------------------ *)
@@ -542,6 +604,7 @@ let suite =
     Alcotest.test_case "mutations: allowed witness" `Quick test_mutations_allowed;
     Alcotest.test_case "mutations: forbidden execution set" `Quick
       test_mutations_forbidden;
+    Alcotest.test_case "recount: live rule matches rf candidates" `Quick test_live_rule;
     Alcotest.test_case "claim agrees with the verdict" `Quick test_claim_agrees;
     Alcotest.test_case "mutations: minimality claim" `Quick test_mutations_minimal;
     Alcotest.test_case "version guard" `Quick test_version_guard;

@@ -66,6 +66,35 @@ let ren3_reader =
   Program.make ~name:"ren3+reader" ~location_names:[| "x" |]
     [ [| st 0 1 |]; [| st 0 2 |]; [| st 0 3 |]; [| ld 0 0; ld 1 0 |] ]
 
+(* The corners of the rule that skips a dead run combination (one with
+   a read no write can feed) before its skeleton.  Nothing in the
+   library reads a nonzero initial value or a value only a
+   store-exclusive writes; a value written only po-later in the
+   reading thread makes a live combination whose candidate every model
+   forbids.  test_cert certifies each under every model. *)
+let live_corner_cases =
+  let all m = List.map (fun model -> (model, m)) Axiomatic.all_models in
+  [
+    Test.make ~name:"init-read" ~description:"a read of a nonzero initial value"
+      ~locations:[| "x" |] ~init:[ (0, 5) ]
+      ~threads:[ [| Test.ldr ~dst:0 ~loc:0 |]; [| Test.str ~value:1 ~loc:0 |] ]
+      ~condition:[ ((0, 0), 5) ] ~expected:(all true) ();
+    Test.make ~name:"stx-write" ~description:"a value only a store-exclusive writes"
+      ~locations:[| "x" |]
+      ~threads:
+        [
+          [| Test.addi ~dst:2 ~src:2 1; Test.ldxr ~dst:1 ~loc:0; Test.stxr ~status:0 ~src:2 ~loc:0 |];
+          [| Test.ldr ~dst:0 ~loc:0 |];
+        ]
+      ~condition:[ ((1, 0), 1) ] ~expected:(all true) ();
+    Test.make ~name:"po-later-write" ~description:"a value written only po-later by the reader"
+      ~locations:[| "x" |]
+      ~threads:[ [| Test.ldr ~dst:0 ~loc:0; Test.str ~value:1 ~loc:0 |] ]
+      ~condition:[ ((0, 0), 1) ] ~expected:(all false) ();
+  ]
+
+let live_corners = List.map (fun (t : Test.t) -> t.Test.program) live_corner_cases
+
 (* Reference outcome sets of the synthetic shapes, shared by the tests
    that compare against them: the reference enumerator is the slow
    side of every comparison. *)
@@ -150,7 +179,8 @@ let test_golden_library model () =
 let test_golden_synthetic () =
   List.iter
     (fun (p, model) -> check_search_golden model p)
-    [ (iriw3, Axiomatic.Arm); (co_storm, Axiomatic.Tso) ]
+    ([ (iriw3, Axiomatic.Arm); (co_storm, Axiomatic.Tso) ]
+    @ List.concat_map (fun p -> List.map (fun m -> (p, m)) Axiomatic.all_models) live_corners)
 
 (* --- graph engine: golden vs reference, all five models ---------- *)
 
@@ -177,7 +207,7 @@ let test_graph_golden_synthetic () =
             (Printf.sprintf "%s/%s graph = reference" p.Program.name
                (Axiomatic.model_name model))
             true (outcomes_equal graph slow))
-        [ iriw3; iriw3_sym; co_storm ])
+        ([ iriw3; iriw3_sym; co_storm ] @ live_corners))
     Axiomatic.all_models
 
 (* A deterministic slice of the synthesized battery: shapes (address
