@@ -687,7 +687,8 @@ let static_for model skel =
    value/location-matched and unique per read, co is a per-location
    total order with init first).  The order is part of the contract:
    an allowed certificate's witness is the first match in it, and a
-   forbidden certificate lists the candidates in it.                    *)
+   forbidden certificate lists the candidates in it.  Its callers pass
+   only [live] combinations, in which every read has an rf candidate. *)
 (* ------------------------------------------------------------------ *)
 
 let search skel
@@ -706,36 +707,33 @@ let search skel
     incr tick;
     if !tick land 1023 = 0 then Wmm_util.Cancel.check_ambient ()
   in
-  if Array.exists (fun c -> c = []) rf_cands then ()
-  else begin
-    let rec assign_read i =
-      if i = nreads then assign_locs locs []
-      else begin
+  let rec assign_read i =
+    if i = nreads then assign_locs locs []
+    else begin
+      poll ();
+      List.iter
+        (fun w ->
+          rf_edges := (w, reads.(i)) :: !rf_edges;
+          assign_read (i + 1);
+          rf_edges := List.tl !rf_edges)
+        rf_cands.(i)
+    end
+  and assign_locs remaining_locs done_chains =
+    match remaining_locs with
+    | [] -> emit ~rf_pairs:!rf_edges ~chains:done_chains
+    | (l, init_id, others) :: rest -> extend l [ init_id ] others rest done_chains
+  and extend l placed remaining rest done_chains =
+    match remaining with
+    | [] -> assign_locs rest ((l, List.rev placed) :: done_chains)
+    | _ ->
         poll ();
         List.iter
           (fun w ->
-            rf_edges := (w, reads.(i)) :: !rf_edges;
-            assign_read (i + 1);
-            rf_edges := List.tl !rf_edges)
-          rf_cands.(i)
-      end
-    and assign_locs remaining_locs done_chains =
-      match remaining_locs with
-      | [] -> emit ~rf_pairs:!rf_edges ~chains:done_chains
-      | (l, init_id, others) :: rest -> extend l [ init_id ] others rest done_chains
-    and extend l placed remaining rest done_chains =
-      match remaining with
-      | [] -> assign_locs rest ((l, List.rev placed) :: done_chains)
-      | _ ->
-          poll ();
-          List.iter
-            (fun w ->
-              let others = List.filter (fun o -> o <> w) remaining in
-              extend l (w :: placed) others rest done_chains)
-            remaining
-    in
-    assign_read 0
-  end
+            let others = List.filter (fun o -> o <> w) remaining in
+            extend l (w :: placed) others rest done_chains)
+          remaining
+  in
+  assign_read 0
 
 (* ------------------------------------------------------------------ *)
 (* Graph engine: incremental execution-graph enumeration.
@@ -774,6 +772,7 @@ let search skel
    permutation's value substitution over the canonical outcomes.       *)
 (* ------------------------------------------------------------------ *)
 
+(* Called only on [live] combinations, like [search]. *)
 let graph_search ~static ~(sym : Symmetry.t) skel ~counters
     ~(emit : chains:(Instr.loc * int list) list -> unit) =
   let ev = skel.all_events in
@@ -781,140 +780,137 @@ let graph_search ~static ~(sym : Symmetry.t) skel ~counters
   let rf = Bitrel.create n and co = Bitrel.create n in
   let rf_cands = Array.make n [] in
   List.iter (fun r -> rf_cands.(r) <- rf_candidates skel r) skel.sk_reads;
-  if List.exists (fun r -> rf_cands.(r) = []) skel.sk_reads then ()
-  else begin
-    let chains = Hashtbl.create 8 in
-    List.iter (fun (l, init_id) -> Hashtbl.replace chains l [ init_id ]) skel.init_ids;
-    (* write id -> reads holding a promise on it *)
-    let promises = Array.make n [] in
-    (* first write of a group member -> first write of the previous
-       member (same location by construction: members share shape) *)
-    let sym_pred = Array.make n (-1) in
+  let chains = Hashtbl.create 8 in
+  List.iter (fun (l, init_id) -> Hashtbl.replace chains l [ init_id ]) skel.init_ids;
+  (* write id -> reads holding a promise on it *)
+  let promises = Array.make n [] in
+  (* first write of a group member -> first write of the previous
+     member (same location by construction: members share shape) *)
+  let sym_pred = Array.make n (-1) in
+  List.iter
+    (fun (g : Symmetry.group) ->
+      let first_write tid =
+        let rec find i =
+          if i >= n then -1
+          else if ev.(i).Event.tid = tid && Event.is_write ev.(i) then i
+          else find (i + 1)
+        in
+        find 0
+      in
+      let fws = List.map first_write g.Symmetry.g_members in
+      ignore
+        (List.fold_left
+           (fun prev fw ->
+             if fw >= 0 && prev >= 0 then sym_pred.(fw) <- prev;
+             fw)
+           (-1) fws))
+    sym.Symmetry.s_groups;
+  let pp = Axiomatic.prune_possible static in
+  (* rf/co are complete once the last read or write is placed
+     (fences add no incremental edges), so the residual axioms -
+     which on a partial graph can only ever rule out prefixes whose
+     completions all fail anyway - are checked once, on the
+     completing placement, instead of at every node.  The monotone
+     core still screens every step. *)
+  let last_rw =
+    let r = ref (-1) in
+    Array.iteri
+      (fun i e ->
+        match e.Event.action with Event.Fence _ -> () | _ -> r := i)
+      ev;
+    !r
+  in
+  let viable i =
+    ((not pp) || Axiomatic.prune_viable static ~rf ~co)
+    && (i < last_rw || Axiomatic.residual_consistent static ~rf ~co)
+  in
+  let tick = ref 0 in
+  let poll () =
+    incr tick;
+    if !tick land 1023 = 0 then Wmm_util.Cancel.check_ambient ()
+  in
+  let start = List.length skel.init_ids in
+  let rec place i =
+    if i = n then leaf ()
+    else begin
+      poll ();
+      match ev.(i).Event.action with
+      | Event.Fence _ -> place (i + 1)
+      | Event.Read _ -> place_read i
+      | Event.Write _ -> place_write i
+    end
+  and place_read i =
     List.iter
-      (fun (g : Symmetry.group) ->
-        let first_write tid =
-          let rec find i =
-            if i >= n then -1
-            else if ev.(i).Event.tid = tid && Event.is_write ev.(i) then i
-            else find (i + 1)
-          in
-          find 0
+      (fun w ->
+        if w < i then begin
+          Bitrel.add rf w i;
+          if viable i then place (i + 1)
+          else counters.c_pruned <- counters.c_pruned + 1;
+          Bitrel.remove rf w i
+        end
+        else begin
+          counters.c_revisits <- counters.c_revisits + 1;
+          promises.(w) <- i :: promises.(w);
+          place (i + 1);
+          promises.(w) <- List.tl promises.(w)
+        end)
+      rf_cands.(i)
+  and place_write i =
+    let l = Option.get (Event.loc ev.(i)) in
+    let chain = Hashtbl.find chains l in
+    let len = List.length chain in
+    (* Coherence extends per-location program order: insertion
+       points before the latest already-placed same-thread write
+       would fail sc-per-location, so skip them outright (counted
+       as pruned - the check would have cut them anyway). *)
+    let po_min =
+      let rec scan k best = function
+        | [] -> best
+        | w :: rest ->
+            scan (k + 1)
+              (if ev.(w).Event.tid = ev.(i).Event.tid then k + 1 else best)
+              rest
+      in
+      scan 0 1 chain
+    in
+    (* Canonicity: a group member's first write goes after the
+       previous member's first write in their shared chain. *)
+    let sym_min =
+      if sym_pred.(i) < 0 then 1
+      else
+        let rec idx k = function
+          | [] -> 1
+          | w :: rest -> if w = sym_pred.(i) then k + 1 else idx (k + 1) rest
         in
-        let fws = List.map first_write g.Symmetry.g_members in
-        ignore
-          (List.fold_left
-             (fun prev fw ->
-               if fw >= 0 && prev >= 0 then sym_pred.(fw) <- prev;
-               fw)
-             (-1) fws))
-      sym.Symmetry.s_groups;
-    let pp = Axiomatic.prune_possible static in
-    (* rf/co are complete once the last read or write is placed
-       (fences add no incremental edges), so the residual axioms -
-       which on a partial graph can only ever rule out prefixes whose
-       completions all fail anyway - are checked once, on the
-       completing placement, instead of at every node.  The monotone
-       core still screens every step. *)
-    let last_rw =
-      let r = ref (-1) in
-      Array.iteri
-        (fun i e ->
-          match e.Event.action with Event.Fence _ -> () | _ -> r := i)
-        ev;
-      !r
+        idx 0 chain
     in
-    let viable i =
-      ((not pp) || Axiomatic.prune_viable static ~rf ~co)
-      && (i < last_rw || Axiomatic.residual_consistent static ~rf ~co)
+    counters.c_pruned <- counters.c_pruned + (po_min - 1);
+    let eff_min = max po_min sym_min in
+    if sym_min > po_min then
+      counters.c_symmetry_skips <- counters.c_symmetry_skips + (sym_min - po_min);
+    let promised = promises.(i) in
+    List.iter (fun r -> Bitrel.add rf i r) promised;
+    for pos = eff_min to len do
+      let before = List.filteri (fun k _ -> k < pos) chain in
+      let after = List.filteri (fun k _ -> k >= pos) chain in
+      List.iter (fun w -> Bitrel.add co w i) before;
+      List.iter (fun w -> Bitrel.add co i w) after;
+      Hashtbl.replace chains l (before @ (i :: after));
+      if viable i then place (i + 1) else counters.c_pruned <- counters.c_pruned + 1;
+      Hashtbl.replace chains l chain;
+      List.iter (fun w -> Bitrel.remove co w i) before;
+      List.iter (fun w -> Bitrel.remove co i w) after
+    done;
+    List.iter (fun r -> Bitrel.remove rf i r) promised
+  and leaf () =
+    counters.c_generated <- counters.c_generated + 1;
+    counters.c_consistent <- counters.c_consistent + 1;
+    let done_chains =
+      List.map (fun (l, _) -> (l, Hashtbl.find chains l)) skel.init_ids
     in
-    let tick = ref 0 in
-    let poll () =
-      incr tick;
-      if !tick land 1023 = 0 then Wmm_util.Cancel.check_ambient ()
-    in
-    let start = List.length skel.init_ids in
-    let rec place i =
-      if i = n then leaf ()
-      else begin
-        poll ();
-        match ev.(i).Event.action with
-        | Event.Fence _ -> place (i + 1)
-        | Event.Read _ -> place_read i
-        | Event.Write _ -> place_write i
-      end
-    and place_read i =
-      List.iter
-        (fun w ->
-          if w < i then begin
-            Bitrel.add rf w i;
-            if viable i then place (i + 1)
-            else counters.c_pruned <- counters.c_pruned + 1;
-            Bitrel.remove rf w i
-          end
-          else begin
-            counters.c_revisits <- counters.c_revisits + 1;
-            promises.(w) <- i :: promises.(w);
-            place (i + 1);
-            promises.(w) <- List.tl promises.(w)
-          end)
-        rf_cands.(i)
-    and place_write i =
-      let l = Option.get (Event.loc ev.(i)) in
-      let chain = Hashtbl.find chains l in
-      let len = List.length chain in
-      (* Coherence extends per-location program order: insertion
-         points before the latest already-placed same-thread write
-         would fail sc-per-location, so skip them outright (counted
-         as pruned - the check would have cut them anyway). *)
-      let po_min =
-        let rec scan k best = function
-          | [] -> best
-          | w :: rest ->
-              scan (k + 1)
-                (if ev.(w).Event.tid = ev.(i).Event.tid then k + 1 else best)
-                rest
-        in
-        scan 0 1 chain
-      in
-      (* Canonicity: a group member's first write goes after the
-         previous member's first write in their shared chain. *)
-      let sym_min =
-        if sym_pred.(i) < 0 then 1
-        else
-          let rec idx k = function
-            | [] -> 1
-            | w :: rest -> if w = sym_pred.(i) then k + 1 else idx (k + 1) rest
-          in
-          idx 0 chain
-      in
-      counters.c_pruned <- counters.c_pruned + (po_min - 1);
-      let eff_min = max po_min sym_min in
-      if sym_min > po_min then
-        counters.c_symmetry_skips <- counters.c_symmetry_skips + (sym_min - po_min);
-      let promised = promises.(i) in
-      List.iter (fun r -> Bitrel.add rf i r) promised;
-      for pos = eff_min to len do
-        let before = List.filteri (fun k _ -> k < pos) chain in
-        let after = List.filteri (fun k _ -> k >= pos) chain in
-        List.iter (fun w -> Bitrel.add co w i) before;
-        List.iter (fun w -> Bitrel.add co i w) after;
-        Hashtbl.replace chains l (before @ (i :: after));
-        if viable i then place (i + 1) else counters.c_pruned <- counters.c_pruned + 1;
-        Hashtbl.replace chains l chain;
-        List.iter (fun w -> Bitrel.remove co w i) before;
-        List.iter (fun w -> Bitrel.remove co i w) after
-      done;
-      List.iter (fun r -> Bitrel.remove rf i r) promised
-    and leaf () =
-      counters.c_generated <- counters.c_generated + 1;
-      counters.c_consistent <- counters.c_consistent + 1;
-      let done_chains =
-        List.map (fun (l, _) -> (l, Hashtbl.find chains l)) skel.init_ids
-      in
-      emit ~chains:done_chains
-    in
-    place start
-  end
+    emit ~chains:done_chains
+  in
+  place start
 
 let run_combos (p : Program.t) =
   (match Program.validate p with Ok () -> () | Error msg -> invalid_arg msg);
