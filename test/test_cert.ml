@@ -604,7 +604,6 @@ let suite =
     Alcotest.test_case "mutations: allowed witness" `Quick test_mutations_allowed;
     Alcotest.test_case "mutations: forbidden execution set" `Quick
       test_mutations_forbidden;
-    Alcotest.test_case "recount: live rule matches rf candidates" `Quick test_live_rule;
     Alcotest.test_case "claim agrees with the verdict" `Quick test_claim_agrees;
     Alcotest.test_case "mutations: minimality claim" `Quick test_mutations_minimal;
     Alcotest.test_case "version guard" `Quick test_version_guard;
@@ -613,4 +612,5 @@ let suite =
     Alcotest.test_case "certificate digests" `Quick test_digests;
     Alcotest.test_case "certificate cap: co-storm" `Quick test_certificate_cap;
     Alcotest.test_case "wmm_bench check (separate process)" `Quick test_bench_check;
+    Alcotest.test_case "recount: live rule matches rf candidates" `Quick test_live_rule;
   ]
