@@ -1,6 +1,6 @@
 open Wmm_isa
 
-(* Proof-carrying verdicts, version 1.
+(* Proof-carrying verdicts, version 2.
 
    A certificate is self-contained: program, condition and claim ride
    together, so {!Checker.check} revalidates it from the file alone,
@@ -10,20 +10,20 @@ open Wmm_isa
      chains) plus the final state it claims; the checker replays the
      threads, re-derives the dependency relations, re-checks the
      model's axioms and recomputes the final state.
-   - [Forbidden]: the exhaustively enumerated execution set, grouped
-     by run combination; the checker recounts the rf/co candidate
-     space from the program alone, so truncation is detected, and
-     verifies every candidate is either inconsistent or misses the
-     condition.
+   - [Forbidden]: the number of candidate executions, and nothing
+     else; the checker recounts the rf/co candidate space from the
+     program alone, so a wrong count is detected, then walks every
+     candidate itself and verifies each is either inconsistent or
+     misses the condition.
    - [Minimal]: a fence placement, a forbidden body for the fully
      fenced program, and one allowed witness per single-site removal
      refuting every cheaper placement.
 
-   The serialized form is line/token oriented (see {!Trace}); size is
-   bounded at emission (see DESIGN.md §17), not here: the checker
-   handles whatever fits in memory. *)
+   The serialized form is line/token oriented (see {!Trace}).  Size is
+   the program's and the witnesses', not the candidate space's; the
+   checker bounds its own work (see DESIGN.md §17). *)
 
-let version = 1
+let version = 2
 
 type condition = {
   c_regs : ((int * Instr.reg) * Instr.value) list;
@@ -38,14 +38,7 @@ type witness = {
   w_mem : (Instr.loc * Instr.value) list;
 }
 
-type candidate = {
-  k_rf : (int * int) list;
-  k_co : (Instr.loc * int list) list;
-}
-
-type combo = { x_events : Trace.event list; x_candidates : candidate list }
-
-type forbidden_body = { f_count : int; f_combos : combo list }
+type forbidden_body = { f_count : int }
 
 type site = { s_tid : int; s_at : int; s_barrier : Instr.barrier }
 
@@ -86,9 +79,9 @@ let to_string t =
     str s;
     chr '\n'
   in
-  (* [sep]-separated items, or [empty] for none. *)
-  let items ~sep ~empty add = function
-    | [] -> str empty
+  (* [sep]-separated items. *)
+  let items ~sep add = function
+    | [] -> ()
     | x :: rest ->
         add x;
         List.iter
@@ -105,7 +98,7 @@ let to_string t =
   let chain (l, ids) =
     int l;
     chr ':';
-    items ~sep:',' ~empty:"" int ids
+    items ~sep:',' int ids
   in
   let event e =
     Trace.add_event b e;
@@ -114,38 +107,24 @@ let to_string t =
   let witness w =
     List.iter event w.w_events;
     str "rf ";
-    items ~sep:' ' ~empty:"" pair w.w_rf;
+    items ~sep:' ' pair w.w_rf;
     str "\nco ";
-    items ~sep:' ' ~empty:"" chain w.w_co;
+    items ~sep:' ' chain w.w_co;
     str "\nregs ";
-    items ~sep:' ' ~empty:""
+    items ~sep:' '
       (fun ((tid, r), v) ->
         int tid;
         chr ',';
         pair (r, v))
       w.w_regs;
     str "\nmem ";
-    items ~sep:' ' ~empty:"" pair w.w_mem;
+    items ~sep:' ' pair w.w_mem;
     chr '\n'
   in
   let forbidden f =
     str "count ";
     int f.f_count;
-    chr '\n';
-    List.iter
-      (fun x ->
-        line "combo";
-        List.iter event x.x_events;
-        List.iter
-          (fun k ->
-            str "cand ";
-            items ~sep:';' ~empty:"-" pair k.k_rf;
-            chr ' ';
-            items ~sep:'|' ~empty:"-" chain k.k_co;
-            chr '\n')
-          x.x_candidates;
-        line "endcombo")
-      f.f_combos
+    chr '\n'
   in
   str "wmmcert ";
   int version;
@@ -277,51 +256,11 @@ let parse_witness lines =
       | _ -> fail "malformed witness section")
   | _ -> fail "truncated witness section"
 
-let parse_candidate s =
-  match List.filter (( <> ) "") (String.split_on_char ' ' s) with
-  | [ rf; co ] ->
-      let rf = if rf = "-" then "" else String.map (function ';' -> ' ' | c -> c) rf in
-      let co = if co = "-" then "" else String.map (function '|' -> ' ' | c -> c) co in
-      { k_rf = split_pairs rf; k_co = split_chains co }
-  | _ -> fail "bad candidate line %S" s
-
-let parse_forbidden lines =
-  match lines with
+let parse_forbidden = function
   | count_l :: rest -> (
       match prefixed "count " count_l with
-      | None -> fail "expected count line"
-      | Some n ->
-          let f_count = int_of (String.trim n) in
-          let rec combos acc = function
-            | "combo" :: rest ->
-                let rec events acc_e = function
-                  | line :: rest as all -> (
-                      match prefixed "e " line with
-                      | Some toks ->
-                          events
-                            (event_of_tokens
-                               (List.filter (( <> ) "") (String.split_on_char ' ' toks))
-                            :: acc_e)
-                            rest
-                      | None -> (List.rev acc_e, all))
-                  | [] -> (List.rev acc_e, [])
-                in
-                let x_events, rest = events [] rest in
-                let rec cands acc_c = function
-                  | line :: rest as all -> (
-                      match prefixed "cand " line with
-                      | Some s -> cands (parse_candidate s :: acc_c) rest
-                      | None -> (List.rev acc_c, all))
-                  | [] -> (List.rev acc_c, [])
-                in
-                let x_candidates, rest = cands [] rest in
-                (match rest with
-                | "endcombo" :: rest -> combos ({ x_events; x_candidates } :: acc) rest
-                | _ -> fail "missing endcombo")
-            | rest -> (List.rev acc, rest)
-          in
-          let f_combos, rest = combos [] rest in
-          ({ f_count; f_combos }, rest))
+      | Some n -> ({ f_count = int_of (String.trim n) }, rest)
+      | None -> fail "expected count line")
   | [] -> fail "truncated forbidden section"
 
 let of_lines lines =

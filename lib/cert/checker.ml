@@ -5,9 +5,10 @@ open Wmm_isa
    the claim from first principles - thread replay, canonical event
    layout, well-formedness of rf/co, the model's axioms
    ({!Axioms}), final-state recomputation, and (for forbidden
-   verdicts) an rf/co candidate-space recount from the program alone.
-   Nothing from a certificate is trusted: dependencies, register
-   values and candidate counts are always recomputed. *)
+   verdicts) an rf/co candidate-space recount from the program alone
+   and a walk over every candidate.  Nothing from a certificate is
+   trusted: dependencies, register values and candidate counts are
+   always recomputed. *)
 
 type reason = { code : string; detail : string }
 
@@ -19,19 +20,38 @@ let reject code fmt = Printf.ksprintf (fun detail -> raise (Reject { code; detai
 
 let fuel = 4096
 
+(* The most candidate executions a forbidden claim may have: the
+   checker walks them all itself, so this bounds its work on any
+   certificate.  Emission declines a forbidden claim past it. *)
+let max_candidates = 100_000
+
+let too_large () =
+  reject "too-large" "the program has more than %d candidate executions" max_candidates
+
+(* [a * b], refused past [max_candidates] before it is formed, so a
+   crafted program cannot wrap the recount around. *)
+let bounded_mul a b =
+  if b > 0 && a > max_candidates / b then too_large ();
+  a * b
+
+(* [acc * k!], bounded at every multiplication. *)
+let rec times_fact acc k = if k <= 1 then acc else times_fact (bounded_mul acc k) (k - 1)
+
 (* Condition semantics, identical to the litmus checker's: registers
    must be present with the exact value; absent memory locations read
-   as their 0 default. *)
-let cond_satisfied (cond : Certificate.condition) ~regs ~mem =
+   as their 0 default.  The forbidden walk tests the two halves
+   apart. *)
+let regs_satisfy (cond : Certificate.condition) regs =
   List.for_all
     (fun (k, v) -> match List.assoc_opt k regs with Some v' -> v = v' | None -> false)
     cond.Certificate.c_regs
-  && List.for_all
-       (fun (l, v) ->
-         match List.assoc_opt l mem with Some v' -> v = v' | None -> v = 0)
-       cond.Certificate.c_mem
 
-let rec fact n = if n <= 1 then 1 else n * fact (n - 1)
+let mem_satisfies (cond : Certificate.condition) mem =
+  List.for_all
+    (fun (l, v) -> match List.assoc_opt l mem with Some v' -> v = v' | None -> v = 0)
+    cond.Certificate.c_mem
+
+let cond_satisfied cond ~regs ~mem = regs_satisfy cond regs && mem_satisfies cond mem
 
 (* ------------------------------------------------------------------ *)
 (* rf / co validation against a replayed shape.                        *)
@@ -159,126 +179,60 @@ let check_witness model (program : Program.t) cond (w : Certificate.witness) =
 (* Forbidden validation.                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Run combinations keyed on their canonical events.  The hash folds
-   over every event: one program's combinations share their init
-   writes and their first threads' events, the bounded prefix the
-   polymorphic hash of a list would see. *)
-module Combos = Hashtbl.Make (struct
-  type t = Trace.event list
-
-  let equal = ( = )
-  let hash events = List.fold_left (fun h e -> (h * 31) + Hashtbl.hash e) 0 events
-end)
-
 let check_forbidden model (program : Program.t) cond (f : Certificate.forbidden_body) =
-  (* Recount the candidate space from the program alone. *)
   let combos =
     match Replay.combos ~fuel program with
     | cs -> cs
     | exception Replay.Fuel -> reject "replay-fuel" "program exhausted interpretation fuel"
+    | exception Replay.Too_large msg -> reject "too-large" "%s" msg
   in
-  let expected = Combos.create 16 in
-  (* canonical events -> (shape, final registers of each run
-     combination with these events, per-combo candidate count,
-     multiplicity) *)
-  let total_expected = ref 0 in
+  (* Recount the candidate space from the program alone: per live run
+     combination, the rf choices of its reads times the coherence
+     permutations of its locations.  A combination that is not [live]
+     has a read with no rf candidate, so it counts 0 and its shape is
+     never built.  Only a combination whose final registers meet the
+     condition is kept for the walk. *)
+  let total = ref 0 and kept = ref [] in
   List.iter
     (fun runs ->
-      (* A combination that is not [live] has a read with no rf
-         candidate: its count is 0, and its shape is never built.  A
-         live one has at least one candidate. *)
       if Replay.live program runs then begin
         let shape = Replay.shape_of_runs program runs in
         let rf_product =
           List.fold_left
-            (fun acc r -> acc * List.length (Replay.rf_candidates shape r))
+            (fun acc r -> bounded_mul acc (List.length (Replay.rf_candidates shape r)))
             1 shape.Replay.reads
         in
-        let co_product =
+        let count =
           List.fold_left
-            (fun acc (_, _, others) -> acc * fact (List.length others))
-            1
-            (Replay.co_locations shape)
+            (fun acc (_, _, others) -> times_fact acc (List.length others))
+            rf_product (Replay.co_locations shape)
         in
-        let count = rf_product * co_product in
-        total_expected := !total_expected + count;
-        let key = Array.to_list shape.Replay.events in
-        let regs = Replay.regs_of_runs runs in
-        match Combos.find_opt expected key with
-        | Some (sh, rs, c, mult) -> Combos.replace expected key (sh, regs :: rs, c, mult + 1)
-        | None -> Combos.replace expected key (shape, [ regs ], count, 1)
+        total := !total + count;
+        if !total > max_candidates then too_large ();
+        if regs_satisfy cond (Replay.regs_of_runs runs) then kept := shape :: !kept
       end)
     combos;
-  (* The certificate must list exactly one combo per feasible run
-     combination (multiset match on the canonical events). *)
-  let listed = f.Certificate.f_combos in
-  let seen_mult = Combos.create 16 in
-  List.iter
-    (fun (x : Certificate.combo) ->
-      let key = x.Certificate.x_events in
-      Combos.replace seen_mult key
-        (1 + Option.value ~default:0 (Combos.find_opt seen_mult key)))
-    listed;
-  Combos.iter
-    (fun key (_, _, _, mult) ->
-      let got = Option.value ~default:0 (Combos.find_opt seen_mult key) in
-      if got <> mult then
-        reject "combo-set-mismatch"
-          "a feasible run combination appears %d time(s) in the certificate, expected %d"
-          got mult)
-    expected;
-  Combos.iter
-    (fun key _ ->
-      if not (Combos.mem expected key) then
-        reject "combo-set-mismatch" "certificate lists a run combination the program cannot produce")
-    seen_mult;
-  (* Per combo: every candidate well-formed and distinct, the count
-     exactly the recomputed rf x co product (=> exhaustiveness), and
-     no consistent candidate may satisfy the condition - checked as
-     "every candidate that satisfies it is inconsistent", so the
-     axioms run only where the condition holds. *)
-  let total_listed = ref 0 in
-  List.iter
-    (fun (x : Certificate.combo) ->
-      let shape, regs_list, count, _ =
-        match Combos.find_opt expected x.Certificate.x_events with
-        | Some e -> e
-        | None -> assert false
-      in
-      if List.length x.Certificate.x_candidates <> count then
-        reject "candidate-count-mismatch" "combo lists %d candidates, the rf/co space has %d"
-          (List.length x.Certificate.x_candidates)
-          count;
-      total_listed := !total_listed + count;
-      let n = Array.length shape.Replay.events in
-      let ctx = Axioms.ctx_of_shape shape in
-      let dedup = Hashtbl.create 16 in
-      List.iter
-        (fun (k : Certificate.candidate) ->
-          validate_rf shape k.Certificate.k_rf;
-          validate_co shape k.Certificate.k_co;
-          let norm =
-            ( List.sort compare k.Certificate.k_rf,
-              List.sort compare k.Certificate.k_co )
-          in
-          if Hashtbl.mem dedup norm then
-            reject "duplicate-candidate" "a candidate execution is listed twice";
-          Hashtbl.replace dedup norm ();
-          let mem = Replay.memory_of_chains shape k.Certificate.k_co in
-          if
-            List.exists (fun regs -> cond_satisfied cond ~regs ~mem) regs_list
-            && Axioms.consistent model ctx
-                 ~rf:(Rel.of_list n k.Certificate.k_rf)
-                 ~co:(rel_of_chains n k.Certificate.k_co)
-          then
-            reject "forbidden-refuted" "a consistent execution satisfies the condition under %s"
-              (Axioms.model_name model))
-        x.Certificate.x_candidates)
-    listed;
-  if f.Certificate.f_count <> !total_expected || !total_listed <> !total_expected then
+  if f.Certificate.f_count <> !total then
     reject "count-mismatch" "certificate claims %d candidates, the program's space has %d"
-      f.Certificate.f_count !total_expected;
-  ()
+      f.Certificate.f_count !total;
+  (* Walk every candidate of the kept combinations, condition first: a
+     coherence order whose co-maximal writes miss the memory condition
+     is skipped with all its rf assignments, and the axioms run only on
+     the rest.  No consistent candidate may satisfy the condition. *)
+  List.iter
+    (fun shape ->
+      let n = Array.length shape.Replay.events in
+      let ctx = lazy (Axioms.ctx_of_shape shape) in
+      Replay.iter_co shape (fun chains ->
+          if mem_satisfies cond (Replay.memory_of_chains shape chains) then begin
+            let co = rel_of_chains n chains in
+            Replay.iter_rf shape (fun rf ->
+                if Axioms.consistent model (Lazy.force ctx) ~rf:(Rel.of_list n rf) ~co then
+                  reject "forbidden-refuted"
+                    "a consistent execution satisfies the condition under %s"
+                    (Axioms.model_name model))
+          end))
+    (List.rev !kept)
 
 (* ------------------------------------------------------------------ *)
 (* Minimality validation.                                              *)

@@ -12,14 +12,22 @@ open Wmm_isa
      recomputed).
    - [runs]: a branching interpreter enumerating every feasible run of
      a thread against a value pool, used by the forbidden-verdict
-     completeness check to recompute the candidate space from the
-     program alone.
+     check to recompute the candidate space from the program alone.
 
    Both deliberately re-state the architectural rules (exclusive
    monitors, spurious store-exclusive failure, control deps carried by
    branches) rather than importing them from the explorer. *)
 
 exception Fuel
+
+(* Runs per thread, and run combinations per program (one run per
+   thread): past this bound the program is refused before its runs or
+   combinations are listed, so a certificate cannot make the checker
+   interpret an unbounded space.  It matches the explorer's own bound
+   on run combinations. *)
+let max_combos = 200_000
+
+exception Too_large of string
 
 type levent = {
   v_action : Trace.action;
@@ -197,9 +205,13 @@ let replay_thread ?(fuel = 4096) (thread : Instr.t array) (actions : Trace.actio
 let runs ~fuel ~pool (thread : Instr.t array) : run list =
   let length = Array.length thread in
   let results = ref [] in
+  let count = ref 0 in
   let rec step pc steps regs reg_deps ctrl written events next_read monitor =
     if steps > fuel then raise Fuel;
     if pc >= length then begin
+      incr count;
+      if !count > max_combos then
+        raise (Too_large (Printf.sprintf "a thread has more than %d runs" max_combos));
       let final =
         List.sort compare (IM.bindings (IM.filter (fun r _ -> List.mem r written) regs))
       in
@@ -367,6 +379,15 @@ let combos ~fuel (p : Program.t) : run array list =
   let per_thread =
     Array.to_list (Array.map (fun thread -> runs ~fuel ~pool thread) p.Program.threads)
   in
+  ignore
+    (List.fold_left
+       (fun total rs ->
+         let k = List.length rs in
+         if k > 0 && total > max_combos / k then
+           raise
+             (Too_large (Printf.sprintf "the program has more than %d run combinations" max_combos));
+         total * k)
+       1 per_thread);
   List.map Array.of_list (cartesian per_thread)
 
 (* ------------------------------------------------------------------ *)
@@ -526,6 +547,37 @@ let co_locations shape =
       in
       (l, init_id, others))
     shape.locations
+
+(* ------------------------------------------------------------------ *)
+(* The candidate walk of one shape.                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Every coherence order: one chain per location, init write first,
+   locations in [co_locations] order.  Grown one write at a time, so
+   no list of permutations is ever built. *)
+let iter_co shape (f : (Instr.loc * int list) list -> unit) =
+  let rec locs done_chains = function
+    | [] -> f (List.rev done_chains)
+    | (l, init_id, others) :: rest ->
+        let rec extend placed = function
+          | [] -> locs ((l, List.rev placed) :: done_chains) rest
+          | remaining ->
+              List.iter
+                (fun w -> extend (w :: placed) (List.filter (fun o -> o <> w) remaining))
+                remaining
+        in
+        extend [ init_id ] others
+  in
+  locs [] (co_locations shape)
+
+(* Every rf assignment: each read takes one of its [rf_candidates],
+   as (write, read) pairs. *)
+let iter_rf shape (f : (int * int) list -> unit) =
+  let rec reads edges = function
+    | [] -> f edges
+    | (r, ws) :: rest -> List.iter (fun w -> reads ((w, r) :: edges) rest) ws
+  in
+  reads [] (List.map (fun r -> (r, rf_candidates shape r)) shape.reads)
 
 let regs_of_runs (rs : run array) =
   Array.to_list rs

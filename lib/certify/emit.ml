@@ -7,17 +7,15 @@ open Wmm_analysis
 (* Certificate emission: the untrusted half of proof-carrying
    verdicts.  This module sits on the explorer's side of the trust
    boundary - one {!Wmm_model.Enumerate.walk} per claim either finds a
-   witness or lists the exhaustive execution set - and packages the
+   witness or counts the candidates it exhausted - and packages the
    result into {!Wmm_cert.Certificate} values that the independent
-   checker revalidates from scratch.  A bug here (or anywhere in the
+   checker revalidates from scratch; for a forbidden claim the checker
+   walks the candidates itself.  A bug here (or anywhere in the
    exploration core) produces certificates the checker rejects; it
    cannot produce a wrongly-accepted verdict.  The claim of a litmus
    certificate comes from emission's own walk, not from the graph
    engine, so callers that print a verdict beside it compare the two
    ({!agree}). *)
-
-(* The most candidates a forbidden certificate lists. *)
-let max_candidates = 20_000
 
 let cert_model (m : Axiomatic.model) =
   match Axioms.model_of_name (Axiomatic.model_name m) with
@@ -104,33 +102,20 @@ let find_witness model program cond =
     | Enumerate.Witness (x, o) -> Ok (witness_of x o)
     | Enumerate.Exhausted _ -> Error "no consistent execution satisfies the condition")
 
-(* An exhausted walk's lists are the forbidden execution set, one combo
-   per listed run combination. *)
-let forbidden_set (combos : Enumerate.combination list) count =
-  let combo_of (c : Enumerate.combination) =
-    {
-      Certificate.x_events = events_of c.Enumerate.execution;
-      x_candidates =
-        List.map
-          (fun (k : Enumerate.candidate) -> { Certificate.k_rf = k.rf; k_co = k.co })
-          c.Enumerate.candidates;
-    }
-  in
-  if count > max_candidates then
+(* An exhausted walk's count is the forbidden body.  Past the
+   checker's bound the claim could never be checked, so it is declined
+   here. *)
+let forbidden_of_count count =
+  if count > Checker.max_candidates then
     Error
-      (Printf.sprintf "certificate too large: %d candidate executions (cap %d)" count
-         max_candidates)
-  else
-    Ok
-      {
-        Certificate.f_count = count;
-        f_combos = List.map combo_of combos;
-      }
+      (Printf.sprintf "certificate too large: %d candidate executions (the checker walks at most %d)"
+         count Checker.max_candidates)
+  else Ok { Certificate.f_count = count }
 
 let forbidden_body model program cond =
   Result.bind (walk model program cond) (function
     | Enumerate.Witness _ -> Error "the condition is allowed, not forbidden"
-    | Enumerate.Exhausted (combos, count) -> forbidden_set combos count)
+    | Enumerate.Exhausted count -> forbidden_of_count count)
 
 let certificate model program cond claim =
   { Certificate.model = cert_model model; program; cond; claim }
@@ -186,15 +171,15 @@ let minimal model (t : Test.t) (strategy : Placement.strategy) =
 (* ------------------------------------------------------------------ *)
 
 (* One walk: its witness is the allowed certificate, its exhausted
-   lists the forbidden one. *)
+   count the forbidden one. *)
 let litmus model (t : Test.t) =
   let cond = condition_of_test t and program = t.Test.program in
   Result.bind (walk model program cond) (fun w ->
       Result.map (certificate model program cond)
         (match w with
         | Enumerate.Witness (x, o) -> Ok (Certificate.Allowed (witness_of x o))
-        | Enumerate.Exhausted (combos, count) ->
-            Result.map (fun body -> Certificate.Forbidden body) (forbidden_set combos count)))
+        | Enumerate.Exhausted count ->
+            Result.map (fun body -> Certificate.Forbidden body) (forbidden_of_count count)))
 
 (* A certificate printed or served beside a verdict must claim what
    the verdict says; a disagreement between the graph engine and the

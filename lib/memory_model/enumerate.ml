@@ -252,8 +252,7 @@ let value_pool (p : Program.t) =
    The dependency and rmw edges stay sorted pair lists: they key the
    static memo's shape normal form, which most run combinations only
    need to compare.  The rf/co-free execution, program order included,
-   is built on first use - a static-memo miss, a witness, or a
-   combination the candidate walk lists for a certificate.            *)
+   is built on first use - a static-memo miss or a witness.           *)
 (* ------------------------------------------------------------------ *)
 
 type skeleton = {
@@ -674,7 +673,7 @@ let static_for model skel =
       st
 
 (* ------------------------------------------------------------------ *)
-(* The exhaustive candidate generator, in the certificates' canonical
+(* The exhaustive candidate generator, in the witness walk's canonical
    order.
 
    Every well-formed candidate of one skeleton, model-blind: first
@@ -686,9 +685,9 @@ let static_for model skel =
    location slowest.  Candidates are well-formed by construction (rf is
    value/location-matched and unique per read, co is a per-location
    total order with init first).  The order is part of the contract:
-   an allowed certificate's witness is the first match in it, and a
-   forbidden certificate lists the candidates in it.  Its callers pass
-   only [live] combinations, in which every read has an rf candidate. *)
+   an allowed certificate's witness is the first match in it.  Its
+   callers pass only [live] combinations, in which every read has an
+   rf candidate. *)
 (* ------------------------------------------------------------------ *)
 
 let search skel
@@ -1297,73 +1296,45 @@ let outcome_allowed model p query =
 (* The candidate walk: generate and test over [search].
 
    One pass over every run combination's candidates, in [search]'s
-   order.  A candidate's final state is read off its chains; only a
-   candidate whose state passes the predicate gets rf/co relations,
-   checked against the combination's static context, which is taken
-   at most once, lazily, from the memo the graph engine uses.  The
-   walk lists every candidate as it goes, so when no candidate both
-   passes and is allowed, the lists are the exhaustive candidate set
-   of a forbidden certificate and nothing is enumerated twice.  Only a
-   combination that has candidates is kept, and of its skeleton only
-   the lazily built execution: most run combinations of a program with
-   many runs (392 of CAS+both's 400) have a read no write can feed, and
+   order, counting them.  A candidate's final state is read off its
+   chains; only a candidate whose state passes the predicate gets
+   rf/co relations, checked against the combination's static context,
+   which is taken at most once, lazily, from the memo the graph engine
+   uses.  When no candidate both passes and is allowed, the count is
+   all a forbidden certificate carries: the checker walks the
+   candidates itself.  Most run combinations of a program with many
+   runs (392 of CAS+both's 400) have a read no write can feed, and
    those are skipped ([live]) before their skeleton is built.          *)
 (* ------------------------------------------------------------------ *)
 
-type candidate = { rf : (int * int) list; co : (Instr.loc * int list) list }
-
-type combination = {
-  execution : Execution.t;
-  registers : ((int * Instr.reg) * Instr.value) list;
-  candidates : candidate list;
-}
-
-type walk = Witness of Execution.t * outcome | Exhausted of combination list * int
+type walk = Witness of Execution.t * outcome | Exhausted of int
 
 (* [on_match] gets every candidate whose final state passes [pred]
-   and which the model allows; it may raise to end the walk. *)
+   and which the model allows; it may raise to end the walk.  Returns
+   the number of candidates walked. *)
 let candidate_walk model (p : Program.t) pred ~on_match =
   let count = ref 0 in
-  let combos =
-    List.filter_map
-      (fun runs ->
-        let skel = skeleton_of_runs p runs in
-        let registers = registers_of_runs runs in
-        let static = lazy (static_for model skel) in
-        let listed = ref [] in
-        search skel ~emit:(fun ~rf_pairs ~chains ->
-            incr count;
-            listed := (rf_pairs, chains) :: !listed;
-            let o = { registers; memory = memory_of_chains skel chains } in
-            if pred o then begin
-              let rf = rf_relation skel rf_pairs and co = co_relation skel chains in
-              if Axiomatic.consistent_static (Lazy.force static) ~rf ~co then
-                on_match (candidate skel ~rf ~co) o
-            end);
-        if !listed = [] then None else Some (skel.sk_exec, registers, !listed))
-      (List.filter (live p) (run_combos p))
-  in
-  (combos, !count)
+  List.iter
+    (fun runs ->
+      let skel = skeleton_of_runs p runs in
+      let registers = registers_of_runs runs in
+      let static = lazy (static_for model skel) in
+      search skel ~emit:(fun ~rf_pairs ~chains ->
+          incr count;
+          let o = { registers; memory = memory_of_chains skel chains } in
+          if pred o then begin
+            let rf = rf_relation skel rf_pairs and co = co_relation skel chains in
+            if Axiomatic.consistent_static (Lazy.force static) ~rf ~co then
+              on_match (candidate skel ~rf ~co) o
+          end))
+    (List.filter (live p) (run_combos p));
+  !count
 
 let walk model p pred =
   let exception Found of Execution.t * outcome in
   match candidate_walk model p pred ~on_match:(fun x o -> raise (Found (x, o))) with
   | exception Found (x, o) -> Witness (x, o)
-  | combos, count ->
-      (* [search] pushes rf pairs in read order and chains in location
-         order; a candidate lists the sorted pairs and the
-         location-sorted chains. *)
-      let as_candidate (rf, chains) = { rf = List.sort compare rf; co = List.rev chains } in
-      Exhausted
-        ( List.map
-            (fun (execution, registers, listed) ->
-              {
-                execution = Lazy.force execution;
-                registers;
-                candidates = List.rev_map as_candidate listed;
-              })
-            combos,
-          count )
+  | count -> Exhausted count
 
 let filtered_outcomes model p =
   let acc = ref [] in

@@ -17,7 +17,7 @@ open Wmm_isa
     check screens every step, so each maximal consistent execution is
     reached exactly once and no leaf is wasted.  Structurally
     identical threads are quotiented by symmetry ({!Symmetry}) and the
-    outcome set re-expanded.  Certificates come from a flat
+    outcome set re-expanded.  Certificate claims come from a flat
     generate-and-test {!walk} over the same run combinations.
 
     Every search raises [Failure] when a thread runs more than 1024
@@ -84,30 +84,14 @@ val reset_global_stats : unit -> unit
     combination by run combination, in one canonical order: rf
     choices lexicographic in read order (reads and writes by event
     id), then each location's coherence permutations lexicographic,
-    locations ascending.  This order is part of the certificate
-    format. *)
-
-type candidate = {
-  rf : (int * int) list;  (** (write, read) pairs, sorted. *)
-  co : (Instr.loc * int list) list;
-      (** One coherence chain per location, init write first, sorted
-          by location. *)
-}
-
-type combination = {
-  execution : Execution.t;  (** The run combination's events; rf and co empty. *)
-  registers : ((int * Instr.reg) * Instr.value) list;
-      (** Final registers, sorted by (thread, register). *)
-  candidates : candidate list;  (** In the canonical order, never empty. *)
-}
+    locations ascending.  An allowed certificate's witness is the
+    first match in this order. *)
 
 type walk =
   | Witness of Execution.t * outcome
       (** The first candidate whose final state satisfies the
           predicate and which the model allows. *)
-  | Exhausted of combination list * int
-      (** There is none: every run combination that has candidates,
-          with its candidates, and the candidate count. *)
+  | Exhausted of int  (** There is none: the number of candidates walked. *)
 
 val walk : Axiomatic.model -> Program.t -> (outcome -> bool) -> walk
 (** One pass over the candidates that stops at the first witness.

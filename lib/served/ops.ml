@@ -69,8 +69,10 @@ let run_litmus ~engine ~tests ~program ~model ~certify =
       (* v2: the certify flag entered the key (certified and plain
          results have different payloads and must not alias); v3: the
          machine mode left it (the exhaustive search is the only one);
-         v4: the item lost its "observations" and "total" counts. *)
-      Printf.sprintf "served/litmus/v4|%s|%s|certify=%b" content
+         v4: the item lost its "observations" and "total" counts;
+         v5: forbidden certificates carry their count, not the
+         execution set. *)
+      Printf.sprintf "served/litmus/v5|%s|%s|certify=%b" content
         (Protocol.model_wire_name m) certify
     in
     Task.pure ~key ~label:("litmus " ^ test.Test.name) (fun () ->

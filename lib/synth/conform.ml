@@ -154,8 +154,10 @@ let machine_task model cfg cfg_id (t : Test.t) =
    the same claim disagree - the strongest cross-check in the suite,
    since the two sides share no code beyond the ISA types. *)
 let cert_task model (t : Test.t) =
+  (* v2: forbidden certificates carry their count, not the execution
+     set. *)
   let key =
-    Printf.sprintf "conform/cert/v1|%s|%s" (Axiomatic.model_name model)
+    Printf.sprintf "conform/cert/v2|%s|%s" (Axiomatic.model_name model)
       (Verify.test_digest t)
   in
   let label = Printf.sprintf "certify %s %s" (Axiomatic.model_name model) t.Test.name in

@@ -43,6 +43,29 @@ let contains ~sub s =
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   go 0
 
+let with_claim cert claim = { cert with Certificate.claim }
+
+(* An allowed certificate relabelled as forbidden, with the count of
+   the emission walk: the checker's own walk must meet the witness
+   again and refute the claim.  The count must also agree with the
+   checker's recount, or the rejection names the count instead. *)
+let expect_refuted name (cert : Certificate.t) =
+  match cert.Certificate.claim with
+  | Certificate.Allowed _ ->
+      let model =
+        List.find
+          (fun m -> Axiomatic.model_name m = Axioms.model_name cert.Certificate.model)
+          Axiomatic.all_models
+      in
+      let f_count =
+        match Enumerate.walk model cert.Certificate.program (fun _ -> false) with
+        | Enumerate.Exhausted n -> n
+        | Enumerate.Witness _ -> Alcotest.failf "%s: a predicate that never holds matched" name
+      in
+      expect_reject (name ^ " relabelled forbidden") "forbidden-refuted"
+        (with_claim cert (Certificate.Forbidden { Certificate.f_count }))
+  | Certificate.Forbidden _ | Certificate.Minimal _ -> ()
+
 (* --- library sweep: emit, roundtrip, check ----------------------- *)
 
 let test_library_certificates () =
@@ -77,9 +100,9 @@ let test_library_certificates () =
               if Certificate.to_string reparsed <> text then
                 Alcotest.failf "%s under %s: serialization does not roundtrip"
                   t.Test.name (Axiomatic.model_name model);
-              check_ok
-                (Printf.sprintf "%s under %s" t.Test.name (Axiomatic.model_name model))
-                reparsed))
+              let name = Printf.sprintf "%s under %s" t.Test.name (Axiomatic.model_name model) in
+              check_ok name reparsed;
+              expect_refuted name reparsed))
         Axiomatic.all_models)
     tests
 
@@ -120,8 +143,6 @@ let test_machine_traces () =
     Library.all
 
 (* --- mutation tests: every corruption is rejected ----------------- *)
-
-let with_claim cert claim = { cert with Certificate.claim }
 
 let test_mutations_allowed () =
   (* MP without fences is allowed under ARMv8. *)
@@ -182,111 +203,45 @@ let test_mutations_forbidden () =
     | Certificate.Forbidden f -> f
     | _ -> Alcotest.fail "SB under SC should be a forbidden claim"
   in
-  check_ok "pristine SB execution set" cert;
-  expect_reject "truncated candidate list" "candidate-count-mismatch"
-    (with_claim cert
-       (Certificate.Forbidden
-          {
-            f with
-            Certificate.f_combos =
-              List.map
-                (fun (x : Certificate.combo) ->
-                  { x with Certificate.x_candidates = List.tl x.Certificate.x_candidates })
-                f.Certificate.f_combos;
-          }));
-  expect_reject "dropped run combination" "combo-set-mismatch"
-    (with_claim cert
-       (Certificate.Forbidden
-          { f with Certificate.f_combos = List.tl f.Certificate.f_combos }));
-  (* A read no write feeds leaves its combination without a candidate,
-     so the recount lists no such combination. *)
-  let dead =
-    let bumped = ref false in
-    {
-      Certificate.x_events =
-        List.map
-          (fun (e : Trace.event) ->
-            match e.Trace.action with
-            | Trace.Read { loc; order; _ } when not !bumped ->
-                bumped := true;
-                { e with Trace.action = Trace.Read { loc; value = 7; order } }
-            | _ -> e)
-          (List.hd f.Certificate.f_combos).Certificate.x_events;
-      x_candidates = [];
-    }
-  in
-  expect_reject "listed dead run combination" "combo-set-mismatch"
-    (with_claim cert
-       (Certificate.Forbidden
-          { f with Certificate.f_combos = f.Certificate.f_combos @ [ dead ] }));
+  check_ok "pristine SB claim" cert;
   expect_reject "forged candidate count" "count-mismatch"
-    (with_claim cert
-       (Certificate.Forbidden { f with Certificate.f_count = f.Certificate.f_count + 1 }));
-  (* The check tests the condition before the axioms; these two pin
-     both sides of that order.  The execution set does not depend on
-     the model: relabelled as TSO, the candidate whose reads both
-     return 0 is consistent and refutes the claim. *)
+    (with_claim cert (Certificate.Forbidden { Certificate.f_count = f.Certificate.f_count + 1 }));
+  (* The candidate space does not depend on the model: relabelled as
+     TSO, the candidate whose reads both return 0 is consistent and
+     refutes the claim. *)
   expect_reject "relabelled model" "forbidden-refuted"
-    { cert with Certificate.model = Axioms.Tso };
-  (* A candidate whose final state misses the condition is still
-     validated: drop the rf edge of the combination whose reads both
-     return 1. *)
-  let reads_one (x : Certificate.combo) =
-    List.for_all
-      (fun (e : Trace.event) -> (not (Trace.is_read e)) || Trace.value e = Some 1)
-      x.Certificate.x_events
-  in
-  Alcotest.(check int) "one combination reads 1 twice" 1
-    (List.length (List.filter reads_one f.Certificate.f_combos));
-  expect_reject "dropped rf edge off the condition" "rf-missing"
-    (with_claim cert
-       (Certificate.Forbidden
-          {
-            f with
-            Certificate.f_combos =
-              List.map
-                (fun (x : Certificate.combo) ->
-                  if not (reads_one x) then x
-                  else
-                    {
-                      x with
-                      Certificate.x_candidates =
-                        List.map
-                          (fun (k : Certificate.candidate) ->
-                            { k with Certificate.k_rf = List.tl k.Certificate.k_rf })
-                          x.Certificate.x_candidates;
-                    })
-                f.Certificate.f_combos;
-          }));
-  (* Padding a truncated set with a duplicate keeps the count right
-     but trips the dedup.  SB's combos hold one candidate each (the
-     run's values pin rf), so use 2+2W: no reads, one combo, and 2!x2!
-     co permutations to duplicate within. *)
-  let ttw = Option.get (Library.by_name "2+2W") in
-  let cert = emit ttw Axiomatic.Sc in
-  let f =
-    match cert.Certificate.claim with
-    | Certificate.Forbidden f -> f
-    | _ -> Alcotest.fail "2+2W under SC should be a forbidden claim"
-  in
-  check_ok "pristine 2+2W execution set" cert;
-  let padded =
-    List.map
-      (fun (x : Certificate.combo) ->
-        match x.Certificate.x_candidates with
-        | first :: _ :: rest ->
-            { x with Certificate.x_candidates = first :: first :: rest }
-        | _ -> x)
-      f.Certificate.f_combos
-  in
-  Alcotest.(check bool) "duplication mutation applied" true
-    (padded <> f.Certificate.f_combos);
-  expect_reject "duplicated candidate" "duplicate-candidate"
-    (with_claim cert (Certificate.Forbidden { f with Certificate.f_combos = padded }))
+    { cert with Certificate.model = Axioms.Tso }
 
 (* The recount counts a run combination as 0, without its shape, when
    [Replay.live] says no: that must be exactly when some read of the
-   shape has no rf candidate. *)
+   shape has no rf candidate.  On a live combination the checker walks
+   the candidates of a forbidden claim itself, so its walk must visit
+   exactly the recount's: prod |rf_candidates| x prod k! distinct,
+   well-formed rf/co assignments. *)
+let rec fact n = if n <= 1 then 1 else n * fact (n - 1)
+
+let check_walk label (shape : Replay.shape) =
+  let expected =
+    List.fold_left
+      (fun acc r -> acc * List.length (Replay.rf_candidates shape r))
+      1 shape.Replay.reads
+    * List.fold_left
+        (fun acc (_, _, others) -> acc * fact (List.length others))
+        1 (Replay.co_locations shape)
+  in
+  let seen = Hashtbl.create 16 in
+  (try
+     Replay.iter_co shape (fun chains ->
+         Checker.validate_co shape chains;
+         Replay.iter_rf shape (fun rf ->
+             Checker.validate_rf shape rf;
+             Hashtbl.replace seen (List.sort compare rf, chains) ()))
+   with Checker.Reject r ->
+     Alcotest.failf "%s: the walk visits a malformed candidate: %s" label (Checker.reason_string r));
+  if Hashtbl.length seen <> expected then
+    Alcotest.failf "%s: the walk visits %d distinct candidates, the recount has %d" label
+      (Hashtbl.length seen) expected
+
 let test_live_rule () =
   let programs =
     List.map (fun (t : Test.t) -> t.Test.program) (Library.all @ Test_explore.live_corner_cases)
@@ -297,7 +252,7 @@ let test_live_rule () =
             (Wmm_synth.Synth.generate ~max_edges:4 arch))
         Arch.[ Armv8; Power7 ]
   in
-  let live = ref 0 and total = ref 0 in
+  let live = ref 0 and total = ref 0 and branching = ref 0 in
   List.iter
     (fun (p : Program.t) ->
       List.iteri
@@ -307,14 +262,24 @@ let test_live_rule () =
             List.for_all (fun r -> Replay.rf_candidates shape r <> []) shape.Replay.reads
           in
           incr total;
-          if fed then incr live;
           if Replay.live p runs <> fed then
             Alcotest.failf "%s, run combination %d: live says %b, rf candidates say %b"
-              p.Program.name i (Replay.live p runs) fed)
+              p.Program.name i (Replay.live p runs) fed;
+          if fed then begin
+            incr live;
+            if
+              List.exists
+                (fun r -> List.length (Replay.rf_candidates shape r) >= 2)
+                shape.Replay.reads
+            then incr branching;
+            check_walk (Printf.sprintf "%s, run combination %d" p.Program.name i) shape
+          end)
         (Replay.combos ~fuel:Checker.fuel p))
     programs;
   Alcotest.(check bool) "some run combinations are dead" true (!live < !total);
-  Alcotest.(check bool) "some run combinations are live" true (!live > 0)
+  Alcotest.(check bool) "some run combinations are live" true (!live > 0);
+  Alcotest.(check int) "live run combinations with a read of two or more rf candidates" 23
+    !branching
 
 (* Emission decides its claim itself; a caller holding the graph
    engine's verdict turns a disagreement into an error. *)
@@ -365,16 +330,21 @@ let test_mutations_minimal () =
        (Certificate.Minimal
           { m with Certificate.m_refutations = List.tl m.Certificate.m_refutations }))
 
+(* A future version and the retired one that listed the execution
+   set: neither is read. *)
 let test_version_guard () =
   let text = Certificate.to_string (emit sb Axiomatic.Sc) in
   let idx = String.index text '\n' in
-  let tampered = "wmmcert 99" ^ String.sub text idx (String.length text - idx) in
-  match Checker.check_string tampered with
-  | Ok _ -> Alcotest.fail "future-versioned certificate accepted"
-  | Error r ->
-      Alcotest.(check string) "parse reason" "parse" r.Checker.code;
-      Alcotest.(check bool) "detail names the version" true
-        (contains ~sub:"version" r.Checker.detail)
+  List.iter
+    (fun header ->
+      let tampered = header ^ String.sub text idx (String.length text - idx) in
+      match Checker.check_string tampered with
+      | Ok _ -> Alcotest.failf "%s: certificate accepted" header
+      | Error r ->
+          Alcotest.(check string) (header ^ ": parse reason") "parse" r.Checker.code;
+          Alcotest.(check bool) (header ^ ": detail names the version") true
+            (contains ~sub:"version" r.Checker.detail))
+    [ "wmmcert 99"; "wmmcert 1" ]
 
 (* --- planted bug: an explorer that forgets RMW atomicity ---------- *)
 
@@ -522,18 +492,19 @@ let test_digests () =
       Option.iter
         (fun text ->
           match Checker.check_string text with
-          | Ok _ -> ()
+          | Ok cert -> expect_refuted n cert
           | Error r -> Alcotest.failf "%s: certificate rejected: %s" n (Checker.reason_string r))
         text)
     golden now
 
-(* --- the certificate cap ------------------------------------------ *)
+(* --- no certificate cap ------------------------------------------- *)
 
-(* co-storm has 35,280 candidate executions, more than the 20,000 a
-   forbidden certificate may list.  Under the fixtures' condition (the
-   observer reads 5, then 6) every model allows it and the witness
-   certifies.  Reading 6, then 5 breaks read-read coherence (CoRR)
-   under every model, so the walk is exhausted and emission declines. *)
+(* co-storm has 35,280 candidate executions.  Under the fixtures'
+   condition (the observer reads 5, then 6) every model allows it and
+   the witness certifies.  Reading 6, then 5 breaks read-read coherence
+   (CoRR) under every model, so the walk is exhausted: the forbidden
+   claim carries the count, and the checker walks the candidates
+   itself. *)
 let co_storm_corr =
   {
     Cert_golden.co_storm with
@@ -547,11 +518,12 @@ let test_certificate_cap () =
       let name = Axiomatic.model_name model in
       Alcotest.(check bool) ("co-storm CoRR forbidden under " ^ name) false
         (Check.axiomatic_allowed model co_storm_corr);
-      (match Wmm_certify.Emit.litmus model co_storm_corr with
-      | Ok _ -> Alcotest.failf "co-storm CoRR under %s: certified past the cap" name
-      | Error msg ->
-          Alcotest.(check string) ("co-storm CoRR under " ^ name)
-            "certificate too large: 35280 candidate executions (cap 20000)" msg);
+      let cert = emit co_storm_corr model in
+      (match cert.Certificate.claim with
+      | Certificate.Forbidden f ->
+          Alcotest.(check int) ("co-storm CoRR count under " ^ name) 35280 f.Certificate.f_count
+      | _ -> Alcotest.failf "co-storm CoRR under %s: not a forbidden certificate" name);
+      check_ok ("co-storm CoRR under " ^ name) cert;
       let cert = emit Cert_golden.co_storm model in
       (match cert.Certificate.claim with
       | Certificate.Allowed _ -> ()
@@ -596,6 +568,21 @@ let test_bench_check () =
     ("wmmcert 99" ^ String.sub text idx (String.length text - idx));
   Alcotest.(check int) "corrupted certificate rejected" 1 (run ())
 
+(* --- the checker's own bound ---------------------------------------- *)
+
+(* A forbidden claim on test_cli's BIG program: 64 runs per writer
+   thread and 4096 for the observer, about 1.07e9 run combinations.
+   The checker must refuse it from the run counts alone, before it
+   lists a combination. *)
+let test_too_large () =
+  let text = read_file (data_path "big_forbidden.cert") in
+  let t0 = Sys.time () in
+  (match Checker.check_string text with
+  | Ok _ -> Alcotest.fail "BIG's forbidden claim accepted"
+  | Error r -> Alcotest.(check string) "reason code" "too-large" r.Checker.code);
+  let cpu = Sys.time () -. t0 in
+  if cpu > 1.0 then Alcotest.failf "refusing BIG took %.2f s of CPU" cpu
+
 let suite =
   [
     Alcotest.test_case "library: certify, roundtrip, check" `Quick
@@ -613,4 +600,5 @@ let suite =
     Alcotest.test_case "certificate cap: co-storm" `Quick test_certificate_cap;
     Alcotest.test_case "wmm_bench check (separate process)" `Quick test_bench_check;
     Alcotest.test_case "recount: live rule matches rf candidates" `Quick test_live_rule;
+    Alcotest.test_case "checker bound: oversized program refused" `Quick test_too_large;
   ]

@@ -7,7 +7,7 @@ let () =
     [
       ("rng", Test_rng.suite);
       ("stats", Test_stats.suite);
-      ("linalg+fit", Test_fit.suite);
+      ("fit", Test_fit.suite);
       ("table", Test_table.suite);
       ("isa", Test_isa.suite);
       ("relation", Test_relation.suite);
