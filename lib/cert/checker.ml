@@ -23,7 +23,7 @@ let fuel = 4096
 (* The most candidate executions a forbidden claim may have: the
    checker walks them all itself, so this bounds its work on any
    certificate.  Emission declines a forbidden claim past it. *)
-let max_candidates = 100_000
+let max_candidates = 50_000
 
 let too_large () =
   reject "too-large" "the program has more than %d candidate executions" max_candidates
