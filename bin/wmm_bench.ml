@@ -253,8 +253,8 @@ let litmus_cmd =
       & info [ "certify" ]
           ~doc:
             "Emit a proof-carrying certificate for every axiomatic verdict (witness \
-             execution for allowed, exhaustive execution set for forbidden), \
-             checkable offline with `wmm_bench check`")
+             execution for allowed, candidate count for forbidden, whose candidates \
+             the checker walks itself), checkable offline with `wmm_bench check`")
   in
   let cert_dir_arg =
     Arg.(
@@ -616,8 +616,8 @@ let analyze_cmd =
       & info [ "certify" ]
           ~doc:
             "Emit a minimality certificate for every inferred placement: the fenced \
-             program's exhaustive forbidden execution set plus a witness execution \
-             per dropped fence, checkable offline with `wmm_bench check`")
+             program's forbidden candidate count plus a witness execution per dropped \
+             fence, checkable offline with `wmm_bench check`")
   in
   let cert_dir_arg =
     Arg.(

@@ -199,7 +199,7 @@ let replay_thread ?(fuel = 4096) (thread : Instr.t array) (actions : Trace.actio
   step 0 0 IM.empty IM.empty [] [] [] 0 None actions
 
 (* ------------------------------------------------------------------ *)
-(* Branching interpretation (for the completeness recount).            *)
+(* Branching interpretation (for the forbidden-claim recount).        *)
 (* ------------------------------------------------------------------ *)
 
 let runs ~fuel ~pool (thread : Instr.t array) : run list =
@@ -384,8 +384,7 @@ let combos ~fuel (p : Program.t) : run array list =
        (fun total rs ->
          let k = List.length rs in
          if k > 0 && total > max_combos / k then
-           raise
-             (Too_large (Printf.sprintf "the program has more than %d run combinations" max_combos));
+           raise (Too_large (Printf.sprintf "more than %d run combinations" max_combos));
          total * k)
        1 per_thread);
   List.map Array.of_list (cartesian per_thread)

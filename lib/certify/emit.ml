@@ -108,8 +108,9 @@ let find_witness model program cond =
 let forbidden_of_count count =
   if count > Checker.max_candidates then
     Error
-      (Printf.sprintf "certificate too large: %d candidate executions (the checker walks at most %d)"
-         count Checker.max_candidates)
+      (Printf.sprintf
+         "certificate too large: %d candidate executions (the checker walks at most %d)" count
+         Checker.max_candidates)
   else Ok { Certificate.f_count = count }
 
 let forbidden_body model program cond =

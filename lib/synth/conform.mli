@@ -31,8 +31,8 @@ open Wmm_litmus
     side itself: every verdict of the battery is certified
     ({!Wmm_certify.Emit}) and the certificate revalidated by the
     independent checker ({!Wmm_cert.Checker}), which replays threads,
-    recounts the rf/co candidate space and re-applies the axioms from
-    its own transcription.  A rejected certificate is a
+    recounts and walks the rf/co candidate space and re-applies the
+    axioms from its own transcription.  A rejected certificate is a
     disagreement.
 
     A fourth layer, {b containment}, is produced by the language tier

@@ -237,7 +237,8 @@ let check_walk label (shape : Replay.shape) =
              Checker.validate_rf shape rf;
              Hashtbl.replace seen (List.sort compare rf, chains) ()))
    with Checker.Reject r ->
-     Alcotest.failf "%s: the walk visits a malformed candidate: %s" label (Checker.reason_string r));
+     Alcotest.failf "%s: the walk visits a malformed candidate: %s" label
+       (Checker.reason_string r));
   if Hashtbl.length seen <> expected then
     Alcotest.failf "%s: the walk visits %d distinct candidates, the recount has %d" label
       (Hashtbl.length seen) expected
