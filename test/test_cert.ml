@@ -571,18 +571,41 @@ let test_bench_check () =
 
 (* --- the checker's own bound ---------------------------------------- *)
 
-(* A forbidden claim on test_cli's BIG program: 64 runs per writer
-   thread and 4096 for the observer, about 1.07e9 run combinations.
-   The checker must refuse it from the run counts alone, before it
-   lists a combination. *)
+(* Forbidden claims past the checker's bounds, each refused with
+   [too-large] in well under a second:
+   - test_cli's BIG program: 64 runs per writer thread and 4096 for
+     the observer, about 1.07e9 run combinations, refused from the run
+     counts before a combination is listed;
+   - 21 writes to one location: 21! coherence orders, which would wrap
+     around, refused at the first product past [max_candidates];
+   - seven writes and two reads of one location: 64 run combinations of
+     7! = 5,040 candidates each, refused when their sum passes it. *)
 let test_too_large () =
-  let text = read_file (data_path "big_forbidden.cert") in
-  let t0 = Sys.time () in
-  (match Checker.check_string text with
-  | Ok _ -> Alcotest.fail "BIG's forbidden claim accepted"
-  | Error r -> Alcotest.(check string) "reason code" "too-large" r.Checker.code);
-  let cpu = Sys.time () -. t0 in
-  if cpu > 1.0 then Alcotest.failf "refusing BIG took %.2f s of CPU" cpu
+  let refused name text =
+    let t0 = Sys.time () in
+    (match Checker.check_string text with
+    | Ok _ -> Alcotest.failf "%s: forbidden claim accepted" name
+    | Error r -> Alcotest.(check string) (name ^ ": reason code") "too-large" r.Checker.code);
+    let cpu = Sys.time () -. t0 in
+    if cpu > 1.0 then Alcotest.failf "%s: refusing took %.2f s of CPU" name cpu
+  in
+  refused "BIG" (read_file (data_path "big_forbidden.cert"));
+  let forbidden threads cond =
+    Certificate.to_string
+      {
+        Certificate.model = Axioms.Sc;
+        program = Program.make ~name:"oversized" ~location_names:[| "x" |] threads;
+        cond;
+        claim = Certificate.Forbidden { Certificate.f_count = 0 };
+      }
+  in
+  let writes k = Array.init k (fun i -> Test_explore.st 0 (i + 1)) in
+  refused "21 writes"
+    (forbidden [ writes 21 ] { Certificate.c_regs = []; c_mem = [ (0, 1) ] });
+  refused "64 run combinations"
+    (forbidden
+       [ writes 7; [| Test_explore.ld 0 0; Test_explore.ld 1 0 |] ]
+       { Certificate.c_regs = [ ((1, 0), 2); ((1, 1), 1) ]; c_mem = [] })
 
 let suite =
   [
